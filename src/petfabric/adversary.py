@@ -34,10 +34,7 @@ import numpy as np
 from scipy import stats
 
 from . import ass
-from .dp import PrivacyBudget, sample_laplace
-
-GDP_MODEL = "gdp"
-LDP_MODEL = "ldp"
+from .dp import GDP_MODEL, LDP_MODEL, PrivacyBudget, sample_laplace
 
 
 class CoverageError(ValueError):

@@ -43,7 +43,7 @@ from .scenarios import (
     run_scenario,
     weight_sum_experiment,
 )
-from .scenarios.config import check_keys, require_key
+from .scenarios.config import check_keys, optional_bool, require_key
 
 log = logging.getLogger("petfabric")
 
@@ -200,7 +200,7 @@ def _ass_demo_from_dict(raw: dict) -> dict:
         "m": m,
         "encoding": encoding_from_dict(require_key(raw, "encoding", "config")),
         "repetitions": reps,
-        "drop_one_share": bool(raw.get("drop_one_share", False)),
+        "drop_one_share": optional_bool(raw, "drop_one_share", "config"),
         "seed": raw.get("seed"),
     }
 
@@ -447,7 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"master seed; overrides ${SEED_ENV_VAR} and the config",
         )
         p.add_argument("--parallel", type=int, default=1, help="worker processes for repetitions")
-        p.add_argument("--format", choices=["csv"], default="csv", help="report format")
         p.add_argument("-v", "--verbose", action="count", default=0)
 
     p = sub.add_parser("run-scenario", help="run one scenario config, write latency records")

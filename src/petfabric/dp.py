@@ -30,6 +30,10 @@ import numpy as np
 
 from .codec import EncodingParams
 
+#: The two deployment models, as configs and reports name them.
+LDP_MODEL = "ldp"
+GDP_MODEL = "gdp"
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:

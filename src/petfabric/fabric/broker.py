@@ -426,9 +426,10 @@ class RunRecord:
     """Per-message latency breakdown for one measured flow.
 
     end_to_end_ms is additive by construction: compute time plus the sum of
-    the sampled hop delays along the critical path. hop_count is the
-    structural hop total of the topology, which equals len(hop_delays_ms)
-    except when parallel legs collapse the critical path.
+    the sampled hop delays along the critical path. hop_count is two hops
+    (publish + delivery) per message on the critical path; it equals
+    len(hop_delays_ms) except when overlapped shares keep only the slowest
+    leg's delays.
     """
 
     scenario: str

@@ -203,6 +203,14 @@ def require_key(raw: dict, key: str, where: str):
     return raw[key]
 
 
+def optional_bool(raw: dict, key: str, where: str) -> bool:
+    """A flag that is absent (false) or a JSON boolean; nothing is coerced."""
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
+    return value
+
+
 def encoding_from_dict(raw: dict, where: str = "encoding") -> EncodingParams:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -273,8 +281,8 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         epsilon=None if pet_raw.get("epsilon") is None else float(pet_raw["epsilon"]),
         aggregator=pet_raw.get("aggregator"),
         m=None if pet_raw.get("m") is None else int(pet_raw["m"]),
-        drop_one_share=bool(pet_raw.get("drop_one_share", False)),
-        parallel_shares=bool(pet_raw.get("parallel_shares", False)),
+        drop_one_share=optional_bool(pet_raw, "drop_one_share", "pet"),
+        parallel_shares=optional_bool(pet_raw, "parallel_shares", "pet"),
     )
     sensors_raw = raw.get("sensors", {})
     check_keys(sensors_raw, {"count", "generator"}, "sensors")

@@ -24,11 +24,9 @@ from scipy import stats
 
 from .. import dp
 from ..codec import decode, decode_sum, derive_params, encode
+from ..dp import GDP_MODEL, LDP_MODEL
 from .config import ConfigError, ScenarioSpec
 from .runner import run_scenario_outcomes
-
-LDP_MODEL = "ldp"
-GDP_MODEL = "gdp"
 
 #: Fewest repetitions that make per-epsilon error statistics reportable.
 MIN_REPS = 100

@@ -7,22 +7,27 @@ sampled value. Within a repetition the draw order is fixed: background
 filler first (when configured), then sensor data, then loss injection, then
 per-sensor privacy randomness and transport legs in (sensor, channel) order.
 
-Latency bookkeeping is additive by construction: a RunRecord's end-to-end
-time is its compute time plus the sampled delays of the hops on the
-critical path. Structural hop counts per topology:
+Each flow is written once, as the messages it sends. A repetition's _Path
+links senders to a receiver -- each sender may publish only its own topic,
+the receiver may subscribe only its filter -- and carries every crossing of
+the broker. Latency bookkeeping is additive by construction: a RunRecord's
+end-to-end time is its compute time plus the sampled delays of the hops on
+the critical path, and its hop count is counted from the same crossings:
 
-    on-device (raw/ldp/krr/gdp)   2 hops   (publish + delivery)
-    on-device ass                 2m hops  (m sequential share round trips)
-    virtualized (raw/gdp)         4 hops   (in via broker, out via broker)
-    virtualized ass               2 + 2m hops
-    relay-chain(depth)            2 + 2*depth hops
+    Every message on the critical path is two hops (publish + delivery).
+    Of the senders in one crossing, the slowest lies on the critical path.
+    Overlapped shares (parallel_shares) count all their hops but add only
+    the slowest leg's delay.
+
+So on-device flows take 2 hops, m sequential shares 2m, a virtual node in
+between 4 (2 + 2m with shares), and a relay chain 2 + 2*depth.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -35,16 +40,17 @@ from ..fabric import (
     PublishReceipt,
     RunRecord,
     Scheme,
+    Subscription,
     VirtualClock,
     PUBLISH,
     SUBSCRIBE,
 )
 from .config import (
-    ON_DEVICE,
     PET_ASS,
     PET_GDP,
     PET_KRR,
     PET_LDP,
+    PET_NONE,
     RELAY_CHAIN,
     VIRTUALIZED,
     ScenarioSpec,
@@ -56,6 +62,11 @@ SHARE_TOPIC = "cabin/ass/{channel}/value"
 SHARE_FILTER = "cabin/ass/+/value"
 OUT_TOPIC = "cabin/out/value"
 RELAY_TOPIC = "relay/leg{i}"
+
+SENSOR_SCHEMES = {PET_NONE: Scheme.RAW, PET_LDP: Scheme.LDP, PET_KRR: Scheme.KRR}
+
+#: (sender, the Envelope fields of each message it sends, in order)
+Batch = tuple[str, Iterable[dict]]
 
 
 @dataclass(frozen=True)
@@ -69,18 +80,6 @@ class RepOutcome:
     encoded_truth: Optional[int] = None  # ass: exact encoded sum
     error: Optional[ass.MissingShareError] = None
     injected_drop: Optional[tuple[str, int]] = None
-
-
-def expected_hops(spec: ScenarioSpec) -> int:
-    """Structural hop count of a scenario's topology."""
-    kind = spec.topology.kind
-    if kind == RELAY_CHAIN:
-        return 2 + 2 * spec.topology.depth
-    if kind == ON_DEVICE:
-        return 2 * spec.pet.m if spec.pet.kind == PET_ASS else 2
-    if spec.pet.kind == PET_ASS:
-        return 2 + 2 * spec.pet.m
-    return 4
 
 
 def _draw_values(spec: ScenarioSpec, rng: np.random.Generator) -> list[float]:
@@ -100,10 +99,73 @@ def _leg(receipt: PublishReceipt, subscriber: str) -> tuple[float, float]:
     raise RuntimeError(f"wiring error: no delivery to {subscriber!r} on {receipt.topic!r}")
 
 
-def _build_broker(spec: ScenarioSpec, rng: np.random.Generator, rep: int) -> Broker:
-    # 1 s of virtual time per repetition keeps audit timestamps distinct
-    clock = VirtualClock(start_us=rep * 1_000_000)
-    return Broker(acl=AclTable(), latency=spec.latency, rng=rng, clock=clock)
+class _Path:
+    """One repetition's broker and the critical path its messages take."""
+
+    def __init__(self, spec: ScenarioSpec, rep: int, rng: np.random.Generator):
+        # 1 s of virtual time per repetition keeps audit timestamps distinct
+        self.clock = VirtualClock(start_us=rep * 1_000_000)
+        self.broker = Broker(acl=AclTable(), latency=spec.latency, rng=rng, clock=self.clock)
+        self.rep = rep
+        self.delays: list[float] = []
+        self.hops = 0
+
+    def link(self, senders, topics, receiver: str, pattern: str) -> Subscription:
+        """Grant each sender its one publish topic and the receiver its filter,
+        then subscribe the receiver."""
+        broker = self.broker
+        for sender, topic in zip(senders, topics):
+            broker.register_client(sender)
+            broker.acl.allow(sender, topic, PUBLISH)
+        broker.register_client(receiver)
+        broker.acl.allow(receiver, pattern, SUBSCRIBE)
+        return broker.subscribe(receiver, pattern)
+
+    def cross(
+        self,
+        receiver: str,
+        batches: Iterable[Batch],
+        parallel: bool = False,
+        then_ms: float = 0.0,
+    ) -> list[Envelope]:
+        """Publish each sender's messages in order and return the envelopes.
+
+        batches is consumed lazily, so whatever randomness builds a sender's
+        messages is drawn just before they are published. Envelopes carry the
+        repetition as sequence and the current time unless a message says
+        otherwise. The slowest sender's messages join the critical path (all
+        their legs, or only the slowest one when parallel overlaps them), and
+        the clock advances by their delay plus then_ms, the time the receiver
+        spends before it sends on.
+        """
+        sent: list[Envelope] = []
+        per_sender = []
+        for sender, messages in batches:
+            legs = []
+            for fields in messages:
+                stamp = {"sequence": self.rep, "timestamp_us": self.clock.now_us}
+                env = Envelope(**{**stamp, **fields})
+                legs.append(_leg(self.broker.publish(sender, env), receiver))
+                sent.append(env)
+            per_sender.append(legs)
+        overlap = max if parallel else sum
+        legs = max(per_sender, key=lambda legs: overlap(map(sum, legs)))
+        self.hops += 2 * len(legs)
+        if parallel:
+            legs = [max(legs, key=sum)]
+        added = [delay for leg in legs for delay in leg]
+        self.delays.extend(added)
+        self.clock.advance_ms(sum(added) + then_ms)
+        return sent
+
+    def record(self, spec: ScenarioSpec, compute: float) -> RunRecord:
+        return RunRecord(
+            scenario=spec.name,
+            message_id=self.rep,
+            compute_ms=compute,
+            hop_delays_ms=tuple(self.delays),
+            hop_count=self.hops,
+        )
 
 
 def _run_once(
@@ -113,215 +175,137 @@ def _run_once(
     filler_rate: float,
     filler_window_s: float,
 ) -> RepOutcome:
-    broker = _build_broker(spec, rng, rep)
+    path = _Path(spec, rep, rng)
     if filler_rate > 0:
-        broker.inject_load(filler_rate, filler_window_s)
+        path.broker.inject_load(filler_rate, filler_window_s)
     values = _draw_values(spec, rng)
-    params = spec.encoding
-    encoded = [encode(v, params) for v in values]
+    encoded = [encode(v, spec.encoding) for v in values]
     compute = spec.compute_ms + spec.overhead_ms
-    kind = spec.topology.kind
-    pet = spec.pet
+    if spec.topology.kind == RELAY_CHAIN:
+        flow = _relay_flow
+    elif spec.pet.kind == PET_ASS:
+        flow = _share_flow
+    else:
+        flow = _value_flow
+    return flow(spec, path, rng, values, encoded, compute)
 
-    if kind == RELAY_CHAIN:
-        return _run_relay_chain(spec, rep, rng, broker, values[0], encoded[0], compute)
-    if pet.kind == PET_ASS:
-        return _run_ass(spec, rep, rng, broker, values, encoded, compute)
+
+def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
+    """raw, ldp, krr or gdp values, on-device or through a vnode or aggregator.
+
+    Sensor-side schemes privatize before the sensors publish; gdp privatizes
+    once, where the values meet: at a virtual node behind the broker, or at a
+    zonal aggregator that collects nearby sensors locally (no hops).
+    """
+    params, pet, n = spec.encoding, spec.pet, len(values)
+    sensors = [f"s{i}" for i in range(n)]
+    topics = [DATA_TOPIC.format(sensor=sid) for sid in sensors]
+    virtualized = spec.topology.kind == VIRTUALIZED
+    hub = "vnode" if virtualized else "aggregator"
+    if virtualized:
+        inbox = path.link(sensors, topics, hub, DATA_FILTER)
+    if virtualized or pet.kind == PET_GDP:
+        outbox = path.link([hub], [OUT_TOPIC], "consumer", OUT_TOPIC)
+    else:
+        outbox = path.link(sensors, topics, "consumer", DATA_FILTER)
+
+    def readings(scheme, wire, epsilon=None) -> list[Batch]:
+        return [
+            (sid, [dict(topic=t, sensor_id=sid, scheme=scheme, value=int(x), epsilon=epsilon)])
+            for sid, t, x in zip(sensors, topics, wire)
+        ]
+
     if pet.kind == PET_GDP:
-        return _run_gdp(spec, rep, rng, broker, values, encoded, compute)
-    return _run_plain(spec, rep, rng, broker, values, encoded, compute)
-
-
-def _run_plain(spec, rep, rng, broker, values, encoded, compute) -> RepOutcome:
-    """Raw, ldp or krr flows: every sensor publishes one value."""
-    params = spec.encoding
-    n = len(values)
-    pet = spec.pet
-    broker.register_client("consumer")
-    for i in range(n):
-        broker.register_client(f"s{i}")
-        broker.acl.allow(f"s{i}", DATA_TOPIC.format(sensor=f"s{i}"), PUBLISH)
-    broker.acl.allow("consumer", DATA_FILTER, SUBSCRIBE)
-    if spec.topology.kind == VIRTUALIZED:
-        broker.register_client("vnode")
-        broker.acl.allow("vnode", DATA_FILTER, SUBSCRIBE)
-        broker.acl.allow("vnode", OUT_TOPIC, PUBLISH)
-        broker.acl.allow("consumer", OUT_TOPIC, SUBSCRIBE)
-        vnode_sub = broker.subscribe("vnode", DATA_FILTER)
-    consumer_filter = OUT_TOPIC if spec.topology.kind == VIRTUALIZED else DATA_FILTER
-    consumer_sub = broker.subscribe("consumer", consumer_filter)
-
-    if pet.kind == PET_LDP:
-        budget = dp.PrivacyBudget.for_sum(pet.epsilon, params.q)
-        wire = [dp.ldp_perturb(x, budget, rng) for x in encoded]
-        scheme, eps = Scheme.LDP, pet.epsilon
-    elif pet.kind == PET_KRR:
-        wire = [dp.krr_perturb(x, pet.epsilon, params, rng) for x in encoded]
-        scheme, eps = Scheme.KRR, pet.epsilon
+        if pet.aggregator == "mean":
+            budget = dp.PrivacyBudget.for_mean(pet.epsilon, params.q, n)
+        else:
+            budget = dp.PrivacyBudget.for_sum(pet.epsilon, params.q)
+        collected = encoded
+        if virtualized:
+            path.cross(hub, readings(Scheme.RAW, encoded))
+            collected = [d.envelope.value for d in inbox.pop_all()]
+        noisy = round(dp.gdp_aggregate(collected, budget, pet.aggregator, rng).value)
+        path.clock.advance_ms(compute)
+        out = dict(topic=OUT_TOPIC, sensor_id=hub, scheme=Scheme.GDP, epsilon=pet.epsilon)
+        path.cross("consumer", [(hub, [dict(out, value=noisy)])])
     else:
-        wire = list(encoded)
-        scheme, eps = Scheme.RAW, None
+        if pet.kind == PET_LDP:
+            budget = dp.PrivacyBudget.for_sum(pet.epsilon, params.q)
+            wire = [dp.ldp_perturb(x, budget, rng) for x in encoded]
+        elif pet.kind == PET_KRR:
+            wire = [dp.krr_perturb(x, pet.epsilon, params, rng) for x in encoded]
+        else:
+            wire = encoded
+        path.clock.advance_ms(compute)
+        scheme = SENSOR_SCHEMES[pet.kind]
+        path.cross(hub if virtualized else "consumer", readings(scheme, wire, pet.epsilon))
+        if virtualized:
+            # the vnode forwards the one source's envelope as it arrived
+            (inbound,) = inbox.pop_all()
+            forward = dict(vars(inbound.envelope), topic=OUT_TOPIC, sensor_id=hub)
+            path.cross("consumer", [(hub, [forward])])
 
-    broker.clock.advance_ms(compute)
-    in_legs = []
-    for i, value in enumerate(wire):
-        env = Envelope(
-            topic=DATA_TOPIC.format(sensor=f"s{i}"),
-            sensor_id=f"s{i}",
-            sequence=rep,
-            scheme=scheme,
-            value=int(value),
-            epsilon=eps,
-            timestamp_us=broker.clock.now_us,
+    total = sum(d.envelope.value for d in outbox.pop_all())
+    record = path.record(spec, compute)
+    if pet.aggregator == "mean":
+        return RepOutcome(record, decode(total, params), float(sum(values)) / n)
+    return RepOutcome(record, decode_sum(total, n, params), float(sum(values)))
+
+
+def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
+    """ass: each sensor, or a vnode on behalf of one source, sends m shares."""
+    params, n, m = spec.encoding, len(values), spec.pet.m
+    fp = ass.choose_modulus(n, params.q)
+    sensors = [f"s{i}" for i in range(n)]
+    virtualized = spec.topology.kind == VIRTUALIZED
+    splitters = ["vnode"] if virtualized else sensors
+    path.link(splitters, [SHARE_FILTER] * len(splitters), "consumer", SHARE_FILTER)
+
+    drop = None
+    if spec.pet.drop_one_share:
+        drop = (f"s{int(rng.integers(0, n))}", int(rng.integers(1, m + 1)))
+
+    if virtualized:
+        # one source publishes raw; a virtual node does the splitting
+        topic = DATA_TOPIC.format(sensor="s0")
+        inbox = path.link(["s0"], [topic], "vnode", DATA_FILTER)
+        raw = dict(topic=topic, sensor_id="s0", scheme=Scheme.RAW, value=encoded[0])
+        path.cross("vnode", [("s0", [raw])], then_ms=compute)
+        secrets = [d.envelope.value for d in inbox.pop_all()]
+    else:
+        path.clock.advance_ms(compute)
+        secrets = encoded
+
+    def shares():
+        for splitter, sid, secret in zip(splitters, sensors, secrets):
+            bundle = ass.split(secret, m, fp, rng, sensor_id=sid)
+            share = dict(sensor_id=sid, scheme=Scheme.ASS_SHARE)
+            yield splitter, [
+                dict(share, topic=SHARE_TOPIC.format(channel=ch), value=v, share_index=ch)
+                for ch, v in enumerate(bundle.shares, start=1)
+            ]
+
+    # shares reach the consumer undecoded; a dropped one is lost between
+    # broker and subscriber
+    sent = path.cross("consumer", shares(), parallel=spec.pet.parallel_shares)
+    received = [env for env in sent if (env.sensor_id, env.share_index) != drop]
+    record = path.record(spec, compute)
+    bundles = _collect_bundles(received, sensors, m, fp.modulus)
+    encoded_truth = sum(encoded)
+    try:
+        total = ass.reconstruct_sum(bundles, fp)
+    except ass.MissingShareError as exc:
+        return RepOutcome(
+            record, None, None, encoded_truth=encoded_truth, error=exc, injected_drop=drop
         )
-        receipt = broker.publish(f"s{i}", env)
-        target = "vnode" if spec.topology.kind == VIRTUALIZED else "consumer"
-        in_legs.append(_leg(receipt, target))
-    critical = max(range(len(in_legs)), key=lambda i: sum(in_legs[i]))
-    hop_delays = list(in_legs[critical])
-    broker.clock.advance_ms(sum(hop_delays))
-
-    if spec.topology.kind == VIRTUALIZED:
-        received = [d.envelope for d in vnode_sub.pop_all()]
-        forward = Envelope(
-            topic=OUT_TOPIC,
-            sensor_id="vnode",
-            sequence=rep,
-            scheme=scheme,
-            value=received[critical].value,
-            epsilon=eps,
-            timestamp_us=received[critical].timestamp_us,
-        )
-        receipt = broker.publish("vnode", forward)
-        hop_delays.extend(_leg(receipt, "consumer"))
-        broker.clock.advance_ms(sum(hop_delays[-2:]))
-
-    consumer_values = [d.envelope.value for d in consumer_sub.pop_all()]
-    record = RunRecord(
-        scenario=spec.name,
-        message_id=rep,
-        compute_ms=compute,
-        hop_delays_ms=tuple(hop_delays),
-        hop_count=expected_hops(spec),
-    )
     return RepOutcome(
-        record=record,
-        result=decode_sum(sum(consumer_values), len(consumer_values), params),
-        truth=float(sum(values)),
+        record,
+        decode_sum(total, len(bundles), params),
+        float(sum(values)),
+        encoded_result=total,
+        encoded_truth=encoded_truth,
+        injected_drop=drop,
     )
-
-
-def _run_gdp(spec, rep, rng, broker, values, encoded, compute) -> RepOutcome:
-    params = spec.encoding
-    n = len(values)
-    pet = spec.pet
-    if pet.aggregator == "mean":
-        budget = dp.PrivacyBudget.for_mean(pet.epsilon, params.q, n)
-        truth = float(sum(values)) / n
-    else:
-        budget = dp.PrivacyBudget.for_sum(pet.epsilon, params.q)
-        truth = float(sum(values))
-
-    broker.register_client("consumer")
-    hop_delays: list[float] = []
-
-    if spec.topology.kind == ON_DEVICE:
-        # a zonal aggregator collects nearby sensors locally (no hops),
-        # privatizes, and publishes the single result
-        broker.register_client("aggregator")
-        broker.acl.allow("aggregator", OUT_TOPIC, PUBLISH)
-        broker.acl.allow("consumer", OUT_TOPIC, SUBSCRIBE)
-        consumer_sub = broker.subscribe("consumer", OUT_TOPIC)
-        noisy = dp.gdp_aggregate(encoded, budget, pet.aggregator, rng)
-        broker.clock.advance_ms(compute)
-        env = Envelope(
-            topic=OUT_TOPIC,
-            sensor_id="aggregator",
-            sequence=rep,
-            scheme=Scheme.GDP,
-            value=round(noisy.value),
-            epsilon=pet.epsilon,
-            timestamp_us=broker.clock.now_us,
-        )
-        receipt = broker.publish("aggregator", env)
-        hop_delays.extend(_leg(receipt, "consumer"))
-    else:
-        broker.register_client("vnode")
-        for i in range(n):
-            broker.register_client(f"s{i}")
-            broker.acl.allow(f"s{i}", DATA_TOPIC.format(sensor=f"s{i}"), PUBLISH)
-        broker.acl.allow("vnode", DATA_FILTER, SUBSCRIBE)
-        broker.acl.allow("vnode", OUT_TOPIC, PUBLISH)
-        broker.acl.allow("consumer", OUT_TOPIC, SUBSCRIBE)
-        vnode_sub = broker.subscribe("vnode", DATA_FILTER)
-        consumer_sub = broker.subscribe("consumer", OUT_TOPIC)
-        in_legs = []
-        for i, x in enumerate(encoded):
-            env = Envelope(
-                topic=DATA_TOPIC.format(sensor=f"s{i}"),
-                sensor_id=f"s{i}",
-                sequence=rep,
-                scheme=Scheme.RAW,
-                value=x,
-                timestamp_us=broker.clock.now_us,
-            )
-            in_legs.append(_leg(broker.publish(f"s{i}", env), "vnode"))
-        critical = max(range(n), key=lambda i: sum(in_legs[i]))
-        hop_delays.extend(in_legs[critical])
-        broker.clock.advance_ms(sum(hop_delays))
-        received = [d.envelope.value for d in vnode_sub.pop_all()]
-        noisy = dp.gdp_aggregate(received, budget, pet.aggregator, rng)
-        broker.clock.advance_ms(compute)
-        env = Envelope(
-            topic=OUT_TOPIC,
-            sensor_id="vnode",
-            sequence=rep,
-            scheme=Scheme.GDP,
-            value=round(noisy.value),
-            epsilon=pet.epsilon,
-            timestamp_us=broker.clock.now_us,
-        )
-        receipt = broker.publish("vnode", env)
-        hop_delays.extend(_leg(receipt, "consumer"))
-
-    wire_value = consumer_sub.pop_all()[0].envelope.value
-    if pet.aggregator == "mean":
-        result = decode(wire_value, params)
-    else:
-        result = decode_sum(wire_value, n, params)
-    record = RunRecord(
-        scenario=spec.name,
-        message_id=rep,
-        compute_ms=compute,
-        hop_delays_ms=tuple(hop_delays),
-        hop_count=expected_hops(spec),
-    )
-    return RepOutcome(record=record, result=result, truth=truth)
-
-
-def _publish_shares(
-    rep, broker, publisher, bundle, drop
-) -> tuple[list[tuple[float, float]], list[Envelope]]:
-    """Publish one bundle's shares to their channels; returns per-channel legs
-    and the envelopes that actually reached the consumer."""
-    legs = []
-    arrived = []
-    for ch, share in enumerate(bundle.shares, start=1):
-        env = Envelope(
-            topic=SHARE_TOPIC.format(channel=ch),
-            sensor_id=bundle.sensor_id,
-            sequence=rep,
-            scheme=Scheme.ASS_SHARE,
-            value=share,
-            share_index=ch,
-            timestamp_us=broker.clock.now_us,
-        )
-        receipt = broker.publish(publisher, env)
-        legs.append(_leg(receipt, "consumer"))
-        if drop == (bundle.sensor_id, ch):
-            continue  # lost between broker and subscriber
-        arrived.append(env)
-    return legs, arrived
 
 
 def _collect_bundles(envelopes, sensor_ids, m, modulus) -> list[ass.ShareBundle]:
@@ -334,164 +318,23 @@ def _collect_bundles(envelopes, sensor_ids, m, modulus) -> list[ass.ShareBundle]
     ]
 
 
-def _run_ass(spec, rep, rng, broker, values, encoded, compute) -> RepOutcome:
-    params = spec.encoding
-    n = len(values)
-    m = spec.pet.m
-    fp = ass.choose_modulus(n, params.q)
-    virtualized = spec.topology.kind == VIRTUALIZED
-
-    broker.register_client("consumer")
-    broker.acl.allow("consumer", SHARE_FILTER, SUBSCRIBE)
-    consumer_sub = broker.subscribe("consumer", SHARE_FILTER)
-
-    drop = None
-    if spec.pet.drop_one_share:
-        drop = (f"s{int(rng.integers(0, n))}", int(rng.integers(1, m + 1)))
-
-    hop_delays: list[float] = []
-    sensor_ids = [f"s{i}" for i in range(n)]
-    received: list[Envelope] = []
-
-    if virtualized:
-        # one source publishes raw; a virtual node does the splitting
-        broker.register_client("s0")
-        broker.register_client("vnode")
-        broker.acl.allow("s0", DATA_TOPIC.format(sensor="s0"), PUBLISH)
-        broker.acl.allow("vnode", DATA_FILTER, SUBSCRIBE)
-        broker.acl.allow("vnode", SHARE_FILTER, PUBLISH)
-        vnode_sub = broker.subscribe("vnode", DATA_FILTER)
-        env = Envelope(
-            topic=DATA_TOPIC.format(sensor="s0"),
-            sensor_id="s0",
-            sequence=rep,
-            scheme=Scheme.RAW,
-            value=encoded[0],
-            timestamp_us=broker.clock.now_us,
-        )
-        receipt = broker.publish("s0", env)
-        hop_delays.extend(_leg(receipt, "vnode"))
-        broker.clock.advance_ms(sum(hop_delays) + compute)
-        secret = vnode_sub.pop_all()[0].envelope.value
-        bundle = ass.split(secret, m, fp, rng, sensor_id="s0")
-        legs, arrived = _publish_shares(rep, broker, "vnode", bundle, drop)
-        received.extend(arrived)
-        if spec.pet.parallel_shares:
-            best = max(range(m), key=lambda j: sum(legs[j]))
-            hop_delays.extend(legs[best])
-        else:
-            for leg in legs:
-                hop_delays.extend(leg)
-    else:
-        for sid in sensor_ids:
-            broker.register_client(sid)
-            broker.acl.allow(sid, SHARE_FILTER, PUBLISH)
-        broker.clock.advance_ms(compute)
-        per_sensor_legs = []
-        for i, sid in enumerate(sensor_ids):
-            bundle = ass.split(encoded[i], m, fp, rng, sensor_id=sid)
-            legs, arrived = _publish_shares(rep, broker, sid, bundle, drop)
-            received.extend(arrived)
-            per_sensor_legs.append(legs)
-        if spec.pet.parallel_shares:
-            totals = [max(sum(leg) for leg in legs) for legs in per_sensor_legs]
-            critical = max(range(n), key=totals.__getitem__)
-            legs = per_sensor_legs[critical]
-            best = max(range(m), key=lambda j: sum(legs[j]))
-            hop_delays.extend(legs[best])
-        else:
-            totals = [sum(sum(leg) for leg in legs) for legs in per_sensor_legs]
-            critical = max(range(n), key=totals.__getitem__)
-            for leg in per_sensor_legs[critical]:
-                hop_delays.extend(leg)
-
-    record = RunRecord(
-        scenario=spec.name,
-        message_id=rep,
-        compute_ms=compute,
-        hop_delays_ms=tuple(hop_delays),
-        hop_count=expected_hops(spec),
-    )
-    bundle_sensors = ["s0"] if virtualized else sensor_ids
-    bundles = _collect_bundles(received, bundle_sensors, m, fp.modulus)
-    encoded_truth = sum(encoded[: len(bundle_sensors)])
-    try:
-        total = ass.reconstruct_sum(bundles, fp)
-    except ass.MissingShareError as exc:
-        return RepOutcome(
-            record=record,
-            result=None,
-            truth=None,
-            encoded_truth=encoded_truth,
-            error=exc,
-            injected_drop=drop,
-        )
-    return RepOutcome(
-        record=record,
-        result=decode_sum(total, len(bundles), params),
-        truth=float(sum(values[: len(bundle_sensors)])),
-        encoded_result=total,
-        encoded_truth=encoded_truth,
-        injected_drop=drop,
-    )
-
-
-def _run_relay_chain(spec, rep, rng, broker, value, encoded_value, compute) -> RepOutcome:
+def _relay_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
+    """One source's raw value, forwarded unchanged through depth relays."""
     depth = spec.topology.depth
-    broker.register_client("source")
-    broker.register_client("consumer")
-    broker.acl.allow("source", RELAY_TOPIC.format(i=0), PUBLISH)
-    relay_subs = []
-    for i in range(1, depth + 1):
-        relay = f"relay{i}"
-        broker.register_client(relay)
-        broker.acl.allow(relay, RELAY_TOPIC.format(i=i - 1), SUBSCRIBE)
-        broker.acl.allow(relay, RELAY_TOPIC.format(i=i), PUBLISH)
-        relay_subs.append(broker.subscribe(relay, RELAY_TOPIC.format(i=i - 1)))
-    broker.acl.allow("consumer", RELAY_TOPIC.format(i=depth), SUBSCRIBE)
-    consumer_sub = broker.subscribe("consumer", RELAY_TOPIC.format(i=depth))
-
-    broker.clock.advance_ms(compute)
-    env = Envelope(
-        topic=RELAY_TOPIC.format(i=0),
-        sensor_id="source",
-        sequence=rep,
-        scheme=Scheme.RAW,
-        value=encoded_value,
-        timestamp_us=broker.clock.now_us,
-    )
-    hop_delays: list[float] = []
-    receipt = broker.publish("source", env)
-    for i in range(1, depth + 1):
-        relay = f"relay{i}"
-        hop_delays.extend(_leg(receipt, relay))
-        broker.clock.advance_ms(sum(hop_delays[-2:]))
-        inbound = relay_subs[i - 1].pop_all()[0].envelope
+    chain = ["source", *(f"relay{i}" for i in range(1, depth + 1)), "consumer"]
+    topics = [RELAY_TOPIC.format(i=i) for i in range(depth + 1)]
+    inboxes = [
+        path.link([sender], [topic], receiver, topic)
+        for sender, receiver, topic in zip(chain, chain[1:], topics)
+    ]
+    path.clock.advance_ms(compute)
+    message = dict(sensor_id="source", scheme=Scheme.RAW, value=encoded[0])
+    for sender, receiver, topic, inbox in zip(chain, chain[1:], topics, inboxes):
+        path.cross(receiver, [(sender, [dict(message, topic=topic)])])
         # relays add no processing time; they immediately forward
-        forward = Envelope(
-            topic=RELAY_TOPIC.format(i=i),
-            sensor_id=inbound.sensor_id,
-            sequence=inbound.sequence,
-            scheme=inbound.scheme,
-            value=inbound.value,
-            timestamp_us=inbound.timestamp_us,
-        )
-        receipt = broker.publish(relay, forward)
-    hop_delays.extend(_leg(receipt, "consumer"))
-
-    wire_value = consumer_sub.pop_all()[0].envelope.value
-    record = RunRecord(
-        scenario=spec.name,
-        message_id=rep,
-        compute_ms=compute,
-        hop_delays_ms=tuple(hop_delays),
-        hop_count=expected_hops(spec),
-    )
-    return RepOutcome(
-        record=record,
-        result=decode(wire_value, spec.encoding),
-        truth=value,
-    )
+        message = vars(inbox.pop_all()[0].envelope)
+    record = path.record(spec, compute)
+    return RepOutcome(record, decode(message["value"], spec.encoding), values[0])
 
 
 def _outcomes_for_range(

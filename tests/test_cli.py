@@ -158,6 +158,12 @@ def test_ass_demo_with_loss_names_missing_shares(tmp_path):
         assert sensor.startswith("s") and 1 <= int(channel) <= 3
 
 
+def test_ass_demo_rejects_a_string_flag(tmp_path, capsys):
+    cfg = write(tmp_path, "demo.json", {**ASS_DEMO, "drop_one_share": "false"})
+    assert main(["ass-demo", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "drop_one_share" in capsys.readouterr().err
+
+
 def test_bench_suite_ordering(tmp_path):
     cfg = write(tmp_path, "bench.json", BENCH)
     out = tmp_path / "out"

@@ -2,7 +2,8 @@
 
 The digests cover each repetition's record, result, truth, encoded result,
 encoded truth, injected drop and missing shares, so a change to any flow's
-random draw order, hop structure or payload handling shows up here.
+random draw order, hop structure or payload handling shows up here. A
+second check holds every flow to least privilege: no ACL grant goes unused.
 """
 
 import hashlib
@@ -10,7 +11,7 @@ import hashlib
 import pytest
 
 from petfabric.codec import derive_params
-from petfabric.fabric import LatencyModel
+from petfabric.fabric import PUBLISH, Broker, LatencyModel, topic_matches
 from petfabric.scenarios import (
     PetConfig,
     ScenarioSpec,
@@ -99,3 +100,31 @@ def flow_digest(spec: ScenarioSpec) -> str:
 @pytest.mark.parametrize("name", sorted(FLOWS))
 def test_flow_outcomes_are_pinned(name):
     assert flow_digest(flow_spec(name)) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+@pytest.mark.parametrize("rate", FILLER_RATES)
+def test_every_acl_grant_is_used(name, rate, monkeypatch):
+    brokers = []
+    init = Broker.__init__
+
+    def capture(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        brokers.append(self)
+
+    monkeypatch.setattr(Broker, "__init__", capture)
+    spec = flow_spec(name)
+    run_scenario_outcomes(spec, filler_rate=rate)
+    assert len(brokers) == spec.repetitions
+    for broker in brokers:
+        used = {
+            (rec.client_id, rec.event, rec.topic)
+            for rec in broker.audit_log
+            if rec.event in ("publish", "subscribe")
+        }
+        for entry in broker.acl._entries:
+            event = "publish" if entry.permission == PUBLISH else "subscribe"
+            assert any(
+                client == entry.client_id and ev == event and topic_matches(entry.pattern, topic)
+                for client, ev, topic in used
+            ), f"unused grant {entry}"

@@ -16,7 +16,6 @@ from petfabric.scenarios import (
     SensorConfig,
     Topology,
     benchmark_suite,
-    expected_hops,
     load_scenario,
     run_scenario,
     run_scenario_outcomes,
@@ -84,6 +83,14 @@ def test_load_scenario_from_file(tmp_path):
         (lambda c: c["pet"].update(kind="ldp"), "pet.epsilon"),
         (lambda c: c["pet"].update(epsilon=0.5), "pet.epsilon: not valid"),
         (lambda c: c["pet"].update(drop_one_share=True), "drop_one_share"),
+        (
+            lambda c: c["pet"].update(kind="ass", m=3, drop_one_share="false"),
+            "pet.drop_one_share: expected true or false",
+        ),
+        (
+            lambda c: c["pet"].update(kind="ass", m=3, parallel_shares="no"),
+            "pet.parallel_shares: expected true or false",
+        ),
         (lambda c: c["sensors"].update(count=0), "sensors.count"),
         (lambda c: c["sensors"]["generator"].update(kind="zipf"), "generator.kind"),
         (lambda c: c["sensors"]["generator"].update(low=10), "nest inside"),
@@ -136,25 +143,20 @@ def test_latency_inline_object():
 
 # -- hop structure and calibrated latencies ---------------------------------------
 
-def test_expected_hops_table():
-    assert expected_hops(make_spec()) == 2
-    assert expected_hops(make_spec(pet=PetConfig("ldp", epsilon=1))) == 2
-    assert expected_hops(make_spec(pet=PetConfig("gdp", epsilon=1))) == 2
-    assert expected_hops(make_spec(pet=PetConfig("ass", m=3))) == 6
-    assert expected_hops(make_spec(topology=Topology("virtualized"))) == 4
-    assert (
-        expected_hops(
-            make_spec(topology=Topology("virtualized"), pet=PetConfig("gdp", epsilon=1))
-        )
-        == 4
-    )
-    assert (
-        expected_hops(
-            make_spec(topology=Topology("virtualized"), pet=PetConfig("ass", m=3))
-        )
-        == 8
-    )
-    assert expected_hops(make_spec(topology=Topology("relay-chain", depth=5))) == 12
+def test_hop_counts_follow_the_flow():
+    # two hops per message on the critical path, counted as the flow runs
+    cases = [
+        (Topology("on-device"), PetConfig("none"), 2),
+        (Topology("on-device"), PetConfig("ldp", epsilon=1), 2),
+        (Topology("on-device"), PetConfig("gdp", epsilon=1), 2),
+        (Topology("on-device"), PetConfig("ass", m=3), 6),
+        (Topology("virtualized"), PetConfig("none"), 4),
+        (Topology("virtualized"), PetConfig("gdp", epsilon=1), 4),
+        (Topology("virtualized"), PetConfig("ass", m=3), 8),
+        (Topology("relay-chain", depth=5), PetConfig("none"), 12),
+    ]
+    for topology, pet, hops in cases:
+        assert run_scenario(make_spec(topology=topology, pet=pet))[0].hop_count == hops
 
 
 def test_baseline_calibration_value():
