@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import stats
 
 from . import ass
 from .dp import GDP_MODEL, LDP_MODEL, PrivacyBudget, sample_laplace
@@ -244,7 +243,9 @@ def eavesdrop_reconstruct(
         return UniformityReport(observations=0, bins=fp.modulus, chi_square=0.0, p_value=1.0)
     sums = partial_sums(coverage, bundles, fp)
     counts = np.bincount(sums, minlength=fp.modulus)
-    result = stats.chisquare(counts)
+    from scipy.stats import chisquare  # here, not at module level: it costs ~1 s
+
+    result = chisquare(counts)
     return UniformityReport(
         observations=len(bundles),
         bins=fp.modulus,
@@ -266,5 +267,7 @@ def two_sample_uniformity(
         [np.bincount(sums_a, minlength=bins), np.bincount(sums_b, minlength=bins)]
     )
     counts = counts[:, counts.sum(axis=0) > 0]
-    result = stats.chi2_contingency(counts)
+    from scipy.stats import chi2_contingency
+
+    result = chi2_contingency(counts)
     return float(result.statistic), float(result.pvalue)

@@ -10,7 +10,8 @@ One subcommand per experiment family:
     validate-config  parse and check a config, write nothing
 
 Every run writes RFC-4180-style CSVs (LF line endings, '.' decimals) plus a
-manifest.json recording the config hash, effective seed and tool version.
+manifest.json recording the config hash, effective seed, tool version,
+Python and numpy versions and worker count.
 Outputs are a pure function of (config, seed): running a subcommand twice
 with the same seed produces byte-identical CSVs.
 
@@ -41,9 +42,19 @@ from .scenarios import (
     latency_from_config,
     load_scenario,
     run_scenario,
+    scenario_from_dict,
     weight_sum_experiment,
 )
-from .scenarios.config import check_keys, optional_bool, require_key
+from .scenarios.config import (
+    check_keys,
+    load_json,
+    optional_bool,
+    read_int,
+    read_number,
+    read_numbers,
+    require_key,
+)
+from .scenarios.runner import worker_count
 
 log = logging.getLogger("petfabric")
 
@@ -91,20 +102,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _load_json(path: Path) -> dict:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read config ({exc})") from None
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return raw
-
-
 def _resolve_seed(flag_seed, config_seed) -> int:
     """Flag beats environment beats config beats zero."""
     if flag_seed is not None:
@@ -116,11 +113,14 @@ def _resolve_seed(flag_seed, config_seed) -> int:
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR}: not an integer: {env!r}") from None
     if config_seed is not None:
-        return int(config_seed)
+        return config_seed
     return 0
 
 
-def _write_manifest(out_dir: Path, subcommand: str, config_path, seed: int, outputs) -> None:
+def _write_manifest(
+    out_dir: Path, subcommand: str, config_path, seed: int, outputs, workers: int = 1
+) -> None:
+    """Write manifest.json: what ran, on what, and with which interpreter and numpy."""
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest() if config_path else None
     manifest = {
         "subcommand": subcommand,
@@ -128,6 +128,9 @@ def _write_manifest(out_dir: Path, subcommand: str, config_path, seed: int, outp
         "config_sha256": digest,
         "seed": seed,
         "version": __version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "workers": workers,
         "outputs": sorted(outputs),
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -141,17 +144,17 @@ def _write_manifest(out_dir: Path, subcommand: str, config_path, seed: int, outp
 
 def _sweep_from_dict(raw: dict) -> dict:
     check_keys(raw, {"n", "encoding", "model", "eps_grid", "reps", "sensitivity", "seed"}, "config")
-    eps_grid = require_key(raw, "eps_grid", "config")
-    if not isinstance(eps_grid, list) or not eps_grid:
-        raise ConfigError("eps_grid: expected a non-empty list")
+    sensitivity = read_int(raw, "sensitivity", "config", None)
+    if sensitivity is not None and sensitivity < 1:
+        raise ConfigError(f"sensitivity: must be >= 1, got {sensitivity}")
     return {
-        "n": int(require_key(raw, "n", "config")),
+        "n": read_int(raw, "n", "config"),
         "encoding": encoding_from_dict(require_key(raw, "encoding", "config")),
         "model": str(raw.get("model", "ldp")),
-        "eps_grid": [float(e) for e in eps_grid],
-        "reps": int(raw.get("reps", MIN_REPS)),
-        "sensitivity": None if raw.get("sensitivity") is None else int(raw["sensitivity"]),
-        "seed": raw.get("seed"),
+        "eps_grid": read_numbers(raw, "eps_grid", "config"),
+        "reps": read_int(raw, "reps", "config", MIN_REPS),
+        "sensitivity": sensitivity,
+        "seed": read_int(raw, "seed", "config", None),
     }
 
 
@@ -161,38 +164,35 @@ def _adversary_from_dict(raw: dict) -> dict:
         {"eps_grid", "gap_ratios", "sensitivity", "trials", "prefix_sum", "model", "seed"},
         "config",
     )
-    eps_grid = require_key(raw, "eps_grid", "config")
-    gap_ratios = require_key(raw, "gap_ratios", "config")
-    if not isinstance(eps_grid, list) or not eps_grid:
-        raise ConfigError("eps_grid: expected a non-empty list")
-    if not isinstance(gap_ratios, list) or not gap_ratios:
-        raise ConfigError("gap_ratios: expected a non-empty list")
-    trials = int(raw.get("trials", 100_000))
+    trials = read_int(raw, "trials", "config", 100_000)
     if trials < 1:
         raise ConfigError(f"trials: must be >= 1, got {trials}")
+    sensitivity = read_int(raw, "sensitivity", "config")
+    if sensitivity < 1:
+        raise ConfigError(f"sensitivity: must be >= 1, got {sensitivity}")
     model = str(raw.get("model", adversary.GDP_MODEL))
     if model not in (adversary.GDP_MODEL, adversary.LDP_MODEL):
         raise ConfigError(f"model: expected gdp or ldp, got {model!r}")
     return {
-        "eps_grid": [float(e) for e in eps_grid],
-        "gap_ratios": [float(g) for g in gap_ratios],
-        "sensitivity": int(require_key(raw, "sensitivity", "config")),
+        "eps_grid": read_numbers(raw, "eps_grid", "config"),
+        "gap_ratios": read_numbers(raw, "gap_ratios", "config"),
+        "sensitivity": sensitivity,
         "trials": trials,
-        "prefix_sum": int(raw.get("prefix_sum", 0)),
+        "prefix_sum": read_int(raw, "prefix_sum", "config", 0),
         "model": model,
-        "seed": raw.get("seed"),
+        "seed": read_int(raw, "seed", "config", None),
     }
 
 
 def _ass_demo_from_dict(raw: dict) -> dict:
     check_keys(raw, {"n", "m", "encoding", "repetitions", "drop_one_share", "seed"}, "config")
-    n = int(require_key(raw, "n", "config"))
-    m = int(require_key(raw, "m", "config"))
+    n = read_int(raw, "n", "config")
+    m = read_int(raw, "m", "config")
     if n < 1:
         raise ConfigError(f"n: need at least one sensor, got {n}")
     if m < 2:
         raise ConfigError("m: additive sharing needs at least 2 channels (m >= 2)")
-    reps = int(raw.get("repetitions", 100))
+    reps = read_int(raw, "repetitions", "config", 100)
     if reps < 1:
         raise ConfigError(f"repetitions: must be >= 1, got {reps}")
     return {
@@ -201,43 +201,37 @@ def _ass_demo_from_dict(raw: dict) -> dict:
         "encoding": encoding_from_dict(require_key(raw, "encoding", "config")),
         "repetitions": reps,
         "drop_one_share": optional_bool(raw, "drop_one_share", "config"),
-        "seed": raw.get("seed"),
+        "seed": read_int(raw, "seed", "config", None),
     }
 
 
 def _bench_from_dict(raw: dict) -> dict:
     check_keys(raw, {"latency", "repetitions", "m", "epsilon", "compute_ms", "seed"}, "config")
-    reps = int(raw.get("repetitions", 100))
+    reps = read_int(raw, "repetitions", "config", 100)
     if reps < 1:
         raise ConfigError(f"repetitions: must be >= 1, got {reps}")
     compute = raw.get("compute_ms")
     if compute is not None:
         if not isinstance(compute, dict):
             raise ConfigError("compute_ms: expected an object of scenario -> ms")
-        compute = {str(k): float(v) for k, v in compute.items()}
+        compute = {k: read_number(compute, k, "compute_ms") for k in compute}
     return {
         "latency": latency_from_config(raw.get("latency", "testbed")),
         "repetitions": reps,
-        "m": int(raw.get("m", 3)),
-        "epsilon": float(raw.get("epsilon", 1.0)),
+        "m": read_int(raw, "m", "config", 3),
+        "epsilon": read_number(raw, "epsilon", "config", 1.0),
         "compute_ms": compute,
-        "seed": raw.get("seed"),
+        "seed": read_int(raw, "seed", "config", None),
     }
 
 
 _VALIDATORS = {
-    "scenario": lambda raw: load_scenario_dict(raw),
+    "scenario": scenario_from_dict,
     "sweep": _sweep_from_dict,
     "adversary": _adversary_from_dict,
     "ass-demo": _ass_demo_from_dict,
     "bench": _bench_from_dict,
 }
-
-
-def load_scenario_dict(raw: dict):
-    from .scenarios import scenario_from_dict
-
-    return scenario_from_dict(raw)
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +242,8 @@ def _cmd_run_scenario(args) -> int:
     spec = load_scenario(args.config)
     seed = _resolve_seed(args.seed, spec.seed)
     spec = spec.with_seed(seed)
-    records = run_scenario(spec, workers=args.parallel)
+    workers = worker_count(args.parallel, spec.repetitions)
+    records = run_scenario(spec, workers=workers)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     name = f"{spec.name}_records.csv"
@@ -260,13 +255,13 @@ def _cmd_run_scenario(args) -> int:
             for r in records
         ),
     )
-    _write_manifest(out, "run-scenario", args.config, seed, [name])
+    _write_manifest(out, "run-scenario", args.config, seed, [name], workers)
     log.info("wrote %d records to %s", len(records), out / name)
     return 0
 
 
 def _cmd_sweep_epsilon(args) -> int:
-    cfg = _sweep_from_dict(_load_json(Path(args.config)))
+    cfg = _sweep_from_dict(load_json(args.config))
     seed = _resolve_seed(args.seed, cfg["seed"])
     params = cfg["encoding"]
     report = weight_sum_experiment(
@@ -303,7 +298,7 @@ def _cmd_sweep_epsilon(args) -> int:
 
 
 def _cmd_adversary_sim(args) -> int:
-    cfg = _adversary_from_dict(_load_json(Path(args.config)))
+    cfg = _adversary_from_dict(load_json(args.config))
     seed = _resolve_seed(args.seed, cfg["seed"])
     rows = adversary.guess_rate_grid(
         epsilons=cfg["eps_grid"],
@@ -330,7 +325,7 @@ def _cmd_adversary_sim(args) -> int:
 
 
 def _cmd_ass_demo(args) -> int:
-    cfg = _ass_demo_from_dict(_load_json(Path(args.config)))
+    cfg = _ass_demo_from_dict(load_json(args.config))
     seed = _resolve_seed(args.seed, cfg["seed"])
     params = cfg["encoding"]
     n, m = cfg["n"], cfg["m"]
@@ -383,7 +378,7 @@ def _cmd_ass_demo(args) -> int:
 
 
 def _cmd_bench_suite(args) -> int:
-    cfg = _bench_from_dict(_load_json(Path(args.config)))
+    cfg = _bench_from_dict(load_json(args.config))
     seed = _resolve_seed(args.seed, cfg["seed"])
     specs = benchmark_suite(
         latency=cfg["latency"],
@@ -393,9 +388,10 @@ def _cmd_bench_suite(args) -> int:
         epsilon=cfg["epsilon"],
         compute_ms=cfg["compute_ms"],
     )
+    workers = worker_count(args.parallel, cfg["repetitions"])
     rows = []
     for spec in specs:
-        records = run_scenario(spec, workers=args.parallel)
+        records = run_scenario(spec, workers=workers)
         e2e = np.array([r.end_to_end_ms for r in records])
         rows.append(
             [
@@ -413,12 +409,12 @@ def _cmd_bench_suite(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     name = "bench_suite.csv"
     _write_csv(out / name, BENCH_COLUMNS, rows)
-    _write_manifest(out, "bench-suite", args.config, seed, [name])
+    _write_manifest(out, "bench-suite", args.config, seed, [name], workers)
     return 0
 
 
 def _cmd_validate_config(args) -> int:
-    raw = _load_json(Path(args.config))
+    raw = load_json(args.config)
     _VALIDATORS[args.kind](raw)
     print(f"{args.config}: valid {args.kind} config")
     return 0

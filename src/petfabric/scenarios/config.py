@@ -1,15 +1,17 @@
 """Scenario configuration: typed spec plus strict JSON loading.
 
 Configs mirror the ScenarioSpec fields one-to-one. Loading is strict:
-unknown keys anywhere in the document are rejected, and every validation
-message names the offending field, so a typo cannot silently change what a
-benchmark measures. Encoding parameters are stored as {k, x_lo, x_hi} only;
-the derived quantities are always recomputed.
+unknown keys anywhere in the document are rejected, numbers are read by
+typed readers that coerce nothing (`read_int`, `read_number`), and every
+validation message names the offending field, so a typo cannot silently
+change what a benchmark measures. Encoding parameters are stored as
+{k, x_lo, x_hi} only; the derived quantities are always recomputed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -191,7 +193,13 @@ class ScenarioSpec:
 # Strict dict/JSON parsing
 # --------------------------------------------------------------------------
 
-def check_keys(raw: dict, allowed: set[str], where: str) -> None:
+_REQUIRED = object()
+
+
+def check_keys(raw, allowed: set[str], where: str) -> None:
+    """`raw` must be a JSON object whose keys all lie in `allowed`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object, got {raw!r}")
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
@@ -203,6 +211,10 @@ def require_key(raw: dict, key: str, where: str):
     return raw[key]
 
 
+def _value(raw: dict, key: str, where: str, default):
+    return require_key(raw, key, where) if default is _REQUIRED else raw.get(key, default)
+
+
 def optional_bool(raw: dict, key: str, where: str) -> bool:
     """A flag that is absent (false) or a JSON boolean; nothing is coerced."""
     value = raw.get(key, False)
@@ -211,15 +223,77 @@ def optional_bool(raw: dict, key: str, where: str) -> bool:
     return value
 
 
-def encoding_from_dict(raw: dict, where: str = "encoding") -> EncodingParams:
+def read_int(raw: dict, key: str, where: str, default=_REQUIRED) -> Optional[int]:
+    """A JSON integer; a bool, a float such as 3.0 and a string are refused.
+
+    Without a default the key is required; with default None, null reads as absent.
+    """
+    value = _value(raw, key, where, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _finite(value) -> Optional[float]:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
+def read_number(raw: dict, key: str, where: str, default=_REQUIRED) -> Optional[float]:
+    """A finite JSON number as a float; a bool, a string, NaN and +-Infinity
+    (which ``json.loads`` accepts) are refused. Defaults as in `read_int`."""
+    value = _value(raw, key, where, default)
+    if value is None and default is None:
+        return None
+    number = _finite(value)
+    if number is None:
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
+    return number
+
+
+def read_numbers(raw: dict, key: str, where: str) -> list[float]:
+    """A required, non-empty list of finite numbers, each as a float."""
+    values = require_key(raw, key, where)
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where}.{key}: expected a non-empty list")
+    numbers = []
+    for i, value in enumerate(values):
+        number = _finite(value)
+        if number is None:
+            raise ConfigError(f"{where}.{key}[{i}]: expected a finite number, got {value!r}")
+        numbers.append(number)
+    return numbers
+
+
+def load_json(path) -> dict:
+    """Read a config file that must hold one JSON object."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc})") from None
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object")
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return raw
+
+
+def encoding_from_dict(raw: dict, where: str = "encoding") -> EncodingParams:
     check_keys(raw, {"k", "x_lo", "x_hi"}, where)
     try:
         return derive_params(
-            x_lo=float(require_key(raw, "x_lo", where)),
-            x_hi=float(require_key(raw, "x_hi", where)),
-            k=int(require_key(raw, "k", where)),
+            x_lo=read_number(raw, "x_lo", where),
+            x_hi=read_number(raw, "x_hi", where),
+            k=read_int(raw, "k", where),
         )
     except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -235,10 +309,12 @@ def latency_from_config(raw: Union[str, dict], where: str = "latency") -> Latenc
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected a preset name or an object")
     check_keys(raw, {"per_hop_mean_ms", "jitter_std_ms", "distribution"}, where)
+    mean_ms = read_number(raw, "per_hop_mean_ms", where)
+    jitter_ms = read_number(raw, "jitter_std_ms", where, 0.0)
     try:
         return LatencyModel(
-            per_hop_mean_ms=float(require_key(raw, "per_hop_mean_ms", where)),
-            per_hop_jitter_std_ms=float(raw.get("jitter_std_ms", 0.0)),
+            per_hop_mean_ms=mean_ms,
+            per_hop_jitter_std_ms=jitter_ms,
             distribution=str(raw.get("distribution", "constant")),
         )
     except ValueError as exc:
@@ -246,8 +322,6 @@ def latency_from_config(raw: Union[str, dict], where: str = "latency") -> Latenc
 
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object")
     check_keys(
         raw,
         {
@@ -268,7 +342,7 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     check_keys(topo_raw, {"kind", "depth"}, "topology")
     topology = Topology(
         kind=str(require_key(topo_raw, "kind", "topology")),
-        depth=int(topo_raw.get("depth", 0)),
+        depth=read_int(topo_raw, "depth", "topology", 0),
     )
     pet_raw = require_key(raw, "pet", "config")
     check_keys(
@@ -278,9 +352,9 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     )
     pet = PetConfig(
         kind=str(require_key(pet_raw, "kind", "pet")),
-        epsilon=None if pet_raw.get("epsilon") is None else float(pet_raw["epsilon"]),
+        epsilon=read_number(pet_raw, "epsilon", "pet", None),
         aggregator=pet_raw.get("aggregator"),
-        m=None if pet_raw.get("m") is None else int(pet_raw["m"]),
+        m=read_int(pet_raw, "m", "pet", None),
         drop_one_share=optional_bool(pet_raw, "drop_one_share", "pet"),
         parallel_shares=optional_bool(pet_raw, "parallel_shares", "pet"),
     )
@@ -290,11 +364,11 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     check_keys(gen_raw, {"kind", "low", "high", "value"}, "sensors.generator")
     generator = GeneratorConfig(
         kind=str(gen_raw.get("kind", "uniform")),
-        low=None if gen_raw.get("low") is None else float(gen_raw["low"]),
-        high=None if gen_raw.get("high") is None else float(gen_raw["high"]),
-        value=None if gen_raw.get("value") is None else float(gen_raw["value"]),
+        low=read_number(gen_raw, "low", "sensors.generator", None),
+        high=read_number(gen_raw, "high", "sensors.generator", None),
+        value=read_number(gen_raw, "value", "sensors.generator", None),
     )
-    sensors = SensorConfig(count=int(sensors_raw.get("count", 1)), generator=generator)
+    sensors = SensorConfig(count=read_int(sensors_raw, "count", "sensors", 1), generator=generator)
     return ScenarioSpec(
         name=str(require_key(raw, "name", "config")),
         topology=topology,
@@ -302,18 +376,13 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         sensors=sensors,
         encoding=encoding_from_dict(require_key(raw, "encoding", "config")),
         latency=latency_from_config(require_key(raw, "latency", "config")),
-        compute_ms=float(raw.get("compute_ms", 0.0)),
-        overhead_ms=float(raw.get("overhead_ms", 0.0)),
-        repetitions=int(raw.get("repetitions", 1)),
-        seed=int(raw.get("seed", 0)),
+        compute_ms=read_number(raw, "compute_ms", "config", 0.0),
+        overhead_ms=read_number(raw, "overhead_ms", "config", 0.0),
+        repetitions=read_int(raw, "repetitions", "config", 1),
+        seed=read_int(raw, "seed", "config", 0),
     )
 
 
 def load_scenario(path) -> ScenarioSpec:
     """Read and validate a scenario config file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    return scenario_from_dict(raw)
+    return scenario_from_dict(load_json(path))

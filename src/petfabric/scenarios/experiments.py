@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .. import dp
 from ..codec import decode, decode_sum, derive_params, encode
@@ -253,7 +252,9 @@ def load_test(
     if np.array_equal(base_e2e, loaded_e2e):
         statistic, p_value = 0.0, 1.0
     else:
-        result = stats.ks_2samp(base_e2e, loaded_e2e)
+        from scipy.stats import ks_2samp  # here, not at module level: it costs ~1 s
+
+        result = ks_2samp(base_e2e, loaded_e2e)
         statistic, p_value = float(result.statistic), float(result.pvalue)
     return LoadComparison(
         rate_per_s=rate_per_s,

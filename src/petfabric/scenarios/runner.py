@@ -25,7 +25,6 @@ between 4 (2 + 2m with shares), and a relay chain 2 + 2*depth.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -351,6 +350,11 @@ def _outcomes_for_range(
     return out
 
 
+def worker_count(workers: int, reps: int) -> int:
+    """Processes a run of `reps` repetitions uses when asked for `workers`."""
+    return max(1, min(workers, reps))
+
+
 def run_scenario_outcomes(
     spec: ScenarioSpec,
     filler_rate: float = 0.0,
@@ -364,9 +368,12 @@ def run_scenario_outcomes(
     each repetition is independently seeded.
     """
     reps = spec.repetitions
-    if workers <= 1 or reps == 1:
+    workers = worker_count(workers, reps)
+    if workers == 1:
         return _outcomes_for_range(spec, 0, reps, filler_rate, filler_window_s)
-    workers = min(workers, reps)
+    # the pool pulls in multiprocessing, pickle and socket; serial runs skip it
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, reps, workers + 1).astype(int)
     chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

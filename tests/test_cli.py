@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import sys
+
+import numpy as np
+import pytest
 
 from petfabric.cli import SEED_ENV_VAR, main
 
@@ -67,6 +71,9 @@ def test_run_scenario_outputs_and_manifest(tmp_path):
     assert manifest["subcommand"] == "run-scenario"
     assert manifest["seed"] == 42
     assert manifest["config_sha256"] == hashlib.sha256(open(cfg, "rb").read()).hexdigest()
+    assert manifest["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert manifest["numpy"] == np.__version__
+    assert manifest["workers"] == 1
     for name in manifest["outputs"]:
         assert (out / name).exists()
 
@@ -197,6 +204,38 @@ def test_validate_config_exit_codes(tmp_path, capsys):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{oops")
     assert main(["validate-config", "--config", str(notjson)]) == 2
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert main(["run-scenario", "--config", missing, "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand,kind,config,field",
+    [
+        ("sweep-epsilon", "sweep", {**SWEEP, "sensitivity": 0}, "sensitivity"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "eps_grid": [0.5, "1"]}, "eps_grid[1]"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "reps": 150.0}, "reps"),
+        ("adversary-sim", "adversary", {**ADVERSARY, "trials": True}, "trials"),
+        ("adversary-sim", "adversary", {**ADVERSARY, "sensitivity": 0}, "sensitivity"),
+        ("adversary-sim", "adversary", {**ADVERSARY, "gap_ratios": [float("nan")]}, "gap_ratios[0]"),
+        ("bench-suite", "bench", {**BENCH, "repetitions": 2.5}, "repetitions"),
+        ("bench-suite", "bench", {**BENCH, "epsilon": float("inf")}, "epsilon"),
+        ("bench-suite", "bench", {**BENCH, "compute_ms": {"baseline": "1"}}, "compute_ms.baseline"),
+        ("ass-demo", "ass-demo", {**ASS_DEMO, "n": "12"}, "n"),
+        ("ass-demo", "ass-demo", {**ASS_DEMO, "seed": 1.0}, "seed"),
+    ],
+)
+def test_experiment_config_rejections_name_the_field(
+    tmp_path, capsys, subcommand, kind, config, field
+):
+    cfg = write(tmp_path, "bad.json", config)
+    assert main(["validate-config", "--kind", kind, "--config", cfg]) == 2
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"{field}: ") == 2, err
 
 
 def test_validate_config_other_kinds(tmp_path):

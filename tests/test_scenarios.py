@@ -100,6 +100,27 @@ def test_load_scenario_from_file(tmp_path):
         (lambda c: c.update(repetitions=0), "repetitions"),
         (lambda c: c["topology"].update(kind="relay-chain"), "depth"),
         (lambda c: c["topology"].update(depth=3), "only valid for relay-chain"),
+        (lambda c: c.update(repetitions=3.9), "repetitions: expected an integer, got 3.9"),
+        (lambda c: c.update(repetitions=True), "repetitions: expected an integer"),
+        (lambda c: c.update(seed="42"), "seed: expected an integer"),
+        (lambda c: c.update(compute_ms=float("nan")), "compute_ms: expected a finite number"),
+        (lambda c: c.update(overhead_ms="1"), "overhead_ms: expected a finite number"),
+        (
+            lambda c: c["pet"].update(kind="ldp", epsilon=float("inf")),
+            "pet.epsilon: expected a finite number",
+        ),
+        (lambda c: c["pet"].update(kind="ass", m=3.0), "pet.m: expected an integer"),
+        (lambda c: c["sensors"].update(count=False), "sensors.count: expected an integer"),
+        (lambda c: c["encoding"].update(k=1.5), "encoding.k: expected an integer"),
+        (lambda c: c["encoding"].update(x_hi=float("-inf")), "encoding.x_hi: expected a finite"),
+        (
+            lambda c: c.update(latency={"per_hop_mean_ms": True}),
+            "^latency.per_hop_mean_ms: expected a finite number",
+        ),
+        (lambda c: c.update(topology=5), "topology: expected an object"),
+        (lambda c: c.update(pet=["none"]), "pet: expected an object"),
+        (lambda c: c.update(sensors="one"), "sensors: expected an object"),
+        (lambda c: c["sensors"].update(generator=3), "sensors.generator: expected an object"),
     ],
 )
 def test_config_rejections_name_the_field(mutate, message):
