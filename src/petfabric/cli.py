@@ -27,7 +27,9 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,24 +37,18 @@ from . import __version__, adversary, ass
 from .codec import decode_sum, encode
 from .scenarios import (
     ConfigError,
-    MIN_REPS,
     benchmark_suite,
-    encoding_from_dict,
     generate_weights,
-    latency_from_config,
-    load_scenario,
     run_scenario,
-    scenario_from_dict,
     weight_sum_experiment,
 )
 from .scenarios.config import (
-    check_keys,
+    adversary_from_dict,
+    ass_demo_from_dict,
+    bench_from_dict,
     load_json,
-    optional_bool,
-    read_int,
-    read_number,
-    read_numbers,
-    require_key,
+    scenario_from_dict,
+    sweep_from_dict,
 )
 from .scenarios.runner import worker_count
 
@@ -95,173 +91,67 @@ BENCH_COLUMNS = [
 ]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _resolve_seed(flag_seed, config_seed) -> int:
-    """Flag beats environment beats config beats zero."""
+    """Flag beats environment beats config beats zero; a seed is >= 0."""
     if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        seed, source = flag_seed, "--seed"
+    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV_VAR
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR}: not an integer: {env!r}") from None
-    if config_seed is not None:
-        return config_seed
-    return 0
+    else:
+        seed, source = config_seed or 0, "seed"
+    if seed < 0:
+        raise ConfigError(f"{source}: must be >= 0, got {seed}")
+    return seed
 
 
-def _write_manifest(
-    out_dir: Path, subcommand: str, config_path, seed: int, outputs, workers: int = 1
-) -> None:
-    """Write manifest.json: what ran, on what, and with which interpreter and numpy."""
-    digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest() if config_path else None
+def _write_reports(args, seed: int, workers: int, reports: dict) -> None:
+    """Write each report CSV into --out, then manifest.json: what ran, on
+    what, and with which interpreter and numpy."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in reports.items():
+        with open(out / name, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        log.info("wrote %s", out / name)
     manifest = {
-        "subcommand": subcommand,
-        "config": str(config_path) if config_path else None,
-        "config_sha256": digest,
+        "subcommand": args.subcommand,
+        "config": str(args.config),
+        "config_sha256": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
         "seed": seed,
         "version": __version__,
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
         "workers": workers,
-        "outputs": sorted(outputs),
+        "outputs": sorted(reports),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 # --------------------------------------------------------------------------
-# Experiment config loaders (strict, like scenario configs)
+# Subcommand bodies: (args, loaded config) -> (seed, workers, reports), where
+# reports maps each CSV name to its (header, rows)
 # --------------------------------------------------------------------------
 
-def _sweep_from_dict(raw: dict) -> dict:
-    check_keys(raw, {"n", "encoding", "model", "eps_grid", "reps", "sensitivity", "seed"}, "config")
-    sensitivity = read_int(raw, "sensitivity", "config", None)
-    if sensitivity is not None and sensitivity < 1:
-        raise ConfigError(f"sensitivity: must be >= 1, got {sensitivity}")
-    return {
-        "n": read_int(raw, "n", "config"),
-        "encoding": encoding_from_dict(require_key(raw, "encoding", "config")),
-        "model": str(raw.get("model", "ldp")),
-        "eps_grid": read_numbers(raw, "eps_grid", "config"),
-        "reps": read_int(raw, "reps", "config", MIN_REPS),
-        "sensitivity": sensitivity,
-        "seed": read_int(raw, "seed", "config", None),
-    }
-
-
-def _adversary_from_dict(raw: dict) -> dict:
-    check_keys(
-        raw,
-        {"eps_grid", "gap_ratios", "sensitivity", "trials", "prefix_sum", "model", "seed"},
-        "config",
-    )
-    trials = read_int(raw, "trials", "config", 100_000)
-    if trials < 1:
-        raise ConfigError(f"trials: must be >= 1, got {trials}")
-    sensitivity = read_int(raw, "sensitivity", "config")
-    if sensitivity < 1:
-        raise ConfigError(f"sensitivity: must be >= 1, got {sensitivity}")
-    model = str(raw.get("model", adversary.GDP_MODEL))
-    if model not in (adversary.GDP_MODEL, adversary.LDP_MODEL):
-        raise ConfigError(f"model: expected gdp or ldp, got {model!r}")
-    return {
-        "eps_grid": read_numbers(raw, "eps_grid", "config"),
-        "gap_ratios": read_numbers(raw, "gap_ratios", "config"),
-        "sensitivity": sensitivity,
-        "trials": trials,
-        "prefix_sum": read_int(raw, "prefix_sum", "config", 0),
-        "model": model,
-        "seed": read_int(raw, "seed", "config", None),
-    }
-
-
-def _ass_demo_from_dict(raw: dict) -> dict:
-    check_keys(raw, {"n", "m", "encoding", "repetitions", "drop_one_share", "seed"}, "config")
-    n = read_int(raw, "n", "config")
-    m = read_int(raw, "m", "config")
-    if n < 1:
-        raise ConfigError(f"n: need at least one sensor, got {n}")
-    if m < 2:
-        raise ConfigError("m: additive sharing needs at least 2 channels (m >= 2)")
-    reps = read_int(raw, "repetitions", "config", 100)
-    if reps < 1:
-        raise ConfigError(f"repetitions: must be >= 1, got {reps}")
-    return {
-        "n": n,
-        "m": m,
-        "encoding": encoding_from_dict(require_key(raw, "encoding", "config")),
-        "repetitions": reps,
-        "drop_one_share": optional_bool(raw, "drop_one_share", "config"),
-        "seed": read_int(raw, "seed", "config", None),
-    }
-
-
-def _bench_from_dict(raw: dict) -> dict:
-    check_keys(raw, {"latency", "repetitions", "m", "epsilon", "compute_ms", "seed"}, "config")
-    reps = read_int(raw, "repetitions", "config", 100)
-    if reps < 1:
-        raise ConfigError(f"repetitions: must be >= 1, got {reps}")
-    compute = raw.get("compute_ms")
-    if compute is not None:
-        if not isinstance(compute, dict):
-            raise ConfigError("compute_ms: expected an object of scenario -> ms")
-        compute = {k: read_number(compute, k, "compute_ms") for k in compute}
-    return {
-        "latency": latency_from_config(raw.get("latency", "testbed")),
-        "repetitions": reps,
-        "m": read_int(raw, "m", "config", 3),
-        "epsilon": read_number(raw, "epsilon", "config", 1.0),
-        "compute_ms": compute,
-        "seed": read_int(raw, "seed", "config", None),
-    }
-
-
-_VALIDATORS = {
-    "scenario": scenario_from_dict,
-    "sweep": _sweep_from_dict,
-    "adversary": _adversary_from_dict,
-    "ass-demo": _ass_demo_from_dict,
-    "bench": _bench_from_dict,
-}
-
-
-# --------------------------------------------------------------------------
-# Subcommand implementations
-# --------------------------------------------------------------------------
-
-def _cmd_run_scenario(args) -> int:
-    spec = load_scenario(args.config)
+def _run_scenario(args, spec):
     seed = _resolve_seed(args.seed, spec.seed)
     spec = spec.with_seed(seed)
     workers = worker_count(args.parallel, spec.repetitions)
     records = run_scenario(spec, workers=workers)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = f"{spec.name}_records.csv"
-    _write_csv(
-        out / name,
-        RECORD_COLUMNS,
-        (
-            [r.scenario, r.message_id, r.compute_ms, r.hop_count, r.end_to_end_ms, seed]
-            for r in records
-        ),
+    rows = (
+        [r.scenario, r.message_id, r.compute_ms, r.hop_count, r.end_to_end_ms, seed]
+        for r in records
     )
-    _write_manifest(out, "run-scenario", args.config, seed, [name], workers)
-    log.info("wrote %d records to %s", len(records), out / name)
-    return 0
+    return seed, workers, {f"{spec.name}_records.csv": (RECORD_COLUMNS, rows)}
 
 
-def _cmd_sweep_epsilon(args) -> int:
-    cfg = _sweep_from_dict(load_json(args.config))
+def _sweep_epsilon(args, cfg):
     seed = _resolve_seed(args.seed, cfg["seed"])
     params = cfg["encoding"]
     report = weight_sum_experiment(
@@ -274,33 +164,21 @@ def _cmd_sweep_epsilon(args) -> int:
         seed=seed,
         sensitivity=cfg["sensitivity"],
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    utility_name = f"utility_{cfg['model']}.csv"
-    _write_csv(
-        out / utility_name,
-        UTILITY_COLUMNS,
-        (
-            [p.epsilon, p.mean_abs_err, p.median_abs_err, p.std_err, p.reps]
-            for p in report.points
-        ),
+    log.info("true sum %.3f", report.ground_truth)
+    utility = (
+        [p.epsilon, p.mean_abs_err, p.median_abs_err, p.std_err, p.reps] for p in report.points
     )
     # persist the seeded ground-truth dataset next to the report
     weights = generate_weights(cfg["n"], params.x_lo, params.x_hi, seed)
-    _write_csv(
-        out / "ground_truth.csv",
-        ["index", "weight"],
-        ([i, float(w)] for i, w in enumerate(weights)),
-    )
-    _write_manifest(out, "sweep-epsilon", args.config, seed, [utility_name, "ground_truth.csv"])
-    log.info("true sum %.3f; wrote %s", report.ground_truth, out / utility_name)
-    return 0
+    return seed, 1, {
+        f"utility_{cfg['model']}.csv": (UTILITY_COLUMNS, utility),
+        "ground_truth.csv": (["index", "weight"], ([i, float(w)] for i, w in enumerate(weights))),
+    }
 
 
-def _cmd_adversary_sim(args) -> int:
-    cfg = _adversary_from_dict(load_json(args.config))
+def _adversary_sim(args, cfg):
     seed = _resolve_seed(args.seed, cfg["seed"])
-    rows = adversary.guess_rate_grid(
+    grid = adversary.guess_rate_grid(
         epsilons=cfg["eps_grid"],
         gap_ratios=cfg["gap_ratios"],
         sensitivity=cfg["sensitivity"],
@@ -309,23 +187,14 @@ def _cmd_adversary_sim(args) -> int:
         known_prefix_sum=cfg["prefix_sum"],
         model=cfg["model"],
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = "adversary_guess_rates.csv"
-    _write_csv(
-        out / name,
-        ADVERSARY_COLUMNS,
-        (
-            [r.epsilon, r.gap_ratio, r.analytic_pg, r.empirical_pg, r.trials, r.ci_halfwidth]
-            for r in rows
-        ),
+    rows = (
+        [r.epsilon, r.gap_ratio, r.analytic_pg, r.empirical_pg, r.trials, r.ci_halfwidth]
+        for r in grid
     )
-    _write_manifest(out, "adversary-sim", args.config, seed, [name])
-    return 0
+    return seed, 1, {"adversary_guess_rates.csv": (ADVERSARY_COLUMNS, rows)}
 
 
-def _cmd_ass_demo(args) -> int:
-    cfg = _ass_demo_from_dict(load_json(args.config))
+def _ass_demo(args, cfg):
     seed = _resolve_seed(args.seed, cfg["seed"])
     params = cfg["encoding"]
     n, m = cfg["n"], cfg["m"]
@@ -341,12 +210,9 @@ def _cmd_ass_demo(args) -> int:
         if cfg["drop_one_share"]:
             victim = int(rng.integers(0, n))
             channel = int(rng.integers(1, m + 1))
-            shares = list(bundles[victim].shares)
-            shares[channel - 1] = None
-            bundles[victim] = ass.ShareBundle(
-                sensor_id=bundles[victim].sensor_id,
-                shares=tuple(shares),
-                modulus=fp.modulus,
+            shares = bundles[victim].shares
+            bundles[victim] = replace(
+                bundles[victim], shares=shares[: channel - 1] + (None,) + shares[channel:]
             )
         base = [rep, n, m, fp.modulus]
         try:
@@ -369,16 +235,10 @@ def _cmd_ass_demo(args) -> int:
                 "",
             ]
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = "ass_demo.csv"
-    _write_csv(out / name, ASS_DEMO_COLUMNS, rows)
-    _write_manifest(out, "ass-demo", args.config, seed, [name])
-    return 0
+    return seed, 1, {"ass_demo.csv": (ASS_DEMO_COLUMNS, rows)}
 
 
-def _cmd_bench_suite(args) -> int:
-    cfg = _bench_from_dict(load_json(args.config))
+def _bench_suite(args, cfg):
     seed = _resolve_seed(args.seed, cfg["seed"])
     specs = benchmark_suite(
         latency=cfg["latency"],
@@ -405,17 +265,51 @@ def _cmd_bench_suite(args) -> int:
                 len(records),
             ]
         )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    name = "bench_suite.csv"
-    _write_csv(out / name, BENCH_COLUMNS, rows)
-    _write_manifest(out, "bench-suite", args.config, seed, [name], workers)
+    return seed, workers, {"bench_suite.csv": (BENCH_COLUMNS, rows)}
+
+
+class Subcommand(NamedTuple):
+    help: str
+    kind: str  # the config schema, as validate-config --kind names it
+    load: Callable[[dict], object]
+    run: Callable
+
+
+SUBCOMMANDS = {
+    "run-scenario": Subcommand(
+        "run one scenario config, write latency records",
+        "scenario", scenario_from_dict, _run_scenario,
+    ),
+    "sweep-epsilon": Subcommand(
+        "privacy-utility curve for the weight-sum query",
+        "sweep", sweep_from_dict, _sweep_epsilon,
+    ),
+    "adversary-sim": Subcommand(
+        "distinguisher success over an epsilon grid",
+        "adversary", adversary_from_dict, _adversary_sim,
+    ),
+    "ass-demo": Subcommand(
+        "share/reconstruct round trips, optionally with loss",
+        "ass-demo", ass_demo_from_dict, _ass_demo,
+    ),
+    "bench-suite": Subcommand(
+        "the six-configuration placement comparison",
+        "bench", bench_from_dict, _bench_suite,
+    ),
+}
+
+LOADERS = {command.kind: command.load for command in SUBCOMMANDS.values()}
+
+
+def _run(args) -> int:
+    command = SUBCOMMANDS[args.subcommand]
+    config = command.load(load_json(args.config))
+    _write_reports(args, *command.run(args, config))
     return 0
 
 
-def _cmd_validate_config(args) -> int:
-    raw = load_json(args.config)
-    _VALIDATORS[args.kind](raw)
+def _validate(args) -> int:
+    LOADERS[args.kind](load_json(args.config))
     print(f"{args.config}: valid {args.kind} config")
     return 0
 
@@ -431,49 +325,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"petfabric {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, needs_out=True):
+    helps = {name: command.help for name, command in SUBCOMMANDS.items()}
+    helps["validate-config"] = "check a config file, write nothing"
+    for name, text in helps.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        if needs_out:
+        if name in SUBCOMMANDS:
             p.add_argument("--out", default="out", help="output directory (default: ./out)")
+        else:
+            p.add_argument(
+                "--kind",
+                choices=sorted(LOADERS),
+                default="scenario",
+                help="which config schema to validate against (default: scenario)",
+            )
         p.add_argument(
             "--seed",
             type=int,
             default=None,
             help=f"master seed; overrides ${SEED_ENV_VAR} and the config",
         )
-        p.add_argument("--parallel", type=int, default=1, help="worker processes for repetitions")
+        p.add_argument(
+            "--parallel",
+            type=int,
+            default=1,
+            help="worker processes for repetitions (run-scenario and bench-suite only)",
+        )
         p.add_argument("-v", "--verbose", action="count", default=0)
-
-    p = sub.add_parser("run-scenario", help="run one scenario config, write latency records")
-    add_common(p)
-    p.set_defaults(func=_cmd_run_scenario)
-
-    p = sub.add_parser("sweep-epsilon", help="privacy-utility curve for the weight-sum query")
-    add_common(p)
-    p.set_defaults(func=_cmd_sweep_epsilon)
-
-    p = sub.add_parser("adversary-sim", help="distinguisher success over an epsilon grid")
-    add_common(p)
-    p.set_defaults(func=_cmd_adversary_sim)
-
-    p = sub.add_parser("ass-demo", help="share/reconstruct round trips, optionally with loss")
-    add_common(p)
-    p.set_defaults(func=_cmd_ass_demo)
-
-    p = sub.add_parser("bench-suite", help="the six-configuration placement comparison")
-    add_common(p)
-    p.set_defaults(func=_cmd_bench_suite)
-
-    p = sub.add_parser("validate-config", help="check a config file, write nothing")
-    add_common(p, needs_out=False)
-    p.add_argument(
-        "--kind",
-        choices=sorted(_VALIDATORS),
-        default="scenario",
-        help="which config schema to validate against (default: scenario)",
-    )
-    p.set_defaults(func=_cmd_validate_config)
     return parser
 
 
@@ -482,7 +360,7 @@ def main(argv=None) -> int:
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(level=level, stream=sys.stderr, format="%(name)s: %(message)s")
     try:
-        return args.func(args)
+        return (_run if args.subcommand in SUBCOMMANDS else _validate)(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,15 @@
-"""Scenario configuration: typed spec plus strict JSON loading.
+"""Config schemas: the typed scenario spec and the strict loader of every
+config file the CLI reads.
 
-Configs mirror the ScenarioSpec fields one-to-one. Loading is strict:
-unknown keys anywhere in the document are rejected, numbers are read by
-typed readers that coerce nothing (`read_int`, `read_number`), and every
-validation message names the offending field, so a typo cannot silently
-change what a benchmark measures. Encoding parameters are stored as
-{k, x_lo, x_hi} only; the derived quantities are always recomputed.
+Scenario configs mirror the ScenarioSpec fields one-to-one; the sweep,
+adversary, ass-demo and bench configs load into plain dicts. Loading is
+strict: unknown keys anywhere in the document are rejected, fields are read
+by typed readers that coerce nothing (`read_int`, `read_number`,
+`read_str`), every range a run relies on is checked here, so a config that
+validates also runs, and every validation message names the offending
+field, so a typo cannot silently change what a benchmark measures.
+Encoding parameters are stored as {k, x_lo, x_hi} only; the derived
+quantities are always recomputed.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..codec import DomainError, EncodingParams, derive_params
+from ..dp import GDP_MODEL, LDP_MODEL
 from ..fabric import LATENCY_PRESETS, LatencyModel
 
 ON_DEVICE = "on-device"
@@ -40,6 +45,9 @@ REFERENCE_COMPUTE_MS = {
     "ass-on-device": 0.591,
     "ass-virtualized": 17.265,
 }
+
+#: Fewest repetitions that make per-epsilon error statistics reportable.
+MIN_REPS = 100
 
 
 class ConfigError(ValueError):
@@ -149,14 +157,13 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("name: must not be empty")
-        if self.compute_ms < 0:
-            raise ConfigError(f"compute_ms: must be >= 0, got {self.compute_ms}")
-        if self.overhead_ms < 0:
-            raise ConfigError(f"overhead_ms: must be >= 0, got {self.overhead_ms}")
-        if self.repetitions < 1:
-            raise ConfigError(f"repetitions: must be >= 1, got {self.repetitions}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if any(c in self.name for c in "/\\\0"):
+            # the name is part of a report file name under --out
+            raise ConfigError(f"name: must not contain '/', '\\' or NUL, got {self.name!r}")
+        at_least(self.compute_ms, 0, "compute_ms")
+        at_least(self.overhead_ms, 0, "overhead_ms")
+        at_least(self.repetitions, 1, "repetitions")
+        at_least(self.seed, 0, "seed")
         kind = self.topology.kind
         pet = self.pet.kind
         if kind == RELAY_CHAIN:
@@ -220,6 +227,24 @@ def optional_bool(raw: dict, key: str, where: str) -> bool:
     value = raw.get(key, False)
     if not isinstance(value, bool):
         raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
+    return value
+
+
+def at_least(value, low, field: str):
+    """`value`, unless it is below `low`."""
+    if value < low:
+        raise ConfigError(f"{field}: must be >= {low}, got {value}")
+    return value
+
+
+def read_str(raw: dict, key: str, where: str, default=_REQUIRED) -> Optional[str]:
+    """A JSON string; a number, a bool and null are refused, not converted.
+    Defaults as in `read_int`."""
+    value = _value(raw, key, where, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}.{key}: expected a string, got {value!r}")
     return value
 
 
@@ -315,7 +340,7 @@ def latency_from_config(raw: Union[str, dict], where: str = "latency") -> Latenc
         return LatencyModel(
             per_hop_mean_ms=mean_ms,
             per_hop_jitter_std_ms=jitter_ms,
-            distribution=str(raw.get("distribution", "constant")),
+            distribution=read_str(raw, "distribution", where, "constant"),
         )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -341,7 +366,7 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     topo_raw = require_key(raw, "topology", "config")
     check_keys(topo_raw, {"kind", "depth"}, "topology")
     topology = Topology(
-        kind=str(require_key(topo_raw, "kind", "topology")),
+        kind=read_str(topo_raw, "kind", "topology"),
         depth=read_int(topo_raw, "depth", "topology", 0),
     )
     pet_raw = require_key(raw, "pet", "config")
@@ -351,9 +376,9 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         "pet",
     )
     pet = PetConfig(
-        kind=str(require_key(pet_raw, "kind", "pet")),
+        kind=read_str(pet_raw, "kind", "pet"),
         epsilon=read_number(pet_raw, "epsilon", "pet", None),
-        aggregator=pet_raw.get("aggregator"),
+        aggregator=read_str(pet_raw, "aggregator", "pet", None),
         m=read_int(pet_raw, "m", "pet", None),
         drop_one_share=optional_bool(pet_raw, "drop_one_share", "pet"),
         parallel_shares=optional_bool(pet_raw, "parallel_shares", "pet"),
@@ -363,14 +388,14 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     gen_raw = sensors_raw.get("generator", {})
     check_keys(gen_raw, {"kind", "low", "high", "value"}, "sensors.generator")
     generator = GeneratorConfig(
-        kind=str(gen_raw.get("kind", "uniform")),
+        kind=read_str(gen_raw, "kind", "sensors.generator", "uniform"),
         low=read_number(gen_raw, "low", "sensors.generator", None),
         high=read_number(gen_raw, "high", "sensors.generator", None),
         value=read_number(gen_raw, "value", "sensors.generator", None),
     )
     sensors = SensorConfig(count=read_int(sensors_raw, "count", "sensors", 1), generator=generator)
     return ScenarioSpec(
-        name=str(require_key(raw, "name", "config")),
+        name=read_str(raw, "name", "config"),
         topology=topology,
         pet=pet,
         sensors=sensors,
@@ -386,3 +411,104 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
 def load_scenario(path) -> ScenarioSpec:
     """Read and validate a scenario config file."""
     return scenario_from_dict(load_json(path))
+
+
+# --------------------------------------------------------------------------
+# Experiment configs: one loader per CLI subcommand beyond run-scenario
+# --------------------------------------------------------------------------
+
+def _seed(raw: dict) -> Optional[int]:
+    seed = read_int(raw, "seed", "config", None)
+    return None if seed is None else at_least(seed, 0, "seed")
+
+
+def _positive(value: float, field: str) -> float:
+    if not value > 0:
+        raise ConfigError(f"{field}: must be > 0, got {value}")
+    return value
+
+
+def _epsilons(raw: dict) -> list[float]:
+    eps_grid = read_numbers(raw, "eps_grid", "config")
+    return [_positive(eps, f"eps_grid[{i}]") for i, eps in enumerate(eps_grid)]
+
+
+def sweep_from_dict(raw: dict) -> dict:
+    """The `sweep-epsilon` config: the weight-sum query over an epsilon grid."""
+    check_keys(raw, {"n", "encoding", "model", "eps_grid", "reps", "sensitivity", "seed"}, "config")
+    sensitivity = read_int(raw, "sensitivity", "config", None)  # None: the encoded width q
+    if sensitivity is not None:
+        at_least(sensitivity, 1, "sensitivity")
+    model = read_str(raw, "model", "config", LDP_MODEL)
+    if model not in (LDP_MODEL, GDP_MODEL):
+        raise ConfigError(f"model: expected ldp or gdp, got {model!r}")
+    return {
+        "n": at_least(read_int(raw, "n", "config"), 1, "n"),
+        "encoding": encoding_from_dict(require_key(raw, "encoding", "config")),
+        "model": model,
+        "eps_grid": _epsilons(raw),
+        "reps": at_least(read_int(raw, "reps", "config", MIN_REPS), MIN_REPS, "reps"),
+        "sensitivity": sensitivity,
+        "seed": _seed(raw),
+    }
+
+
+def adversary_from_dict(raw: dict) -> dict:
+    """The `adversary-sim` config: the distinguisher over (epsilon, gap) pairs."""
+    check_keys(
+        raw,
+        {"eps_grid", "gap_ratios", "sensitivity", "trials", "prefix_sum", "model", "seed"},
+        "config",
+    )
+    sensitivity = at_least(read_int(raw, "sensitivity", "config"), 1, "sensitivity")
+    gap_ratios = read_numbers(raw, "gap_ratios", "config")
+    for i, ratio in enumerate(gap_ratios):
+        if round(ratio * sensitivity) < 1:
+            raise ConfigError(
+                f"gap_ratios[{i}]: ratio {ratio} with sensitivity {sensitivity} gives no gap"
+            )
+    model = read_str(raw, "model", "config", GDP_MODEL)
+    if model not in (GDP_MODEL, LDP_MODEL):
+        raise ConfigError(f"model: expected gdp or ldp, got {model!r}")
+    return {
+        "eps_grid": _epsilons(raw),
+        "gap_ratios": gap_ratios,
+        "sensitivity": sensitivity,
+        "trials": at_least(read_int(raw, "trials", "config", 100_000), 1, "trials"),
+        "prefix_sum": read_int(raw, "prefix_sum", "config", 0),
+        "model": model,
+        "seed": _seed(raw),
+    }
+
+
+def ass_demo_from_dict(raw: dict) -> dict:
+    """The `ass-demo` config: split/reconstruct round trips."""
+    check_keys(raw, {"n", "m", "encoding", "repetitions", "drop_one_share", "seed"}, "config")
+    return {
+        "n": at_least(read_int(raw, "n", "config"), 1, "n"),
+        "m": at_least(read_int(raw, "m", "config"), 2, "m"),
+        "encoding": encoding_from_dict(require_key(raw, "encoding", "config")),
+        "repetitions": at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions"),
+        "drop_one_share": optional_bool(raw, "drop_one_share", "config"),
+        "seed": _seed(raw),
+    }
+
+
+def bench_from_dict(raw: dict) -> dict:
+    """The `bench-suite` config: the six-placement comparison."""
+    check_keys(raw, {"latency", "repetitions", "m", "epsilon", "compute_ms", "seed"}, "config")
+    compute = raw.get("compute_ms")
+    if compute is not None:
+        check_keys(compute, set(REFERENCE_COMPUTE_MS), "compute_ms")
+        compute = {
+            k: at_least(read_number(compute, k, "compute_ms"), 0, f"compute_ms.{k}")
+            for k in compute
+        }
+    return {
+        "latency": latency_from_config(raw.get("latency", "testbed")),
+        "repetitions": at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions"),
+        "m": at_least(read_int(raw, "m", "config", 3), 2, "m"),
+        "epsilon": _positive(read_number(raw, "epsilon", "config", 1.0), "epsilon"),
+        "compute_ms": compute,
+        "seed": _seed(raw),
+    }

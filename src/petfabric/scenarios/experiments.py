@@ -24,11 +24,8 @@ import numpy as np
 from .. import dp
 from ..codec import decode, decode_sum, derive_params, encode
 from ..dp import GDP_MODEL, LDP_MODEL
-from .config import ConfigError, ScenarioSpec
+from .config import MIN_REPS, ConfigError, ScenarioSpec
 from .runner import run_scenario_outcomes
-
-#: Fewest repetitions that make per-epsilon error statistics reportable.
-MIN_REPS = 100
 
 
 @dataclass(frozen=True)

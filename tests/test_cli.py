@@ -221,6 +221,8 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("adversary-sim", "adversary", {**ADVERSARY, "trials": True}, "trials"),
         ("adversary-sim", "adversary", {**ADVERSARY, "sensitivity": 0}, "sensitivity"),
         ("adversary-sim", "adversary", {**ADVERSARY, "gap_ratios": [float("nan")]}, "gap_ratios[0]"),
+        ("adversary-sim", "adversary", {**ADVERSARY, "eps_grid": [0.5, 0]}, "eps_grid[1]"),
+        ("adversary-sim", "adversary", {**ADVERSARY, "gap_ratios": [0.5, 0.0004]}, "gap_ratios[1]"),
         ("bench-suite", "bench", {**BENCH, "repetitions": 2.5}, "repetitions"),
         ("bench-suite", "bench", {**BENCH, "epsilon": float("inf")}, "epsilon"),
         ("bench-suite", "bench", {**BENCH, "compute_ms": {"baseline": "1"}}, "compute_ms.baseline"),
@@ -236,6 +238,34 @@ def test_experiment_config_rejections_name_the_field(
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count(f"{field}: ") == 2, err
+
+
+CONFIGS = {
+    "run-scenario": BASELINE,
+    "sweep-epsilon": SWEEP,
+    "adversary-sim": ADVERSARY,
+    "ass-demo": ASS_DEMO,
+    "bench-suite": BENCH,
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+@pytest.mark.parametrize("source", ["--seed", SEED_ENV_VAR, "seed"])
+def test_negative_seed_exits_2_naming_its_source(
+    tmp_path, capsys, monkeypatch, subcommand, source
+):
+    config = CONFIGS[subcommand]
+    argv = [subcommand, "--out", str(tmp_path / "o")]
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    elif source == SEED_ENV_VAR:
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    else:
+        config = {**config, "seed": -1}
+    argv += ["--config", write(tmp_path, "cfg.json", config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {source}: must be >= 0, got -1\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_config_other_kinds(tmp_path):

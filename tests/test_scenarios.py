@@ -121,6 +121,9 @@ def test_load_scenario_from_file(tmp_path):
         (lambda c: c.update(pet=["none"]), "pet: expected an object"),
         (lambda c: c.update(sensors="one"), "sensors: expected an object"),
         (lambda c: c["sensors"].update(generator=3), "sensors.generator: expected an object"),
+        (lambda c: c.update(name=5), "name: expected a string, got 5"),
+        (lambda c: c.update(name="../x"), "name: must not contain"),
+        (lambda c: c["pet"].update(kind=3), "pet.kind: expected a string, got 3"),
     ],
 )
 def test_config_rejections_name_the_field(mutate, message):
