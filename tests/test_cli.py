@@ -221,13 +221,13 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("adversary-sim", "adversary", {**ADVERSARY, "trials": True}, "trials"),
         ("adversary-sim", "adversary", {**ADVERSARY, "sensitivity": 0}, "sensitivity"),
         ("adversary-sim", "adversary", {**ADVERSARY, "gap_ratios": [float("nan")]}, "gap_ratios[0]"),
-        ("adversary-sim", "adversary", {**ADVERSARY, "eps_grid": [0.5, 0]}, "eps_grid[1]"),
-        ("adversary-sim", "adversary", {**ADVERSARY, "gap_ratios": [0.5, 0.0004]}, "gap_ratios[1]"),
         ("bench-suite", "bench", {**BENCH, "repetitions": 2.5}, "repetitions"),
         ("bench-suite", "bench", {**BENCH, "epsilon": float("inf")}, "epsilon"),
         ("bench-suite", "bench", {**BENCH, "compute_ms": {"baseline": "1"}}, "compute_ms.baseline"),
         ("ass-demo", "ass-demo", {**ASS_DEMO, "n": "12"}, "n"),
         ("ass-demo", "ass-demo", {**ASS_DEMO, "seed": 1.0}, "seed"),
+        ("adversary-sim", "adversary", {**ADVERSARY, "eps_grid": [0.5, 0]}, "eps_grid[1]"),
+        ("adversary-sim", "adversary", {**ADVERSARY, "gap_ratios": [0.5, 0.0004]}, "gap_ratios[1]"),
     ],
 )
 def test_experiment_config_rejections_name_the_field(
