@@ -38,6 +38,45 @@ def test_round_trip_every_scheme():
         assert cbor_decode(cbor_encode(env), topic=env.topic) == env
 
 
+# one per scheme, hand-checked against RFC 8949: heads of every width, a
+# negative value, and timestamps on both sides of 2**32
+REFERENCE_VECTORS = [
+    (
+        dict(sensor_id="s1", sequence=0, scheme=Scheme.RAW, value=122, timestamp_us=0),
+        "a5006273310100020003187a0600",
+    ),
+    (
+        dict(sensor_id="s12", sequence=7, scheme=Scheme.LDP, value=-39, epsilon=0.5,
+             timestamp_us=4_294_967_296),
+        "a600637331320107020103382605fb3fe0000000000000061b0000000100000000",
+    ),
+    (
+        dict(sensor_id="vnode", sequence=300, scheme=Scheme.GDP, value=61184, epsilon=1.0,
+             timestamp_us=5_000_123_456),
+        "a60065766e6f64650119012c02020319ef0005fb3ff0000000000000061b000000012a07d440",
+    ),
+    (
+        dict(sensor_id="s0", sequence=65536, scheme=Scheme.ASS_SHARE, value=8_500_000,
+             share_index=3, timestamp_us=4_294_967_295),
+        "a600627330011a000100000203031a0081b3200403061affffffff",
+    ),
+    (
+        dict(sensor_id="sensor-9", sequence=23, scheme=Scheme.KRR, value=-1000, epsilon=2.0,
+             timestamp_us=1_000_000),
+        "a6006873656e736f722d3901170204033903e705fb4000000000000000061a000f4240",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fields,hexbytes", REFERENCE_VECTORS, ids=[f["scheme"].name for f, _ in REFERENCE_VECTORS]
+)
+def test_reference_vectors(fields, hexbytes):
+    env = Envelope(topic="cabin/t", **fields)
+    assert cbor_encode(env).hex() == hexbytes
+    assert cbor_decode(bytes.fromhex(hexbytes), topic="cabin/t") == env
+
+
 def test_encoding_is_stable():
     env = make_env(scheme=Scheme.LDP, value=-39, epsilon=0.5, sequence=7)
     assert cbor_encode(env) == cbor_encode(env)

@@ -2,8 +2,11 @@
 
 The digests cover each repetition's record, result, truth, encoded result,
 encoded truth, injected drop and missing shares, so a change to any flow's
-random draw order, hop structure or payload handling shows up here. A
-second check holds every flow to least privilege: no ACL grant goes unused.
+random draw order, hop structure or payload handling shows up here. The
+wire digests cover every payload the brokers published and every line of
+their audit logs, so a change to the CBOR bytes, the ACL decisions or the
+audit order shows up too. A last check holds every flow to least privilege:
+no ACL grant goes unused.
 """
 
 import hashlib
@@ -12,6 +15,7 @@ import pytest
 
 from petfabric.codec import derive_params
 from petfabric.fabric import PUBLISH, Broker, LatencyModel, topic_matches
+from petfabric.fabric import broker as broker_module
 from petfabric.scenarios import (
     PetConfig,
     ScenarioSpec,
@@ -63,6 +67,26 @@ DIGESTS = {
     "virtualized-none": "867faf194e49f87a4f73b24ece0e5e13025f6b217357a107c8e2c988a5f531b3",
 }
 
+#: sha256 of every flow's published payloads and audit-log lines, recorded
+#: before the broker's hot path and the CBOR codec were rewritten
+WIRE_DIGESTS = {
+    "on-device-ass": "2b8387284ef49f1f64cbe6e5be9ee93bfa07a3939d6b0964616d97cd7f2a85d2",
+    "on-device-ass-drop": "b315d90e4f688510d853cd706f159f87a9fc20c0d047454819e509570a64c377",
+    "on-device-ass-parallel": "2b8387284ef49f1f64cbe6e5be9ee93bfa07a3939d6b0964616d97cd7f2a85d2",
+    "on-device-gdp-mean": "38874b18888e2fc0b24bdb656f3c743d5bfca67bfc82b626a6fbefef9440ab0f",
+    "on-device-gdp-sum": "65b50e8f93e68547482226a12608a83adc1ea10ade4636d18896cac288998dd6",
+    "on-device-krr": "f96242957d1b5bcf5c38ea38a9a6fe6f740516294767705b1c031b84ccea7b5d",
+    "on-device-ldp": "8809f047bf39d2ecc15a2aa5b014e81fb24e799ff16ef995904ec53d79fa03b7",
+    "on-device-none": "c5d91e608d6623c077e6b63bf920d8a39befbc7987b084ccf5484f9e5064b9cf",
+    "relay-chain-3": "8f0b49c2e82802f7ca06173e8a8bb6163dfc902820cce315b63d02836bb49f42",
+    "virtualized-ass": "0b86ab31fce4d9384ba3fa52fa4f1cb45cafb51416ad9f39fb631a526de815de",
+    "virtualized-ass-drop": "68f4630e706eb5de094478561f817a0a485be1db2a4c7f2471722e7e0517444b",
+    "virtualized-ass-parallel": "0b86ab31fce4d9384ba3fa52fa4f1cb45cafb51416ad9f39fb631a526de815de",
+    "virtualized-gdp-mean": "8e2f0e875842f9976c24fb69a028813ba690abc88f6c62a50126567854479b8d",
+    "virtualized-gdp-sum": "b16a80c57788280ad9f3fbbd55d964148e5806b803c9db67ed40504940eac4b9",
+    "virtualized-none": "9b85d38b6a307988e661475a8a412d43f789956066cbf164c18c6549eda7e0bb",
+}
+
 
 def flow_spec(name: str) -> ScenarioSpec:
     topology, pet, n = FLOWS[name]
@@ -102,9 +126,8 @@ def test_flow_outcomes_are_pinned(name):
     assert flow_digest(flow_spec(name)) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(FLOWS))
-@pytest.mark.parametrize("rate", FILLER_RATES)
-def test_every_acl_grant_is_used(name, rate, monkeypatch):
+def capture_brokers(monkeypatch) -> list[Broker]:
+    """Every Broker built from here on, in construction order."""
     brokers = []
     init = Broker.__init__
 
@@ -113,6 +136,41 @@ def test_every_acl_grant_is_used(name, rate, monkeypatch):
         brokers.append(self)
 
     monkeypatch.setattr(Broker, "__init__", capture)
+    return brokers
+
+
+def wire_digest(spec: ScenarioSpec, monkeypatch) -> str:
+    """sha256 of every payload published, in order, then of every audit line."""
+    brokers = capture_brokers(monkeypatch)
+    payloads = []
+    encode = broker_module.cbor_encode
+
+    def recording_encode(env):
+        data = encode(env)
+        payloads.append(data)
+        return data
+
+    monkeypatch.setattr(broker_module, "cbor_encode", recording_encode)
+    for rate in FILLER_RATES:
+        run_scenario_outcomes(spec, filler_rate=rate)
+    h = hashlib.sha256()
+    for data in payloads:
+        h.update(len(data).to_bytes(4, "big") + data)
+    for broker in brokers:
+        for rec in broker.audit_log:
+            h.update(rec.line().encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+def test_wire_bytes_are_pinned(name, monkeypatch):
+    assert wire_digest(flow_spec(name), monkeypatch) == WIRE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+@pytest.mark.parametrize("rate", FILLER_RATES)
+def test_every_acl_grant_is_used(name, rate, monkeypatch):
+    brokers = capture_brokers(monkeypatch)
     spec = flow_spec(name)
     run_scenario_outcomes(spec, filler_rate=rate)
     assert len(brokers) == spec.repetitions
