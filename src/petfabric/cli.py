@@ -26,6 +26,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -96,10 +97,10 @@ def _resolve_seed(flag_seed, config_seed) -> int:
     if flag_seed is not None:
         seed, source = flag_seed, "--seed"
     elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
-        try:
-            seed, source = int(env), SEED_ENV_VAR
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR}: not an integer: {env!r}") from None
+        # int() would also take spaces, '_' and non-ASCII digits
+        if not re.fullmatch(r"-?[0-9]+", env):
+            raise ConfigError(f"{SEED_ENV_VAR}: not an integer: {env!r}")
+        seed, source = int(env), SEED_ENV_VAR
     else:
         seed, source = config_seed or 0, "seed"
     if seed < 0:
@@ -302,6 +303,8 @@ LOADERS = {command.kind: command.load for command in SUBCOMMANDS.values()}
 
 
 def _run(args) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel: must be >= 1, got {args.parallel}")
     command = SUBCOMMANDS[args.subcommand]
     config = command.load(load_json(args.config))
     _write_reports(args, *command.run(args, config))

@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +58,8 @@ def validate_topic(topic: str) -> None:
         raise MalformedTopicError("topic must not be empty")
     if "\x00" in topic:
         raise MalformedTopicError("topic must not contain NUL")
-    for level in topic.split("/"):
-        if "+" in level or "#" in level:
-            raise MalformedTopicError(f"publish topic {topic!r} must not contain wildcards")
+    if "+" in topic or "#" in topic:
+        raise MalformedTopicError(f"publish topic {topic!r} must not contain wildcards")
 
 
 def validate_filter(pattern: str) -> None:
@@ -78,10 +77,8 @@ def validate_filter(pattern: str) -> None:
             raise MalformedTopicError(f"wildcard must occupy a whole level in {pattern!r}")
 
 
-def topic_matches(pattern: str, topic: str) -> bool:
-    """MQTT matching; '#' also matches the parent level itself."""
-    plevels = pattern.split("/")
-    tlevels = topic.split("/")
+def _levels_match(plevels: Sequence[str], tlevels: Sequence[str]) -> bool:
+    """MQTT matching of a split filter against a split topic."""
     for i, level in enumerate(plevels):
         if level == "#":
             return True
@@ -92,6 +89,11 @@ def topic_matches(pattern: str, topic: str) -> bool:
         if level != tlevels[i]:
             return False
     return len(tlevels) == len(plevels)
+
+
+def topic_matches(pattern: str, topic: str) -> bool:
+    """MQTT matching; '#' also matches the parent level itself."""
+    return _levels_match(pattern.split("/"), topic.split("/"))
 
 
 # --------------------------------------------------------------------------
@@ -115,34 +117,47 @@ class AclEntry:
 
 
 class AclTable:
-    """Deny-by-default topic ACL: no matching entry means refusal."""
+    """Deny-by-default topic ACL: no matching entry means refusal.
+
+    Entries are kept in grant order, and also indexed by (permission,
+    client id) with their patterns split into levels, so a check looks only
+    at the client's own grants and the "*" grants.
+    """
 
     def __init__(self, entries: Iterable[AclEntry] = ()):
-        self._entries: list[AclEntry] = list(entries)
+        self._entries: list[AclEntry] = []
+        self._grants: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+        for entry in entries:
+            self._add(entry)
 
     @classmethod
     def permissive(cls) -> "AclTable":
         """A table granting everything to everyone (tests, demos)."""
         return cls([AclEntry("*", "#", PUBLISH), AclEntry("*", "#", SUBSCRIBE)])
 
-    def allow(self, client_id: str, pattern: str, permission: str) -> None:
-        self._entries.append(AclEntry(client_id, pattern, permission))
+    def _add(self, entry: AclEntry) -> None:
+        self._entries.append(entry)
+        key = (entry.permission, entry.client_id)
+        self._grants.setdefault(key, []).append(tuple(entry.pattern.split("/")))
 
-    def _entries_for(self, client_id: str, permission: str) -> Iterable[AclEntry]:
-        for e in self._entries:
-            if e.permission == permission and e.client_id in (client_id, "*"):
-                yield e
+    def allow(self, client_id: str, pattern: str, permission: str) -> None:
+        self._add(AclEntry(client_id, pattern, permission))
+
+    def _permits(self, permission: str, client_id: str, topic: str) -> bool:
+        tlevels = topic.split("/")
+        grants = self._grants
+        for key in ((permission, client_id), (permission, "*")):
+            for plevels in grants.get(key, ()):
+                if _levels_match(plevels, tlevels):
+                    return True
+        return False
 
     def permits_publish(self, client_id: str, topic: str) -> bool:
-        return any(
-            topic_matches(e.pattern, topic) for e in self._entries_for(client_id, PUBLISH)
-        )
+        return self._permits(PUBLISH, client_id, topic)
 
     def permits_subscribe_topic(self, client_id: str, topic: str) -> bool:
         """May this client receive messages published on this concrete topic?"""
-        return any(
-            topic_matches(e.pattern, topic) for e in self._entries_for(client_id, SUBSCRIBE)
-        )
+        return self._permits(SUBSCRIBE, client_id, topic)
 
     def permits_subscribe_filter(self, client_id: str, pattern: str) -> bool:
         """May this client register this filter?
@@ -152,9 +167,7 @@ class AclTable:
         request for 'cabin/+/weight'. Deliveries are additionally checked
         per concrete topic, which is what makes the audit invariant hold.
         """
-        return any(
-            topic_matches(e.pattern, pattern) for e in self._entries_for(client_id, SUBSCRIBE)
-        )
+        return self._permits(SUBSCRIBE, client_id, pattern)
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +281,7 @@ class Subscription:
     def __init__(self, client_id: str, pattern: str):
         self.client_id = client_id
         self.pattern = pattern
+        self.levels = tuple(pattern.split("/"))
         self.messages: list[Delivery] = []
 
     def pop_all(self) -> list[Delivery]:
@@ -301,7 +315,8 @@ class Broker:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._clients: set[str] = set()
         self._subscriptions: list[Subscription] = []
-        self._audit: list[AuditRecord] = []
+        # (event, client_id, topic, timestamp_us); audit_log builds the records
+        self._audit: list[tuple[str, str, str, int]] = []
         self._lock = threading.Lock()
 
     # -- client lifecycle --------------------------------------------------
@@ -317,12 +332,12 @@ class Broker:
     # -- audit ---------------------------------------------------------------
 
     def _record(self, event: str, client_id: str, topic: str) -> None:
-        self._audit.append(AuditRecord(event, client_id, topic, self.clock.now_us))
+        self._audit.append((event, client_id, topic, self.clock.now_us))
 
     @property
     def audit_log(self) -> tuple[AuditRecord, ...]:
         with self._lock:
-            return tuple(self._audit)
+            return tuple(AuditRecord(*rec) for rec in self._audit)
 
     def write_audit_log(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -347,26 +362,28 @@ class Broker:
     def publish(self, client_id: str, env: Envelope) -> PublishReceipt:
         """Route one envelope; samples one publish-leg and one delivery-leg
         delay per matched subscriber."""
+        topic = env.topic
         with self._lock:
             self._require_client(client_id)
-            validate_topic(env.topic)
-            if not self.acl.permits_publish(client_id, env.topic):
-                self._record("publish-denied", client_id, env.topic)
-                raise AclDeniedError(f"{client_id!r} may not publish to {env.topic!r}")
+            validate_topic(topic)
+            if not self.acl.permits_publish(client_id, topic):
+                self._record("publish-denied", client_id, topic)
+                raise AclDeniedError(f"{client_id!r} may not publish to {topic!r}")
             payload = cbor_encode(env)
             publish_delay = self.latency.sample_hop_ms(self._rng)
-            self._record("publish", client_id, env.topic)
+            self._record("publish", client_id, topic)
+            tlevels = topic.split("/")
             deliveries = []
             for sub in self._subscriptions:
-                if not topic_matches(sub.pattern, env.topic):
+                if not _levels_match(sub.levels, tlevels):
                     continue
-                if not self.acl.permits_subscribe_topic(sub.client_id, env.topic):
+                if not self.acl.permits_subscribe_topic(sub.client_id, topic):
                     # filter was granted but this concrete topic is not:
                     # never deliver what the ACL does not cover
-                    self._record("deliver-denied", sub.client_id, env.topic)
+                    self._record("deliver-denied", sub.client_id, topic)
                     continue
                 delivery = Delivery(
-                    topic=env.topic,
+                    topic=topic,
                     payload=payload,
                     subscriber=sub.client_id,
                     publish_delay_ms=publish_delay,
@@ -374,8 +391,8 @@ class Broker:
                 )
                 sub.messages.append(delivery)
                 deliveries.append(delivery)
-                self._record("deliver", sub.client_id, env.topic)
-            return PublishReceipt(env.topic, publish_delay, tuple(deliveries))
+                self._record("deliver", sub.client_id, topic)
+            return PublishReceipt(topic, publish_delay, tuple(deliveries))
 
     # -- background traffic ----------------------------------------------------
 

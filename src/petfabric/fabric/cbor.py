@@ -35,49 +35,77 @@ _MAJOR_SIMPLE = 7
 
 _FLOAT64_HEAD = 0xFB
 
-# (additional-info value, struct format, exclusive upper bound)
-_HEAD_FORMS = (
-    (24, ">B", 1 << 8),
-    (25, ">H", 1 << 16),
-    (26, ">I", 1 << 32),
-    (27, ">Q", 1 << 64),
-)
-# minimal argument value for each multi-byte head width
-_HEAD_MINIMA = {24: 24, 25: 1 << 8, 26: 1 << 16, 27: 1 << 32}
+_PACK_HEAD16 = struct.Struct(">BH").pack
+_PACK_HEAD32 = struct.Struct(">BI").pack
+_PACK_HEAD64 = struct.Struct(">BQ").pack
+_PACK_FLOAT64 = struct.Struct(">Bd").pack
+_UNPACK_FLOAT64 = struct.Struct(">d").unpack_from
+
+# additional-info value -> (unpacker, width, minimal argument for that width)
+_HEAD_FORMS = {
+    24: (struct.Struct(">B").unpack_from, 1, 24),
+    25: (struct.Struct(">H").unpack_from, 2, 1 << 8),
+    26: (struct.Struct(">I").unpack_from, 4, 1 << 16),
+    27: (struct.Struct(">Q").unpack_from, 8, 1 << 32),
+}
 
 
-def _head(major: int, arg: int) -> bytes:
+def _append_head(buf: bytearray, major: int, arg: int) -> None:
+    """Append the shortest head for (major, arg) to buf."""
+    mt = major << 5
     if arg < 24:
-        return bytes([major << 5 | arg])
-    for ai, fmt, limit in _HEAD_FORMS:
-        if arg < limit:
-            return bytes([major << 5 | ai]) + struct.pack(fmt, arg)
-    raise CborEncodeError(f"integer argument {arg} exceeds 64 bits")
+        buf.append(mt | arg)
+    elif arg < 1 << 8:
+        buf.append(mt | 24)
+        buf.append(arg)
+    elif arg < 1 << 16:
+        buf += _PACK_HEAD16(mt | 25, arg)
+    elif arg < 1 << 32:
+        buf += _PACK_HEAD32(mt | 26, arg)
+    elif arg < 1 << 64:
+        buf += _PACK_HEAD64(mt | 27, arg)
+    else:
+        raise CborEncodeError(f"integer argument {arg} exceeds 64 bits")
 
 
 def _encode_into(buf: bytearray, value) -> None:
-    if isinstance(value, bool):
-        raise CborEncodeError("booleans are not part of the wire subset")
-    if isinstance(value, int):
+    kind = type(value)
+    if kind is int:
         if value >= 0:
-            buf += _head(_MAJOR_UINT, value)
+            _append_head(buf, _MAJOR_UINT, value)
         else:
-            buf += _head(_MAJOR_NEGINT, -1 - value)
-    elif isinstance(value, float):
-        buf.append(_FLOAT64_HEAD)
-        buf += struct.pack(">d", value)
-    elif isinstance(value, str):
+            _append_head(buf, _MAJOR_NEGINT, -1 - value)
+    elif kind is str:
         data = value.encode("utf-8")
-        buf += _head(_MAJOR_TEXT, len(data))
+        _append_head(buf, _MAJOR_TEXT, len(data))
         buf += data
-    elif isinstance(value, dict):
+    elif kind is float:
+        buf += _PACK_FLOAT64(_FLOAT64_HEAD, value)
+    elif kind is dict:
         for key in value:
-            if isinstance(key, bool) or not isinstance(key, int) or key < 0:
+            # int subclasses other than bool are keys too; `key < 0` runs only on ints
+            if (
+                type(key) is not int and (isinstance(key, bool) or not isinstance(key, int))
+            ) or key < 0:
                 raise CborEncodeError(f"map keys must be unsigned integers, got {key!r}")
-        buf += _head(_MAJOR_MAP, len(value))
+        _append_head(buf, _MAJOR_MAP, len(value))
         for key in sorted(value):
-            _encode_into(buf, key)
+            if key < 24:
+                buf.append(key)
+            else:
+                _append_head(buf, _MAJOR_UINT, key)
             _encode_into(buf, value[key])
+    # subclasses (IntEnum, numpy float64, ...) encode as their base type
+    elif isinstance(value, bool):
+        raise CborEncodeError("booleans are not part of the wire subset")
+    elif isinstance(value, int):
+        _encode_into(buf, int(value))
+    elif isinstance(value, float):
+        _encode_into(buf, float(value))
+    elif isinstance(value, str):
+        _encode_into(buf, str(value))
+    elif isinstance(value, dict):
+        _encode_into(buf, dict(value))
     else:
         raise CborEncodeError(f"unsupported type {type(value).__name__}")
 
@@ -89,45 +117,40 @@ def encode(value) -> bytes:
     return bytes(buf)
 
 
-def _read_head(data: bytes, i: int) -> tuple[int, int, int]:
-    """Parse one head at offset i; returns (major, argument, next offset)."""
-    major = data[i] >> 5
-    ai = data[i] & 0x1F
-    if ai < 24:
-        return major, ai, i + 1
-    if ai > 27:
-        raise CborDecodeError(
-            f"additional info {ai} at offset {i} (reserved or indefinite length)"
-        )
-    fmt = {24: ">B", 25: ">H", 26: ">I", 27: ">Q"}[ai]
-    width = struct.calcsize(fmt)
-    if i + 1 + width > len(data):
-        raise CborDecodeError("truncated integer head")
-    (arg,) = struct.unpack_from(fmt, data, i + 1)
-    if arg < _HEAD_MINIMA[ai]:
-        raise CborDecodeError(f"non-minimal head for argument {arg} at offset {i}")
-    return major, arg, i + 1 + width
-
-
-def _decode_item(data: bytes, i: int):
-    if i >= len(data):
+def _decode_item(data: bytes, i: int, end: int):
+    """Parse one item at offset i; returns (value, next offset)."""
+    if i >= end:
         raise CborDecodeError("truncated input")
-    if data[i] >> 5 == _MAJOR_SIMPLE:
-        if data[i] != _FLOAT64_HEAD:
+    initial = data[i]
+    major = initial >> 5
+    if major == _MAJOR_SIMPLE:
+        if initial != _FLOAT64_HEAD:
             raise CborDecodeError(
-                f"major type 7 byte 0x{data[i]:02x}: only 64-bit floats are accepted"
+                f"major type 7 byte 0x{initial:02x}: only 64-bit floats are accepted"
             )
-        if i + 9 > len(data):
+        if i + 9 > end:
             raise CborDecodeError("truncated float")
-        (value,) = struct.unpack_from(">d", data, i + 1)
-        return value, i + 9
-    major, arg, j = _read_head(data, i)
+        return _UNPACK_FLOAT64(data, i + 1)[0], i + 9
+    arg = initial & 0x1F
+    j = i + 1
+    if arg >= 24:
+        if arg > 27:
+            raise CborDecodeError(
+                f"additional info {arg} at offset {i} (reserved or indefinite length)"
+            )
+        unpack, width, minimum = _HEAD_FORMS[arg]
+        if j + width > end:
+            raise CborDecodeError("truncated integer head")
+        (arg,) = unpack(data, j)
+        if arg < minimum:
+            raise CborDecodeError(f"non-minimal head for argument {arg} at offset {i}")
+        j += width
     if major == _MAJOR_UINT:
         return arg, j
     if major == _MAJOR_NEGINT:
         return -1 - arg, j
     if major == _MAJOR_TEXT:
-        if j + arg > len(data):
+        if j + arg > end:
             raise CborDecodeError("truncated text string")
         try:
             text = data[j : j + arg].decode("utf-8")
@@ -138,22 +161,25 @@ def _decode_item(data: bytes, i: int):
         out: dict[int, object] = {}
         prev = -1
         for _ in range(arg):
-            key, j = _decode_item(data, j)
-            if not isinstance(key, int) or isinstance(key, bool) or key < 0:
-                raise CborDecodeError(f"map keys must be unsigned integers, got {key!r}")
+            if j < end and data[j] < 24:
+                # an unsigned key below 24 is its own head byte
+                key = data[j]
+                j += 1
+            else:
+                key, j = _decode_item(data, j, end)
+                if type(key) is not int or key < 0:
+                    raise CborDecodeError(f"map keys must be unsigned integers, got {key!r}")
             if key <= prev:
-                raise CborDecodeError(
-                    "map keys must be strictly ascending (canonical form)"
-                )
+                raise CborDecodeError("map keys must be strictly ascending (canonical form)")
             prev = key
-            out[key], j = _decode_item(data, j)
+            out[key], j = _decode_item(data, j, end)
         return out, j
     raise CborDecodeError(f"unsupported major type {major}")
 
 
 def decode(data: bytes):
     """Inverse of encode(); rejects malformed or non-canonical bytes."""
-    value, end = _decode_item(data, 0)
+    value, end = _decode_item(data, 0, len(data))
     if end != len(data):
         raise CborDecodeError(f"{len(data) - end} trailing bytes after value")
     return value

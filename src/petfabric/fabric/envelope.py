@@ -46,7 +46,9 @@ _KEY_EPSILON = 5
 _KEY_TIMESTAMP = 6
 
 _MANDATORY_KEYS = (_KEY_SENSOR, _KEY_SEQUENCE, _KEY_SCHEME, _KEY_VALUE, _KEY_TIMESTAMP)
+_MANDATORY_KEY_SET = frozenset(_MANDATORY_KEYS)
 _ALL_KEYS = frozenset(range(7))
+_SCHEME_BY_TAG = {int(scheme): scheme for scheme in Scheme}
 _SCHEMES_WITH_EPSILON = frozenset({Scheme.LDP, Scheme.GDP, Scheme.KRR})
 
 
@@ -81,11 +83,13 @@ class Envelope:
             raise EnvelopeError(f"sequence must be >= 0, got {self.sequence}")
         if self.timestamp_us < 0:
             raise EnvelopeError(f"timestamp_us must be >= 0, got {self.timestamp_us}")
-        try:
-            scheme = Scheme(self.scheme)
-        except ValueError:
-            raise EnvelopeError(f"unknown scheme tag {self.scheme!r}") from None
-        object.__setattr__(self, "scheme", scheme)
+        scheme = self.scheme
+        if type(scheme) is not Scheme:
+            try:
+                scheme = Scheme(scheme)
+            except ValueError:
+                raise EnvelopeError(f"unknown scheme tag {scheme!r}") from None
+            object.__setattr__(self, "scheme", scheme)
         if scheme is Scheme.ASS_SHARE:
             if self.share_index is None:
                 raise EnvelopeError("ass-share envelope requires a share_index")
@@ -125,11 +129,11 @@ def cbor_decode(data: bytes, topic: str = "") -> Envelope:
     payload = cbor.decode(data)
     if not isinstance(payload, dict):
         raise EnvelopeError(f"payload must be a CBOR map, got {type(payload).__name__}")
-    missing = [k for k in _MANDATORY_KEYS if k not in payload]
-    if missing:
+    if not _MANDATORY_KEY_SET.issubset(payload):
+        missing = [k for k in _MANDATORY_KEYS if k not in payload]
         raise EnvelopeError(f"missing mandatory payload keys {missing}")
-    unknown = sorted(set(payload) - _ALL_KEYS)
-    if unknown:
+    if not _ALL_KEYS.issuperset(payload):
+        unknown = sorted(set(payload) - _ALL_KEYS)
         raise EnvelopeError(f"unknown payload keys {unknown}")
 
     sensor_id = payload[_KEY_SENSOR]
@@ -137,10 +141,9 @@ def cbor_decode(data: bytes, topic: str = "") -> Envelope:
         raise EnvelopeError(f"key 0 (sensor id) must be text, got {sensor_id!r}")
     sequence = _require_uint(payload, _KEY_SEQUENCE, "sequence")
     scheme_tag = _require_uint(payload, _KEY_SCHEME, "scheme")
-    try:
-        scheme = Scheme(scheme_tag)
-    except ValueError:
-        raise EnvelopeError(f"unknown scheme tag {scheme_tag}") from None
+    scheme = _SCHEME_BY_TAG.get(scheme_tag)
+    if scheme is None:
+        raise EnvelopeError(f"unknown scheme tag {scheme_tag}")
     value = payload[_KEY_VALUE]
     if isinstance(value, bool) or not isinstance(value, int):
         raise EnvelopeError(f"key 3 (value) must be an integer, got {value!r}")

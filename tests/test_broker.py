@@ -7,6 +7,7 @@ import pytest
 
 from petfabric.fabric import (
     AclDeniedError,
+    AclEntry,
     AclTable,
     Broker,
     Envelope,
@@ -94,6 +95,73 @@ def test_acl_grants_and_wildcard_client():
     assert sub.messages[0].envelope.value == 1
     with pytest.raises(AclDeniedError):
         broker.publish("pub", env_for("galley/data/x"))
+
+
+# (client, pattern, permission): exact ids and "*", with '+', '#', a parent-
+# level '#' and exact patterns, for both permissions
+ACL_GRANTS = [
+    ("c1", "cabin/sim/s1/value", PUBLISH),
+    ("*", "cabin/+/weight", SUBSCRIBE),
+    ("c2", "cabin/#", SUBSCRIBE),
+    ("c1", "+/+", SUBSCRIBE),
+    ("*", "bench/filler/#", PUBLISH),
+    ("c2", "cabin/sim/+/value", PUBLISH),
+    ("c3", "#", PUBLISH),
+    ("c1", "galley/oven", SUBSCRIBE),
+    ("*", "relay/leg0", SUBSCRIBE),
+    ("c3", "a/+/#", SUBSCRIBE),
+]
+ACL_CLIENTS = ["c1", "c2", "c3", "c4", "*"]
+ACL_TOPICS = [
+    "cabin", "cabin/", "cabin/sim/s1/value", "cabin/sim/s2/value", "cabin/seat/weight",
+    "cabin/seat/12A/weight", "bench/filler", "bench/filler/0", "galley/oven", "galley/oven/x",
+    "relay/leg0", "relay/leg1", "a", "a/b", "a/b/c", "x/y",
+]
+# requested filters, checked literally by permits_subscribe_filter
+ACL_FILTERS = ["#", "cabin/#", "cabin/+/weight", "cabin/+", "+/+", "a/+/#", "relay/+"]
+
+
+def reference_match(pattern, topic):
+    """MQTT matching written out again: '#' covers its parent level too."""
+    p, t = pattern.split("/"), topic.split("/")
+    if p[-1] == "#":
+        p = p[:-1]
+        if len(t) < len(p):
+            return False
+    elif len(t) != len(p):
+        return False
+    return all(a in ("+", b) for a, b in zip(p, t))
+
+
+def reference_permits(entries, permission, client, topic):
+    return any(
+        e.permission == permission
+        and e.client_id in (client, "*")
+        and reference_match(e.pattern, topic)
+        for e in entries
+    )
+
+
+@pytest.mark.parametrize("built", range(len(ACL_GRANTS) + 1))
+def test_indexed_acl_agrees_with_a_linear_scan(built):
+    # the first `built` grants go to the constructor, the rest to allow();
+    # every check after each grant must agree with a scan of all entries
+    entries = [AclEntry(*grant) for grant in ACL_GRANTS]
+    acl = AclTable(entries[:built])
+    checks = [
+        (acl.permits_publish, PUBLISH, ACL_TOPICS),
+        (acl.permits_subscribe_topic, SUBSCRIBE, ACL_TOPICS),
+        (acl.permits_subscribe_filter, SUBSCRIBE, ACL_TOPICS + ACL_FILTERS),
+    ]
+    for added in range(built, len(entries) + 1):
+        if added > built:
+            acl.allow(*ACL_GRANTS[added - 1])
+        assert acl._entries == entries[:added]
+        for method, permission, topics in checks:
+            for client in ACL_CLIENTS:
+                for topic in topics:
+                    expected = reference_permits(entries[:added], permission, client, topic)
+                    assert method(client, topic) is expected, (method.__name__, client, topic)
 
 
 def test_unknown_client():

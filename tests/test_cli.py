@@ -268,6 +268,27 @@ def test_negative_seed_exits_2_naming_its_source(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["run-scenario", "bench-suite"])
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_parallel_below_one_exits_2(tmp_path, capsys, subcommand, parallel):
+    cfg = write(tmp_path, "cfg.json", CONFIGS[subcommand])
+    out = tmp_path / "o"
+    argv = [subcommand, "--config", cfg, "--out", str(out), "--parallel", parallel]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: --parallel: must be >= 1, got {parallel}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [" 1_0 ", "1_0", " 7", "7\n", "+7", "\uff17", "0x7", ""])
+def test_seed_env_var_must_be_ascii_digits(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv(SEED_ENV_VAR, value)
+    cfg = write(tmp_path, "demo.json", ASS_DEMO)
+    out = tmp_path / "o"
+    assert main(["ass-demo", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {SEED_ENV_VAR}: not an integer: {value!r}\n"
+    assert not out.exists()
+
+
 def test_validate_config_other_kinds(tmp_path):
     assert main(["validate-config", "--kind", "sweep",
                  "--config", write(tmp_path, "s.json", SWEEP)]) == 0
