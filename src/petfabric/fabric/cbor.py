@@ -95,18 +95,13 @@ def _encode_into(buf: bytearray, value) -> None:
             else:
                 _append_head(buf, _MAJOR_UINT, key)
             _encode_into(buf, value[key])
-    # subclasses (IntEnum, numpy float64, ...) encode as their base type
     elif isinstance(value, bool):
         raise CborEncodeError("booleans are not part of the wire subset")
-    elif isinstance(value, int):
-        _encode_into(buf, int(value))
-    elif isinstance(value, float):
-        _encode_into(buf, float(value))
-    elif isinstance(value, str):
-        _encode_into(buf, str(value))
-    elif isinstance(value, dict):
-        _encode_into(buf, dict(value))
     else:
+        # subclasses (IntEnum, numpy float64, ...) encode as their base type
+        for base in (int, float, str, dict):
+            if isinstance(value, base):
+                return _encode_into(buf, base(value))
         raise CborEncodeError(f"unsupported type {type(value).__name__}")
 
 
@@ -170,7 +165,9 @@ def _decode_item(data: bytes, i: int, end: int):
                 if type(key) is not int or key < 0:
                     raise CborDecodeError(f"map keys must be unsigned integers, got {key!r}")
             if key <= prev:
-                raise CborDecodeError("map keys must be strictly ascending (canonical form)")
+                raise CborDecodeError(
+                    "map keys must be strictly ascending (canonical form)"
+                )
             prev = key
             out[key], j = _decode_item(data, j, end)
         return out, j
