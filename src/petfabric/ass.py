@@ -164,7 +164,7 @@ def split(
         raise ValueError(f"secret {secret} outside encoded domain [0, {fp.width}]")
     # Generator.integers draws bounded ints by rejection (Lemire's method),
     # so shares are exactly uniform; the secrecy argument needs that.
-    prefix = [int(v) for v in rng.integers(0, fp.modulus, size=m - 1)]
+    prefix = rng.integers(0, fp.modulus, size=m - 1).tolist()
     last = (secret - sum(prefix)) % fp.modulus
     return ShareBundle(sensor_id=sensor_id, shares=(*prefix, last), modulus=fp.modulus)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class DomainError(ValueError):
@@ -33,8 +34,11 @@ def _floor_scaled(x: float, k: int) -> int:
 class EncodingParams:
     """Fixed-point configuration: precision plus the closed input domain.
 
-    Only k, x_lo and x_hi are stored (and serialized); q_min and q are always
-    derived so the three can never fall out of sync.
+    Only k, x_lo and x_hi are fields: they alone are compared, hashed and
+    written to configs. q_min, offset and q are derived from them on first
+    use and cached on the instance, so they can never fall out of sync: the
+    instance is frozen, and dataclasses.replace builds a new one with an
+    empty cache.
     """
 
     k: int
@@ -49,17 +53,17 @@ class EncodingParams:
         if self.x_lo > self.x_hi:
             raise DomainError(f"inverted domain: x_lo={self.x_lo} > x_hi={self.x_hi}")
 
-    @property
+    @cached_property
     def q_min(self) -> int:
         """floor(x_lo * k), the smallest scaled value in the domain."""
         return _floor_scaled(self.x_lo, self.k)
 
-    @property
+    @cached_property
     def offset(self) -> int:
         """|q_min|, added to every scaled value before transmission."""
         return abs(self.q_min)
 
-    @property
+    @cached_property
     def q(self) -> int:
         """Encoded-domain width |q_min| + floor(x_hi * k); always >= 0."""
         return self.offset + _floor_scaled(self.x_hi, self.k)

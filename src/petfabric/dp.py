@@ -125,13 +125,17 @@ def gdp_aggregate(
     The caller chooses budget.sensitivity for the query: the full encoded
     width q for a sum, ceil(q/n) for a mean (see PrivacyBudget.for_sum /
     for_mean). The aggregate is computed in exact integer arithmetic before
-    the one noise draw is added.
+    the one noise draw is added, so every value must be a Python int: a
+    float or numpy scalar raises TypeError rather than being truncated.
     """
     if len(xs) == 0:
         raise ValueError("gdp_aggregate needs at least one value")
     if aggregator not in ("sum", "mean"):
         raise ValueError(f"unknown aggregator {aggregator!r}, expected 'sum' or 'mean'")
-    exact = sum(int(v) for v in xs)
+    exact = sum(xs)  # a float or numpy scalar anywhere makes the total one too
+    if type(exact) is not int:
+        bad = next((v for v in xs if not isinstance(v, int)), exact)
+        raise TypeError(f"gdp_aggregate sums Python ints, got {bad!r} ({type(bad).__name__})")
     agg = exact if aggregator == "sum" else exact / len(xs)
     noisy = agg + sample_laplace(budget.scale, rng)
     return NoisySum(value=noisy, n=len(xs), budget=budget)

@@ -82,6 +82,8 @@ def weight_sum_experiment(
     params = derive_params(low, high, k)
     weights = generate_weights(n, low, high, seed)
     encoded = [encode(float(w), params) for w in weights]
+    # ldp perturbs an int64 array, converted here once; gdp sums exact ints
+    values = np.array(encoded, dtype=np.int64) if model == LDP_MODEL else encoded
     true_sum = float(weights.sum())
     sens = sensitivity if sensitivity is not None else params.q
 
@@ -94,9 +96,9 @@ def weight_sum_experiment(
         errors = np.empty(reps)
         for r in range(reps):
             if model == LDP_MODEL:
-                noisy = int(dp.ldp_perturb_array(encoded, budget, rng).sum())
+                noisy = int(dp.ldp_perturb_array(values, budget, rng).sum())
             else:
-                noisy = dp.gdp_aggregate(encoded, budget, "sum", rng).value
+                noisy = dp.gdp_aggregate(values, budget, "sum", rng).value
             errors[r] = abs(decode_sum(noisy, n, params) - true_sum)
         points.append(
             UtilityPoint(

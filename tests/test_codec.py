@@ -1,6 +1,7 @@
 """Fixed-point codec: exact formulas, round-trip bound, strict domain checks."""
 
-from dataclasses import fields
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -55,8 +56,29 @@ def test_decode_accepts_out_of_range_values():
 
 
 def test_derived_fields_are_not_stored():
-    # only {k, x_lo, x_hi} are persisted; q_min and q are always recomputed
-    assert {f.name for f in fields(EncodingParams)} == {"k", "x_lo", "x_hi"}
+    # only {k, x_lo, x_hi} are fields; q_min, offset and q are derived from them
+    assert [f.name for f in fields(EncodingParams)] == ["k", "x_lo", "x_hi"]
+
+
+def test_cached_derived_values_keep_identity_semantics():
+    warm = derive_params(50, 120, 1)
+    assert (warm.q_min, warm.offset, warm.q) == (50, 50, 170)  # fills the cache
+    cold = derive_params(50, 120, 1)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert warm != derive_params(50, 120, 2)
+    assert {warm: "a"}[cold] == "a"
+
+    for p in (warm, cold):
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and hash(back) == hash(p)
+        assert (back.q_min, back.offset, back.q) == (50, 50, 170)
+
+    with pytest.raises(FrozenInstanceError):
+        warm.k = 2
+    finer = replace(warm, k=10)  # must not reuse warm's cached width
+    assert (finer.q_min, finer.offset, finer.q) == (500, 500, 1700)
+    shifted = replace(warm, x_lo=-10.0)
+    assert (shifted.q_min, shifted.offset, shifted.q) == (-10, 10, 130)
 
 
 def test_domain_errors():

@@ -161,6 +161,33 @@ def test_gdp_errors():
         dp.gdp_aggregate([1, 2], budget, "max", rng)
 
 
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [1.5, 2],
+        [2, 1.5],
+        [2.0, 2],
+        [np.float64(122.0)],
+        [100, np.float64(1.0), 170],
+        [100, np.int64(1)],
+        np.array([100, 122], dtype=np.int64),
+    ],
+)
+def test_gdp_rejects_values_that_are_not_python_ints(xs):
+    # int() used to truncate these silently; the exact sum must be exact
+    rng = np.random.default_rng(0)
+    with pytest.raises(TypeError, match="gdp_aggregate sums Python ints"):
+        dp.gdp_aggregate(xs, dp.PrivacyBudget(1.0, 170), "sum", rng)
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+
+def test_gdp_sum_is_exact_beyond_float_precision():
+    xs = [2**53, 1, 1]
+    noisy = dp.gdp_aggregate(xs, dp.PrivacyBudget(1e30, 1), "sum", np.random.default_rng(0))
+    assert noisy.value == pytest.approx(2**53 + 2, abs=1e-3)
+    assert noisy.value != float(2**53)  # a float sum would lose both ones
+
+
 def test_ldp_sum_unbiased(weights_dataset, weight_params):
     budget = dp.PrivacyBudget.for_sum(0.5, weight_params.q)
     rng = np.random.default_rng(511)
