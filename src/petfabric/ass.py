@@ -217,21 +217,3 @@ def reconstruct_average(
     total = reconstruct_sum(bundles, fp)
     return (total / len(bundles) - p.offset) / p.k
 
-
-def reconstruct_secret(bundle: ShareBundle, fp: FieldParams) -> int:
-    """Recover a single bundle's secret: sum of its shares mod Q.
-
-    Verification and demo aid only; the server-side protocol reconstructs
-    aggregates, never individual contributions.
-    """
-    if bundle.modulus != fp.modulus:
-        raise ValueError(
-            f"modulus mismatch: bundle uses {bundle.modulus}, field uses {fp.modulus}"
-        )
-    if not bundle.complete:
-        raise MissingShareError(
-            (bundle.sensor_id, ch)
-            for ch, s in enumerate(bundle.shares, start=1)
-            if s is None
-        )
-    return sum(s for s in bundle.shares if s is not None) % fp.modulus

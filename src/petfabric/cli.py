@@ -92,15 +92,20 @@ BENCH_COLUMNS = [
 ]
 
 
+def _parse_seed(text: str, source: str) -> int:
+    """ASCII digits with an optional leading '-'; int() alone would also take
+    spaces, '_', a '+' and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ConfigError(f"{source}: not an integer: {text!r}")
+    return int(text)
+
+
 def _resolve_seed(flag_seed, config_seed) -> int:
     """Flag beats environment beats config beats zero; a seed is >= 0."""
     if flag_seed is not None:
-        seed, source = flag_seed, "--seed"
+        seed, source = _parse_seed(flag_seed, "--seed"), "--seed"
     elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
-        # int() would also take spaces, '_' and non-ASCII digits
-        if not re.fullmatch(r"-?[0-9]+", env):
-            raise ConfigError(f"{SEED_ENV_VAR}: not an integer: {env!r}")
-        seed, source = int(env), SEED_ENV_VAR
+        seed, source = _parse_seed(env, SEED_ENV_VAR), SEED_ENV_VAR
     else:
         seed, source = config_seed or 0, "seed"
     if seed < 0:
@@ -335,6 +340,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         if name in SUBCOMMANDS:
             p.add_argument("--out", default="out", help="output directory (default: ./out)")
+            p.add_argument(
+                "--seed",
+                default=None,
+                help=f"master seed, ASCII digits; overrides ${SEED_ENV_VAR} and the config",
+            )
+            p.add_argument(
+                "--parallel",
+                type=int,
+                default=1,
+                help="worker processes for repetitions (run-scenario and bench-suite only)",
+            )
         else:
             p.add_argument(
                 "--kind",
@@ -342,18 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 default="scenario",
                 help="which config schema to validate against (default: scenario)",
             )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=f"master seed; overrides ${SEED_ENV_VAR} and the config",
-        )
-        p.add_argument(
-            "--parallel",
-            type=int,
-            default=1,
-            help="worker processes for repetitions (run-scenario and bench-suite only)",
-        )
         p.add_argument("-v", "--verbose", action="count", default=0)
     return parser
 

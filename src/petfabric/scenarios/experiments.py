@@ -264,9 +264,3 @@ def load_test(
         filler_per_rep=int(rate_per_s * filler_window_s),
     )
 
-
-def load_sweep(
-    base: ScenarioSpec, rates: Sequence[float], filler_window_s: float = 0.05
-) -> list[LoadComparison]:
-    """One LoadComparison row per rate, in the given order."""
-    return [load_test(base, rate, filler_window_s) for rate in rates]

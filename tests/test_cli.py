@@ -289,6 +289,26 @@ def test_seed_env_var_must_be_ascii_digits(tmp_path, capsys, monkeypatch, value)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [" 1_0 ", "1_0", "+7", "\uff11\uff12", ""])
+def test_seed_flag_must_be_ascii_digits(tmp_path, capsys, value):
+    cfg = write(tmp_path, "demo.json", ASS_DEMO)
+    out = tmp_path / "o"
+    assert main(["ass-demo", "--config", cfg, "--out", str(out), "--seed", value]) == 2
+    assert capsys.readouterr().err == f"config error: --seed: not an integer: {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag", [["--seed", "5"], ["--seed", "-5"], ["--parallel", "2"], ["--parallel", "-3"]]
+)
+def test_validate_config_takes_no_seed_or_parallel(tmp_path, capsys, flag):
+    cfg = write(tmp_path, "cfg.json", BASELINE)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-config", "--config", cfg, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_validate_config_other_kinds(tmp_path):
     assert main(["validate-config", "--kind", "sweep",
                  "--config", write(tmp_path, "s.json", SWEEP)]) == 0

@@ -14,7 +14,6 @@ from petfabric.scenarios import (
     SensorConfig,
     Topology,
     generate_weights,
-    load_sweep,
     load_test,
     profile_obfuscation_experiment,
     synthetic_brew_profile,
@@ -172,14 +171,6 @@ def test_zero_rate_reproduces_baseline_exactly():
     cmp = load_test(ldp_load_spec(reps=50), rate_per_s=0.0)
     assert cmp.ks_statistic == 0.0 and cmp.p_value == 1.0
     assert cmp.baseline == cmp.loaded
-
-
-def test_load_sweep_emits_one_row_per_rate():
-    rows = load_sweep(ldp_load_spec(reps=40), [0.0, 400.0, 4000.0])
-    assert [r.rate_per_s for r in rows] == [0.0, 400.0, 4000.0]
-    assert [r.filler_per_rep for r in rows] == [0, 20, 200]
-    for row in rows:
-        assert row.baseline.n == row.loaded.n == 40
 
 
 def test_load_test_constant_latency_is_trivially_neutral():
