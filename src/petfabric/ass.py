@@ -216,4 +216,3 @@ def reconstruct_average(
     """
     total = reconstruct_sum(bundles, fp)
     return (total / len(bundles) - p.offset) / p.k
-

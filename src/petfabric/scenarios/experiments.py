@@ -263,4 +263,3 @@ def load_test(
         p_value=p_value,
         filler_per_rep=int(rate_per_s * filler_window_s),
     )
-

@@ -174,7 +174,7 @@ def test_gdp_errors():
     ],
 )
 def test_gdp_rejects_values_that_are_not_python_ints(xs):
-    # int() used to truncate these silently; the exact sum must be exact
+    # truncating any of these would make the exact aggregate inexact
     rng = np.random.default_rng(0)
     with pytest.raises(TypeError, match="gdp_aggregate sums Python ints"):
         dp.gdp_aggregate(xs, dp.PrivacyBudget(1.0, 170), "sum", rng)
@@ -182,10 +182,10 @@ def test_gdp_rejects_values_that_are_not_python_ints(xs):
 
 
 def test_gdp_sum_is_exact_beyond_float_precision():
-    xs = [2**53, 1, 1]
-    noisy = dp.gdp_aggregate(xs, dp.PrivacyBudget(1e30, 1), "sum", np.random.default_rng(0))
-    assert noisy.value == pytest.approx(2**53 + 2, abs=1e-3)
-    assert noisy.value != float(2**53)  # a float sum would lose both ones
+    # a float running sum would round 2**53 + 1 back to 2**53, twice
+    budget = dp.PrivacyBudget(1e30, 1)
+    noisy = dp.gdp_aggregate([2**53, 1, 1], budget, "sum", np.random.default_rng(0))
+    assert noisy.value == 2**53 + 2
 
 
 def test_ldp_sum_unbiased(weights_dataset, weight_params):
