@@ -24,9 +24,9 @@ import numpy as np
 
 from .codec import EncodingParams
 
-# n_max * q beyond this cannot be represented safely in the 64-bit share
-# arithmetic used on the wire.
-_MAX_FIELD_BOUND = 1 << 62
+#: n_max * q at or beyond this cannot be represented safely in the 64-bit
+#: share arithmetic used on the wire; config loading refuses such encodings.
+MAX_FIELD_BOUND = 1 << 62
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -109,7 +109,7 @@ def choose_modulus(n_max: int, q: int) -> FieldParams:
     if n_max < 1 or q < 1:
         raise ValueError(f"need n_max >= 1 and q >= 1, got ({n_max}, {q})")
     bound = n_max * q
-    if bound >= _MAX_FIELD_BOUND:
+    if bound >= MAX_FIELD_BOUND:
         raise OverflowError(
             f"n_max * q = {bound} exceeds the 62-bit safety bound for share arithmetic"
         )
@@ -145,10 +145,6 @@ class ShareBundle:
     def m(self) -> int:
         return len(self.shares)
 
-    @property
-    def complete(self) -> bool:
-        return all(s is not None for s in self.shares)
-
 
 def split(
     secret: int,
@@ -167,6 +163,16 @@ def split(
     prefix = rng.integers(0, fp.modulus, size=m - 1).tolist()
     last = (secret - sum(prefix)) % fp.modulus
     return ShareBundle(sensor_id=sensor_id, shares=(*prefix, last), modulus=fp.modulus)
+
+
+def draw_lost_share(n: int, m: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Which share an injected loss removes: (victim sensor index, channel).
+
+    The victim is drawn uniformly from the n sensors, then the channel
+    uniformly from 1..m (1-based, as in ShareBundle), in that order.
+    """
+    victim = int(rng.integers(0, n))
+    return victim, int(rng.integers(1, m + 1))
 
 
 def _check_bundles(bundles: Sequence[ShareBundle], fp: FieldParams) -> None:

@@ -59,6 +59,7 @@ SEED_ENV_VAR = "PET_FABRIC_SEED"
 
 RECORD_COLUMNS = ["scenario", "rep", "compute_ms", "hops", "end_to_end_ms", "seed"]
 UTILITY_COLUMNS = ["epsilon", "mean_abs_err", "median_abs_err", "std_err", "reps"]
+GROUND_TRUTH_COLUMNS = ["index", "weight"]
 ADVERSARY_COLUMNS = [
     "epsilon",
     "gap_ratio",
@@ -178,7 +179,7 @@ def _sweep_epsilon(args, cfg):
     weights = generate_weights(cfg["n"], params.x_lo, params.x_hi, seed)
     return seed, 1, {
         f"utility_{cfg['model']}.csv": (UTILITY_COLUMNS, utility),
-        "ground_truth.csv": (["index", "weight"], ([i, float(w)] for i, w in enumerate(weights))),
+        "ground_truth.csv": (GROUND_TRUTH_COLUMNS, ([i, float(w)] for i, w in enumerate(weights))),
     }
 
 
@@ -214,8 +215,7 @@ def _ass_demo(args, cfg):
             ass.split(x, m, fp, rng, sensor_id=f"s{i}") for i, x in enumerate(encoded)
         ]
         if cfg["drop_one_share"]:
-            victim = int(rng.integers(0, n))
-            channel = int(rng.integers(1, m + 1))
+            victim, channel = ass.draw_lost_share(n, m, rng)
             shares = bundles[victim].shares
             bundles[victim] = replace(
                 bundles[victim], shares=shares[: channel - 1] + (None,) + shares[channel:]

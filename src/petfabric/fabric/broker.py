@@ -13,16 +13,14 @@ is deny-by-default: a client may publish or subscribe only where an ACL
 entry grants it, and every grant, denial and delivery lands in an append-
 only audit log so soundness can be checked after the fact.
 
-The broker is thread-safe (a single lock totally orders all broker events),
-which supports a best-effort concurrent wall-clock mode; the deterministic
-virtual-time mode used by the scenario harness is simply this object driven
-from one thread with a seeded generator and a manually advanced clock.
+The broker is single-threaded: one caller drives it with a seeded
+generator and a manually advanced VirtualClock, so every run is a pure
+function of its seed. Repetitions run in parallel as separate processes,
+each with its own broker, never as threads sharing one.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -130,11 +128,6 @@ class AclTable:
         for entry in entries:
             self._add(entry)
 
-    @classmethod
-    def permissive(cls) -> "AclTable":
-        """A table granting everything to everyone (tests, demos)."""
-        return cls([AclEntry("*", "#", PUBLISH), AclEntry("*", "#", SUBSCRIBE)])
-
     def _add(self, entry: AclEntry) -> None:
         self._entries.append(entry)
         key = (entry.permission, entry.client_id)
@@ -171,7 +164,7 @@ class AclTable:
 
 
 # --------------------------------------------------------------------------
-# Latency model and clocks
+# Latency model and clock
 # --------------------------------------------------------------------------
 
 CONSTANT = "constant"
@@ -225,14 +218,6 @@ class VirtualClock:
         self.now_us += round(ms * 1000)
 
 
-class WallClock:
-    """Monotonic wall clock for the best-effort concurrent mode."""
-
-    @property
-    def now_us(self) -> int:
-        return time.monotonic_ns() // 1000
-
-
 # --------------------------------------------------------------------------
 # Broker
 # --------------------------------------------------------------------------
@@ -261,11 +246,6 @@ class Delivery:
     @cached_property
     def envelope(self) -> Envelope:
         return cbor_decode(self.payload, topic=self.topic)
-
-    @property
-    def path_ms(self) -> float:
-        """Accumulated delay: publish leg plus this delivery leg."""
-        return self.publish_delay_ms + self.delivery_delay_ms
 
 
 @dataclass(frozen=True)
@@ -307,7 +287,7 @@ class Broker:
         acl: Optional[AclTable] = None,
         latency: Optional[LatencyModel] = None,
         rng: Optional[np.random.Generator] = None,
-        clock=None,
+        clock: Optional[VirtualClock] = None,
     ):
         self.acl = acl if acl is not None else AclTable()
         self.latency = latency if latency is not None else LatencyModel()
@@ -317,13 +297,11 @@ class Broker:
         self._subscriptions: list[Subscription] = []
         # (event, client_id, topic, timestamp_us); audit_log builds the records
         self._audit: list[tuple[str, str, str, int]] = []
-        self._lock = threading.Lock()
 
     # -- client lifecycle --------------------------------------------------
 
     def register_client(self, client_id: str) -> None:
-        with self._lock:
-            self._clients.add(client_id)
+        self._clients.add(client_id)
 
     def _require_client(self, client_id: str) -> None:
         if client_id not in self._clients:
@@ -336,8 +314,7 @@ class Broker:
 
     @property
     def audit_log(self) -> tuple[AuditRecord, ...]:
-        with self._lock:
-            return tuple(AuditRecord(*rec) for rec in self._audit)
+        return tuple(AuditRecord(*rec) for rec in self._audit)
 
     def write_audit_log(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -348,86 +325,75 @@ class Broker:
 
     def subscribe(self, client_id: str, pattern: str) -> Subscription:
         """Register a filter; subsequent matching publishes are delivered FIFO."""
-        with self._lock:
-            self._require_client(client_id)
-            validate_filter(pattern)
-            if not self.acl.permits_subscribe_filter(client_id, pattern):
-                self._record("subscribe-denied", client_id, pattern)
-                raise AclDeniedError(f"{client_id!r} may not subscribe to {pattern!r}")
-            sub = Subscription(client_id, pattern)
-            self._subscriptions.append(sub)
-            self._record("subscribe", client_id, pattern)
-            return sub
+        self._require_client(client_id)
+        validate_filter(pattern)
+        if not self.acl.permits_subscribe_filter(client_id, pattern):
+            self._record("subscribe-denied", client_id, pattern)
+            raise AclDeniedError(f"{client_id!r} may not subscribe to {pattern!r}")
+        sub = Subscription(client_id, pattern)
+        self._subscriptions.append(sub)
+        self._record("subscribe", client_id, pattern)
+        return sub
 
     def publish(self, client_id: str, env: Envelope) -> PublishReceipt:
         """Route one envelope; samples one publish-leg and one delivery-leg
         delay per matched subscriber."""
         topic = env.topic
-        with self._lock:
-            self._require_client(client_id)
-            validate_topic(topic)
-            if not self.acl.permits_publish(client_id, topic):
-                self._record("publish-denied", client_id, topic)
-                raise AclDeniedError(f"{client_id!r} may not publish to {topic!r}")
-            payload = cbor_encode(env)
-            publish_delay = self.latency.sample_hop_ms(self._rng)
-            self._record("publish", client_id, topic)
-            tlevels = topic.split("/")
-            deliveries = []
-            for sub in self._subscriptions:
-                if not _levels_match(sub.levels, tlevels):
-                    continue
-                if not self.acl.permits_subscribe_topic(sub.client_id, topic):
-                    # filter was granted but this concrete topic is not:
-                    # never deliver what the ACL does not cover
-                    self._record("deliver-denied", sub.client_id, topic)
-                    continue
-                delivery = Delivery(
-                    topic=topic,
-                    payload=payload,
-                    subscriber=sub.client_id,
-                    publish_delay_ms=publish_delay,
-                    delivery_delay_ms=self.latency.sample_hop_ms(self._rng),
-                )
-                sub.messages.append(delivery)
-                deliveries.append(delivery)
-                self._record("deliver", sub.client_id, topic)
-            return PublishReceipt(topic, publish_delay, tuple(deliveries))
+        self._require_client(client_id)
+        validate_topic(topic)
+        if not self.acl.permits_publish(client_id, topic):
+            self._record("publish-denied", client_id, topic)
+            raise AclDeniedError(f"{client_id!r} may not publish to {topic!r}")
+        payload = cbor_encode(env)
+        publish_delay = self.latency.sample_hop_ms(self._rng)
+        self._record("publish", client_id, topic)
+        tlevels = topic.split("/")
+        deliveries = []
+        for sub in self._subscriptions:
+            if not _levels_match(sub.levels, tlevels):
+                continue
+            if not self.acl.permits_subscribe_topic(sub.client_id, topic):
+                # filter was granted but this concrete topic is not:
+                # never deliver what the ACL does not cover
+                self._record("deliver-denied", sub.client_id, topic)
+                continue
+            delivery = Delivery(
+                topic=topic,
+                payload=payload,
+                subscriber=sub.client_id,
+                publish_delay_ms=publish_delay,
+                delivery_delay_ms=self.latency.sample_hop_ms(self._rng),
+            )
+            sub.messages.append(delivery)
+            deliveries.append(delivery)
+            self._record("deliver", sub.client_id, topic)
+        return PublishReceipt(topic, publish_delay, tuple(deliveries))
 
     # -- background traffic ----------------------------------------------------
 
-    def inject_load(
-        self,
-        rate_per_s: float,
-        duration_s: float,
-        publishers: int = 1,
-        topic_prefix: str = "bench/filler",
-    ) -> LoadReport:
-        """Publish filler envelopes at an aggregate rate on dedicated topics.
+    def inject_load(self, rate_per_s: float, duration_s: float) -> LoadReport:
+        """Publish filler envelopes at a fixed rate on bench/filler/0.
 
         Deterministic best-effort generator: floor(rate * duration) messages
-        at evenly spaced virtual timestamps, round-robin across publishers,
-        drained by an internal sink subscriber. Grants itself the needed ACL
-        entries; scenario traffic is unaffected apart from sharing the
-        broker's random stream.
+        from one publisher at evenly spaced virtual timestamps, drained by an
+        internal sink subscriber. Grants itself the needed ACL entries;
+        scenario traffic is unaffected apart from sharing the broker's
+        random stream.
         """
         if rate_per_s < 0 or duration_s < 0:
             raise ValueError("rate and duration must be >= 0")
         total = int(rate_per_s * duration_s)
         if total == 0:
             return LoadReport(rate_per_s, duration_s, 0, 0)
-        sink_id = "bench-sink"
+        sink_id, origin = "bench-sink", "bench-pub-0"
         self.register_client(sink_id)
-        self.acl.allow(sink_id, f"{topic_prefix}/#", SUBSCRIBE)
-        sink = self.subscribe(sink_id, f"{topic_prefix}/#")
-        names = [f"bench-pub-{i}" for i in range(publishers)]
-        for name in names:
-            self.register_client(name)
-            self.acl.allow(name, f"{topic_prefix}/#", PUBLISH)
+        self.acl.allow(sink_id, "bench/filler/#", SUBSCRIBE)
+        sink = self.subscribe(sink_id, "bench/filler/#")
+        self.register_client(origin)
+        self.acl.allow(origin, "bench/filler/#", PUBLISH)
         for i in range(total):
-            origin = names[i % publishers]
             env = Envelope(
-                topic=f"{topic_prefix}/{i % publishers}",
+                topic="bench/filler/0",
                 sensor_id=origin,
                 sequence=i,
                 scheme=Scheme.RAW,

@@ -17,14 +17,10 @@ from .experiments import (
     LDP_MODEL,
     LatencySummary,
     LoadComparison,
-    ProfilePoint,
-    ProfileReport,
     UtilityPoint,
     UtilityReport,
     generate_weights,
     load_test,
-    profile_obfuscation_experiment,
-    synthetic_brew_profile,
     weight_sum_experiment,
 )
 from .runner import (
@@ -43,8 +39,6 @@ __all__ = [
     "LoadComparison",
     "MIN_REPS",
     "PetConfig",
-    "ProfilePoint",
-    "ProfileReport",
     "REFERENCE_COMPUTE_MS",
     "RepOutcome",
     "ScenarioSpec",
@@ -56,10 +50,8 @@ __all__ = [
     "generate_weights",
     "load_scenario",
     "load_test",
-    "profile_obfuscation_experiment",
     "run_scenario",
     "run_scenario_outcomes",
     "scenario_from_dict",
-    "synthetic_brew_profile",
     "weight_sum_experiment",
 ]

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
+from ..ass import MAX_FIELD_BOUND
 from ..codec import DomainError, EncodingParams, derive_params
 from ..dp import GDP_MODEL, LDP_MODEL
 from ..fabric import LATENCY_PRESETS, LatencyModel
@@ -191,6 +192,7 @@ class ScenarioSpec:
             self.encoding.x_lo <= gen.value <= self.encoding.x_hi
         ):
             raise ConfigError("sensors.generator.value: outside the encoding domain")
+        check_sum_fits(self.sensors.count, self.encoding, "sensors.count")
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
@@ -228,6 +230,17 @@ def optional_bool(raw: dict, key: str, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
     return value
+
+
+def check_sum_fits(count: int, params: EncodingParams, count_field: str) -> None:
+    """A sum of `count` encoded values must stay below ass.MAX_FIELD_BOUND,
+    the bound of the 64-bit share and noise arithmetic; k sets q, so the
+    error names encoding.k."""
+    if count * params.q >= MAX_FIELD_BOUND:
+        raise ConfigError(
+            f"encoding.k: {count_field} * q = {count} * {params.q} must be below 2**62;"
+            " lower k or narrow the domain"
+        )
 
 
 def at_least(value, low, field: str):
@@ -442,9 +455,12 @@ def sweep_from_dict(raw: dict) -> dict:
     model = read_str(raw, "model", "config", LDP_MODEL)
     if model not in (LDP_MODEL, GDP_MODEL):
         raise ConfigError(f"model: expected ldp or gdp, got {model!r}")
+    n = at_least(read_int(raw, "n", "config"), 1, "n")
+    params = encoding_from_dict(require_key(raw, "encoding", "config"))
+    check_sum_fits(n, params, "n")
     return {
-        "n": at_least(read_int(raw, "n", "config"), 1, "n"),
-        "encoding": encoding_from_dict(require_key(raw, "encoding", "config")),
+        "n": n,
+        "encoding": params,
         "model": model,
         "eps_grid": _epsilons(raw),
         "reps": at_least(read_int(raw, "reps", "config", MIN_REPS), MIN_REPS, "reps"),
@@ -484,10 +500,14 @@ def adversary_from_dict(raw: dict) -> dict:
 def ass_demo_from_dict(raw: dict) -> dict:
     """The `ass-demo` config: split/reconstruct round trips."""
     check_keys(raw, {"n", "m", "encoding", "repetitions", "drop_one_share", "seed"}, "config")
+    n = at_least(read_int(raw, "n", "config"), 1, "n")
+    m = at_least(read_int(raw, "m", "config"), 2, "m")
+    params = encoding_from_dict(require_key(raw, "encoding", "config"))
+    check_sum_fits(n, params, "n")
     return {
-        "n": at_least(read_int(raw, "n", "config"), 1, "n"),
-        "m": at_least(read_int(raw, "m", "config"), 2, "m"),
-        "encoding": encoding_from_dict(require_key(raw, "encoding", "config")),
+        "n": n,
+        "m": m,
+        "encoding": params,
         "repetitions": at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions"),
         "drop_one_share": optional_bool(raw, "drop_one_share", "config"),
         "seed": _seed(raw),

@@ -5,9 +5,6 @@
   compared against the true sum across an epsilon grid. Error statistics
   are reported in real units (kg), so they include both the mechanism's
   noise and the codec's one-sided quantization.
-* profile_obfuscation_experiment: per-sample local noise on a time series,
-  reported as RMSE per epsilon -- low epsilon buries the curve's shape,
-  high epsilon converges to the quantization floor.
 * load_test: runs a scenario with and without synthetic background traffic
   through the same broker and compares the end-to-end latency distributions
   with a two-sample KS test.
@@ -15,13 +12,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .. import dp
+# decode is unused here, but perfbench/tracing.py wraps experiments.decode
 from ..codec import decode, decode_sum, derive_params, encode
 from ..dp import GDP_MODEL, LDP_MODEL
 from .config import MIN_REPS, ConfigError, ScenarioSpec
@@ -111,91 +108,6 @@ def weight_sum_experiment(
         )
     return UtilityReport(
         query=f"weight-sum-{model}", ground_truth=true_sum, points=tuple(points)
-    )
-
-
-# --------------------------------------------------------------------------
-# Time-series obfuscation
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProfilePoint:
-    epsilon: float
-    rmse: float
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    """Per-epsilon RMSE of a locally privatized time series."""
-
-    points: tuple[ProfilePoint, ...]
-    quantization_rmse: float  # noiseless encode/decode floor
-    samples: int
-    reps: int
-
-
-def synthetic_brew_profile(samples: int = 300) -> list[float]:
-    """Deterministic brewing-cycle temperature curve: ramp, hold, cool-down."""
-    if samples < 2:
-        raise ConfigError(f"samples: a profile needs at least 2 points, got {samples}")
-    ramp_end = max(2, int(samples * 0.4))
-    hold_end = max(ramp_end + 1, int(samples * 0.7))
-    profile = []
-    for i in range(samples):
-        if i < ramp_end:
-            t = 20.0 + 73.0 * i / (ramp_end - 1)
-        elif i < hold_end:
-            t = 93.0 + 0.8 * math.sin(2.0 * math.pi * (i - ramp_end) / 25.0)
-        else:
-            t = 25.0 + (93.0 - 25.0) * math.exp(-(i - hold_end) / 30.0)
-        profile.append(t)
-    return profile
-
-
-def profile_obfuscation_experiment(
-    profile: Sequence[float],
-    eps_grid: Sequence[float],
-    seed: int,
-    k: int = 10,
-    reps: int = 100,
-) -> ProfileReport:
-    """Apply per-sample local noise to a time series at each epsilon.
-
-    The encoding domain is the profile's own range; sensitivity is the full
-    encoded width. RMSE is taken over all samples and repetitions against
-    the true (unquantized) profile.
-    """
-    if len(profile) < 2:
-        raise ConfigError(f"profile: need at least 2 samples, got {len(profile)}")
-    if not eps_grid:
-        raise ConfigError("eps_grid: must not be empty")
-    if reps < 1:
-        raise ConfigError(f"reps: must be >= 1, got {reps}")
-    truth = np.asarray(profile, dtype=float)
-    params = derive_params(float(truth.min()), float(truth.max()), k)
-    encoded = np.array([encode(float(x), params) for x in truth], dtype=np.int64)
-    exact = np.array([decode(int(y), params) for y in encoded])
-    quantization_rmse = float(np.sqrt(np.mean((truth - exact) ** 2)))
-
-    points = []
-    for i, eps in enumerate(eps_grid):
-        if not eps > 0:
-            raise ConfigError(f"eps_grid[{i}]: epsilon must be positive, got {eps}")
-        rng = np.random.default_rng(seed + 1 + i)
-        budget = dp.PrivacyBudget(epsilon=float(eps), sensitivity=params.q)
-        total_sq = 0.0
-        for _ in range(reps):
-            noisy = dp.ldp_perturb_array(encoded, budget, rng)
-            decoded = (noisy - params.offset) / params.k
-            total_sq += float(np.sum((decoded - truth) ** 2))
-        points.append(
-            ProfilePoint(epsilon=float(eps), rmse=math.sqrt(total_sq / (reps * len(truth))))
-        )
-    return ProfileReport(
-        points=tuple(points),
-        quantization_rmse=quantization_rmse,
-        samples=len(truth),
-        reps=reps,
     )
 
 

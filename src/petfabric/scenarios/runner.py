@@ -262,7 +262,8 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
 
     drop = None
     if spec.pet.drop_one_share:
-        drop = (f"s{int(rng.integers(0, n))}", int(rng.integers(1, m + 1)))
+        victim, channel = ass.draw_lost_share(n, m, rng)
+        drop = (sensors[victim], channel)
 
     if virtualized:
         # one source publishes raw; a virtual node does the splitting

@@ -163,6 +163,15 @@ def test_missing_share_error_names_the_pairs():
     assert "s1" in str(excinfo.value) and "channel 2" in str(excinfo.value)
 
 
+def test_draw_lost_share_takes_victim_then_one_based_channel():
+    rng = np.random.default_rng(8)
+    draws = [ass.draw_lost_share(4, 3, rng) for _ in range(200)]
+    assert {victim for victim, _ in draws} == {0, 1, 2, 3}
+    assert {channel for _, channel in draws} == {1, 2, 3}
+    replay = np.random.default_rng(8)
+    assert draws[0] == (int(replay.integers(0, 4)), int(replay.integers(1, 4)))
+
+
 def test_reconstruct_validation_errors():
     fp = ass.choose_modulus(2, 170)
     rng = np.random.default_rng(6)
@@ -188,7 +197,7 @@ def test_share_bundle_validation():
     with pytest.raises(ValueError):
         ass.ShareBundle(sensor_id="s", shares=(-1,), modulus=101)
     partial = ass.ShareBundle(sensor_id="s", shares=(5, None), modulus=101)
-    assert not partial.complete and partial.m == 2
+    assert partial.shares[1] is None and partial.m == 2
 
 
 def test_missing_share_error_survives_pickling():

@@ -4,10 +4,12 @@ import csv
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from petfabric import cli
 from petfabric.cli import SEED_ENV_VAR, main
 
 BASELINE = {
@@ -228,6 +230,16 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("ass-demo", "ass-demo", {**ASS_DEMO, "seed": 1.0}, "seed"),
         ("adversary-sim", "adversary", {**ADVERSARY, "eps_grid": [0.5, 0]}, "eps_grid[1]"),
         ("adversary-sim", "adversary", {**ADVERSARY, "gap_ratios": [0.5, 0.0004]}, "gap_ratios[1]"),
+        (
+            "ass-demo", "ass-demo",
+            {**ASS_DEMO, "n": 100, "encoding": {"k": 10**15, "x_lo": 50, "x_hi": 120}},
+            "encoding.k",
+        ),
+        (
+            "sweep-epsilon", "sweep",
+            {**SWEEP, "encoding": {"k": 10**16, "x_lo": 50, "x_hi": 120}},
+            "encoding.k",
+        ),
     ],
 )
 def test_experiment_config_rejections_name_the_field(
@@ -352,3 +364,18 @@ def test_runtime_error_exit_code(tmp_path):
     )
     assert main(["validate-config", "--config", cfg]) == 0
     assert main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_readme_csv_schemas_match_the_writers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### CSV schemas", 1)[1].split("\n#", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines() if "`" in line]
+    documented = {file.strip(" `"): columns.strip(" `").split(", ") for _, file, columns in rows}
+    assert documented == {
+        "<name>_records.csv": cli.RECORD_COLUMNS,
+        "utility_<model>.csv": cli.UTILITY_COLUMNS,
+        "ground_truth.csv": cli.GROUND_TRUTH_COLUMNS,
+        "adversary_guess_rates.csv": cli.ADVERSARY_COLUMNS,
+        "ass_demo.csv": cli.ASS_DEMO_COLUMNS,
+        "bench_suite.csv": cli.BENCH_COLUMNS,
+    }

@@ -15,8 +15,6 @@ from petfabric.scenarios import (
     Topology,
     generate_weights,
     load_test,
-    profile_obfuscation_experiment,
-    synthetic_brew_profile,
     weight_sum_experiment,
 )
 
@@ -88,60 +86,6 @@ def test_ldp_medians_match_independent_oracle():
         noise = np.rint(oracle_rng.laplace(0.0, scale, size=(20_000, n))).sum(axis=1)
         oracle = float(np.median(np.abs(noise / k - quant_gap)))
         assert pt.median_abs_err == pytest.approx(oracle, rel=0.10)
-
-
-# -- brewing profile ------------------------------------------------------------
-
-def test_brew_profile_shape():
-    profile = synthetic_brew_profile(300)
-    assert len(profile) == 300
-    assert profile[0] == pytest.approx(20.0)
-    assert max(profile) <= 94.0
-    assert profile[-1] < 30.0  # cooled down
-    with pytest.raises(ConfigError):
-        synthetic_brew_profile(1)
-
-
-def test_profile_rmse_scales_inversely_with_epsilon():
-    profile = synthetic_brew_profile(300)
-    report = profile_obfuscation_experiment(profile, [0.01, 1.0], seed=808, k=10, reps=100)
-    ratio = report.points[0].rmse / report.points[1].rmse
-    assert ratio == pytest.approx(100.0, rel=0.10)
-
-
-def test_profile_rmse_matches_monte_carlo_oracle():
-    profile = synthetic_brew_profile(300)
-    report = profile_obfuscation_experiment(profile, [0.01, 1.0], seed=808, k=10, reps=100)
-    params = derive_params(min(profile), max(profile), 10)
-    encoded = np.array([encode(float(x), params) for x in profile])
-    truth = np.array(profile)
-    oracle_rng = np.random.default_rng(333)
-    for pt in report.points:
-        noise = np.rint(oracle_rng.laplace(0.0, params.q / pt.epsilon, size=(400, len(profile))))
-        decoded = (encoded[None, :] + noise - params.offset) / params.k
-        oracle = float(np.sqrt(np.mean((decoded - truth[None, :]) ** 2)))
-        assert pt.rmse == pytest.approx(oracle, rel=0.10)
-
-
-def test_profile_converges_to_quantization_floor():
-    profile = synthetic_brew_profile(300)
-    k = 10
-    report = profile_obfuscation_experiment(profile, [1e9], seed=1, k=k, reps=10)
-    # at negligible noise the RMSE is exactly the noiseless encode/decode
-    # residual; one-sided floor residuals are quasi-uniform on [0, 1/k),
-    # whose RMS is 1/(k*sqrt(3)) = 2/(k*sqrt(12))
-    assert report.points[0].rmse == pytest.approx(report.quantization_rmse, abs=1e-12)
-    assert report.quantization_rmse < 1.0 / k
-    assert report.quantization_rmse <= 1.05 * 2.0 / (k * math.sqrt(12.0))
-
-
-def test_profile_validation():
-    with pytest.raises(ConfigError):
-        profile_obfuscation_experiment([1.0], [0.5], seed=1)
-    with pytest.raises(ConfigError):
-        profile_obfuscation_experiment([1.0, 2.0], [], seed=1)
-    with pytest.raises(ConfigError):
-        profile_obfuscation_experiment([1.0, 2.0], [-1.0], seed=1)
 
 
 # -- load neutrality --------------------------------------------------------------

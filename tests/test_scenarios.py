@@ -124,12 +124,30 @@ def test_load_scenario_from_file(tmp_path):
         (lambda c: c.update(name=5), "name: expected a string, got 5"),
         (lambda c: c.update(name="../x"), "name: must not contain"),
         (lambda c: c["pet"].update(kind=3), "pet.kind: expected a string, got 3"),
+        (
+            lambda c: (c["pet"].update(kind="ass", m=3), c["encoding"].update(k=10**17)),
+            "^encoding.k: sensors.count \\* q = 1 \\* 17000000000000000000 must be below",
+        ),
+        (
+            lambda c: (c["pet"].update(kind="ldp", epsilon=0.01), c["encoding"].update(k=10**19)),
+            "^encoding.k: sensors.count",
+        ),
     ],
 )
 def test_config_rejections_name_the_field(mutate, message):
     cfg = json.loads(json.dumps(GOOD_CONFIG))
     mutate(cfg)
     with pytest.raises(ConfigError, match=message):
+        scenario_from_dict(cfg)
+
+
+def test_encoded_sum_bound_is_exclusive():
+    # on [0, 1] the encoded width q equals k
+    cfg = json.loads(json.dumps(GOOD_CONFIG))
+    cfg["encoding"] = {"k": 2**62 - 1, "x_lo": 0, "x_hi": 1}
+    assert scenario_from_dict(cfg).encoding.q == 2**62 - 1
+    cfg["encoding"]["k"] = 2**62
+    with pytest.raises(ConfigError, match="^encoding.k: "):
         scenario_from_dict(cfg)
 
 
