@@ -1,11 +1,11 @@
-"""Byte pins for the batch experiments: the epsilon sweep (ldp and gdp), the
-distinguisher grid and the share round trips, with and without a dropped
-share.
+"""Byte pins for every shipped config: the epsilon sweep (ldp and gdp), the
+distinguisher grid, the share round trips with and without a dropped share,
+the six-placement bench suite and the five scenario configs.
 
 Each case runs a shipped config, shrunk to the sizes `perfbench/workloads.py`
 calls TINY, at the config's own seed, and pins the sha256 of every CSV the
-run lists in its manifest. A change to the dp, ass or codec layers that
-claims to keep the bytes must leave every digest here as it is.
+run lists in its manifest. A change to the dp, ass, codec, runner or config
+layers that claims to keep the bytes must leave every digest here as it is.
 """
 
 import hashlib
@@ -50,6 +50,42 @@ PINS = {
         "ass-demo", "ass-demo.json", {"n": 10, "repetitions": 3, "drop_one_share": True},
         {
             "ass_demo.csv": "87d8c050c6fd5435410361c91bee3c59a77d045c41bfdd46048d0a9fc8f9a0a6",
+        },
+    ),
+    "bench-suite": (
+        "bench-suite", "bench-suite.json", {"repetitions": 3},
+        {
+            "bench_suite.csv": "31f68f1488de863a6d70b5df9090336feb1b9842cc364bd016676e5b072eb00a",
+        },
+    ),
+    "run-scenario-ass-on-device": (
+        "run-scenario", "ass-on-device.json", {"repetitions": 3},
+        {
+            "ass-on-device_records.csv": "f89fab5e1d3fae619ea0704d0b4bfca5ee1c42ae35d4a70bfb0540c37b0e72cc",
+        },
+    ),
+    "run-scenario-baseline": (
+        "run-scenario", "baseline.json", {"repetitions": 3},
+        {
+            "baseline-on-device_records.csv": "a24e37c559d3f3431ea52a161d2415fd8981d2295508ee62cd5836be95fe2d35",
+        },
+    ),
+    "run-scenario-gdp-virtualized": (
+        "run-scenario", "gdp-virtualized.json", {"repetitions": 3},
+        {
+            "gdp-virtualized_records.csv": "adf927ba396c2f48997c0fbc3686b82399e722d38f08d2e75a37e345c6813c87",
+        },
+    ),
+    "run-scenario-ldp-on-device": (
+        "run-scenario", "ldp-on-device.json", {"repetitions": 3},
+        {
+            "ldp-on-device_records.csv": "b202a98d9516c34bf9390f63ae5c6891cc8f022fee0be38f8fdd7f05fa8a404e",
+        },
+    ),
+    "run-scenario-relay-chain": (
+        "run-scenario", "relay-chain.json", {"repetitions": 3},
+        {
+            "relay-chain-5_records.csv": "340d150724ea520e0ef6f3fe874f619726c10b8449e46b145f999156e502c5c5",
         },
     ),
 }
