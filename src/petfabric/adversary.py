@@ -42,9 +42,12 @@ class CoverageError(ValueError):
 
 @dataclass(frozen=True)
 class HypothesisTest:
-    """Distinguishing game setup: known prefix plus two candidate values."""
+    """Distinguishing game setup: the two candidate values of the target.
 
-    known_prefix_sum: int
+    The records the adversary already knows shift the release and the
+    threshold alike, so they cancel out of the decision and are not modeled.
+    """
+
     low: int
     high: int
     budget: PrivacyBudget
@@ -60,7 +63,7 @@ class HypothesisTest:
     @property
     def threshold(self) -> float:
         """Midpoint decision threshold over the released sum."""
-        return self.known_prefix_sum + (self.low + self.high) / 2
+        return (self.low + self.high) / 2
 
 
 def guess(test: HypothesisTest, z: float) -> int:
@@ -86,7 +89,7 @@ def empirical_guess_rate(
     """Monte Carlo of the full release-and-attack pipeline.
 
     Per trial: draw the truth uniformly from {low, high}, release
-    z = prefix + truth + noise, and score the midpoint rule. Under the
+    z = truth + noise, and score the midpoint rule. Under the
     global model the noise is one real-valued Laplace draw at the query
     scale; under the local model it is the integer-rounded draw the sensor
     actually publishes.
@@ -99,7 +102,7 @@ def empirical_guess_rate(
     noise = sample_laplace(test.budget.scale, rng, size=trials)
     if model == LDP_MODEL:
         noise = np.rint(noise)
-    z = test.known_prefix_sum + np.where(high_truth, test.high, test.low) + noise
+    z = np.where(high_truth, test.high, test.low) + noise
     guessed_high = z > test.threshold
     return float(np.mean(guessed_high == high_truth))
 
@@ -122,7 +125,6 @@ def guess_rate_grid(
     sensitivity: int,
     trials: int,
     seed: int,
-    known_prefix_sum: int = 0,
     model: str = GDP_MODEL,
 ) -> list[GuessRateRow]:
     """Sweep the (epsilon, gap/sensitivity) grid; one seeded run per point.
@@ -133,15 +135,9 @@ def guess_rate_grid(
     index = 0
     for eps in epsilons:
         for ratio in gap_ratios:
-            gap = round(ratio * sensitivity)
-            if gap < 1:
-                raise ValueError(
-                    f"gap ratio {ratio} with sensitivity {sensitivity} gives no gap"
-                )
             test = HypothesisTest(
-                known_prefix_sum=known_prefix_sum,
                 low=0,
-                high=gap,
+                high=round(ratio * sensitivity),
                 budget=PrivacyBudget(epsilon=eps, sensitivity=sensitivity),
             )
             rng = np.random.default_rng(seed + index)

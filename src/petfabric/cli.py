@@ -191,7 +191,6 @@ def _adversary_sim(args, cfg):
         sensitivity=cfg["sensitivity"],
         trials=cfg["trials"],
         seed=seed,
-        known_prefix_sum=cfg["prefix_sum"],
         model=cfg["model"],
     )
     rows = (

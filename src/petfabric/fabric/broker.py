@@ -410,9 +410,8 @@ class RunRecord:
 
     end_to_end_ms is additive by construction: compute time plus the sum of
     the sampled hop delays along the critical path. hop_count is two hops
-    (publish + delivery) per message on the critical path; it equals
-    len(hop_delays_ms) except when overlapped shares keep only the slowest
-    leg's delays.
+    (publish + delivery) per message on the critical path, so it equals
+    len(hop_delays_ms).
     """
 
     scenario: str

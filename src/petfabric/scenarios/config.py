@@ -77,7 +77,6 @@ class PetConfig:
     aggregator: Optional[str] = None  # gdp only
     m: Optional[int] = None  # ass only
     drop_one_share: bool = False  # ass only: inject loss of one random share
-    parallel_shares: bool = False  # ass only: overlap the m share publishes
 
     def __post_init__(self) -> None:
         if self.kind not in (PET_NONE, PET_LDP, PET_GDP, PET_ASS, PET_KRR):
@@ -105,8 +104,6 @@ class PetConfig:
                 raise ConfigError("pet.m: only valid for ass")
             if self.drop_one_share:
                 raise ConfigError("pet.drop_one_share: only valid for ass")
-            if self.parallel_shares:
-                raise ConfigError("pet.parallel_shares: only valid for ass")
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,6 @@ class ScenarioSpec:
     encoding: EncodingParams
     latency: LatencyModel
     compute_ms: float = 0.0
-    overhead_ms: float = 0.0  # fixed per-message residual, folded into compute
     repetitions: int = 1
     seed: int = 0
 
@@ -162,7 +158,6 @@ class ScenarioSpec:
             # the name is part of a report file name under --out
             raise ConfigError(f"name: must not contain '/', '\\' or NUL, got {self.name!r}")
         at_least(self.compute_ms, 0, "compute_ms")
-        at_least(self.overhead_ms, 0, "overhead_ms")
         at_least(self.repetitions, 1, "repetitions")
         at_least(self.seed, 0, "seed")
         kind = self.topology.kind
@@ -193,6 +188,9 @@ class ScenarioSpec:
         ):
             raise ConfigError("sensors.generator.value: outside the encoding domain")
         check_sum_fits(self.sensors.count, self.encoding, "sensors.count")
+        if pet in (PET_LDP, PET_GDP):
+            q = self.encoding.q
+            check_noise_fits(self.sensors.count, q, q, self.pet.epsilon, "pet.epsilon")
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
@@ -240,6 +238,21 @@ def check_sum_fits(count: int, params: EncodingParams, count_field: str) -> None
         raise ConfigError(
             f"encoding.k: {count_field} * q = {count} * {params.q} must be below 2**62;"
             " lower k or narrow the domain"
+        )
+
+
+def check_noise_fits(count: int, q: int, sensitivity: int, epsilon: float, field: str) -> None:
+    """A sum of `count` encoded values, each carrying Laplace noise at scale
+    b = sensitivity / epsilon, must stay below ass.MAX_FIELD_BOUND even when
+    every draw is 64 b, which one draw exceeds with probability e**-64
+    (about 1.6e-28): count * (q + 64 b) < 2**62. A tiny epsilon makes b
+    huge, so the error names the epsilon field."""
+    # in exact integers, with epsilon = num / den
+    num, den = epsilon.as_integer_ratio()
+    if count * (q * num + 64 * sensitivity * den) >= MAX_FIELD_BOUND * num:
+        raise ConfigError(
+            f"{field}: {count} * ({q} + 64 * {sensitivity} / {epsilon}) must be below 2**62;"
+            " raise epsilon"
         )
 
 
@@ -370,7 +383,6 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
             "encoding",
             "latency",
             "compute_ms",
-            "overhead_ms",
             "repetitions",
             "seed",
         },
@@ -383,18 +395,13 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         depth=read_int(topo_raw, "depth", "topology", 0),
     )
     pet_raw = require_key(raw, "pet", "config")
-    check_keys(
-        pet_raw,
-        {"kind", "epsilon", "aggregator", "m", "drop_one_share", "parallel_shares"},
-        "pet",
-    )
+    check_keys(pet_raw, {"kind", "epsilon", "aggregator", "m", "drop_one_share"}, "pet")
     pet = PetConfig(
         kind=read_str(pet_raw, "kind", "pet"),
         epsilon=read_number(pet_raw, "epsilon", "pet", None),
         aggregator=read_str(pet_raw, "aggregator", "pet", None),
         m=read_int(pet_raw, "m", "pet", None),
         drop_one_share=optional_bool(pet_raw, "drop_one_share", "pet"),
-        parallel_shares=optional_bool(pet_raw, "parallel_shares", "pet"),
     )
     sensors_raw = raw.get("sensors", {})
     check_keys(sensors_raw, {"count", "generator"}, "sensors")
@@ -415,7 +422,6 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         encoding=encoding_from_dict(require_key(raw, "encoding", "config")),
         latency=latency_from_config(require_key(raw, "latency", "config")),
         compute_ms=read_number(raw, "compute_ms", "config", 0.0),
-        overhead_ms=read_number(raw, "overhead_ms", "config", 0.0),
         repetitions=read_int(raw, "repetitions", "config", 1),
         seed=read_int(raw, "seed", "config", 0),
     )
@@ -446,23 +452,34 @@ def _epsilons(raw: dict) -> list[float]:
     return [_positive(eps, f"eps_grid[{i}]") for i, eps in enumerate(eps_grid)]
 
 
+def _sensitivity(raw: dict, default=_REQUIRED) -> Optional[int]:
+    """The query sensitivity in encoded units, 1 <= sensitivity < 2**62."""
+    sensitivity = read_int(raw, "sensitivity", "config", default)
+    if sensitivity is not None:
+        at_least(sensitivity, 1, "sensitivity")
+        if sensitivity >= MAX_FIELD_BOUND:
+            raise ConfigError("sensitivity: must be below 2**62")
+    return sensitivity
+
+
 def sweep_from_dict(raw: dict) -> dict:
     """The `sweep-epsilon` config: the weight-sum query over an epsilon grid."""
     check_keys(raw, {"n", "encoding", "model", "eps_grid", "reps", "sensitivity", "seed"}, "config")
-    sensitivity = read_int(raw, "sensitivity", "config", None)  # None: the encoded width q
-    if sensitivity is not None:
-        at_least(sensitivity, 1, "sensitivity")
+    sensitivity = _sensitivity(raw, None)  # None: the encoded width q
     model = read_str(raw, "model", "config", LDP_MODEL)
     if model not in (LDP_MODEL, GDP_MODEL):
         raise ConfigError(f"model: expected ldp or gdp, got {model!r}")
     n = at_least(read_int(raw, "n", "config"), 1, "n")
     params = encoding_from_dict(require_key(raw, "encoding", "config"))
     check_sum_fits(n, params, "n")
+    eps_grid = _epsilons(raw)
+    for i, eps in enumerate(eps_grid):
+        check_noise_fits(n, params.q, sensitivity or params.q, eps, f"eps_grid[{i}]")
     return {
         "n": n,
         "encoding": params,
         "model": model,
-        "eps_grid": _epsilons(raw),
+        "eps_grid": eps_grid,
         "reps": at_least(read_int(raw, "reps", "config", MIN_REPS), MIN_REPS, "reps"),
         "sensitivity": sensitivity,
         "seed": _seed(raw),
@@ -471,12 +488,8 @@ def sweep_from_dict(raw: dict) -> dict:
 
 def adversary_from_dict(raw: dict) -> dict:
     """The `adversary-sim` config: the distinguisher over (epsilon, gap) pairs."""
-    check_keys(
-        raw,
-        {"eps_grid", "gap_ratios", "sensitivity", "trials", "prefix_sum", "model", "seed"},
-        "config",
-    )
-    sensitivity = at_least(read_int(raw, "sensitivity", "config"), 1, "sensitivity")
+    check_keys(raw, {"eps_grid", "gap_ratios", "sensitivity", "trials", "model", "seed"}, "config")
+    sensitivity = _sensitivity(raw)
     gap_ratios = read_numbers(raw, "gap_ratios", "config")
     for i, ratio in enumerate(gap_ratios):
         if round(ratio * sensitivity) < 1:
@@ -486,12 +499,15 @@ def adversary_from_dict(raw: dict) -> dict:
     model = read_str(raw, "model", "config", GDP_MODEL)
     if model not in (GDP_MODEL, LDP_MODEL):
         raise ConfigError(f"model: expected gdp or ldp, got {model!r}")
+    eps_grid = _epsilons(raw)
+    for i, eps in enumerate(eps_grid):
+        if not math.isfinite(sensitivity / eps):
+            raise ConfigError(f"eps_grid[{i}]: Laplace scale {sensitivity} / {eps} is not finite")
     return {
-        "eps_grid": _epsilons(raw),
+        "eps_grid": eps_grid,
         "gap_ratios": gap_ratios,
         "sensitivity": sensitivity,
         "trials": at_least(read_int(raw, "trials", "config", 100_000), 1, "trials"),
-        "prefix_sum": read_int(raw, "prefix_sum", "config", 0),
         "model": model,
         "seed": _seed(raw),
     }
@@ -524,11 +540,16 @@ def bench_from_dict(raw: dict) -> dict:
             k: at_least(read_number(compute, k, "compute_ms"), 0, f"compute_ms.{k}")
             for k in compute
         }
+    epsilon = _positive(read_number(raw, "epsilon", "config", 1.0), "epsilon")
+    from .suite import ENCODING, PLACEMENTS  # suite.py imports this module
+
+    count = max(n for _, _, pet, n, _ in PLACEMENTS if pet in (PET_LDP, PET_GDP))
+    check_noise_fits(count, ENCODING.q, ENCODING.q, epsilon, "epsilon")
     return {
         "latency": latency_from_config(raw.get("latency", "testbed")),
         "repetitions": at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions"),
         "m": at_least(read_int(raw, "m", "config", 3), 2, "m"),
-        "epsilon": _positive(read_number(raw, "epsilon", "config", 1.0), "epsilon"),
+        "epsilon": epsilon,
         "compute_ms": compute,
         "seed": _seed(raw),
     }

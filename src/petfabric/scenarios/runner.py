@@ -16,8 +16,6 @@ the critical path, and its hop count is counted from the same crossings:
 
     Every message on the critical path is two hops (publish + delivery).
     Of the senders in one crossing, the slowest lies on the critical path.
-    Overlapped shares (parallel_shares) count all their hops but add only
-    the slowest leg's delay.
 
 So on-device flows take 2 hops, m sequential shares 2m, a virtual node in
 between 4 (2 + 2m with shares), and a relay chain 2 + 2*depth.
@@ -107,7 +105,6 @@ class _Path:
         self.broker = Broker(acl=AclTable(), latency=spec.latency, rng=rng, clock=self.clock)
         self.rep = rep
         self.delays: list[float] = []
-        self.hops = 0
 
     def link(self, senders, topics, receiver: str, pattern: str) -> Subscription:
         """Grant each sender its one publish topic and the receiver its filter,
@@ -121,20 +118,15 @@ class _Path:
         return broker.subscribe(receiver, pattern)
 
     def cross(
-        self,
-        receiver: str,
-        batches: Iterable[Batch],
-        parallel: bool = False,
-        then_ms: float = 0.0,
+        self, receiver: str, batches: Iterable[Batch], then_ms: float = 0.0
     ) -> list[Envelope]:
         """Publish each sender's messages in order and return the envelopes.
 
         batches is consumed lazily, so whatever randomness builds a sender's
         messages is drawn just before they are published. Envelopes carry the
         repetition as sequence and the current time unless a message says
-        otherwise. The slowest sender's messages join the critical path (all
-        their legs, or only the slowest one when parallel overlaps them), and
-        the clock advances by their delay plus then_ms, the time the receiver
+        otherwise. The slowest sender's legs join the critical path, and the
+        clock advances by their delay plus then_ms, the time the receiver
         spends before it sends on.
         """
         sent: list[Envelope] = []
@@ -147,11 +139,7 @@ class _Path:
                 legs.append(_leg(self.broker.publish(sender, env), receiver))
                 sent.append(env)
             per_sender.append(legs)
-        overlap = max if parallel else sum
-        legs = max(per_sender, key=lambda legs: overlap(map(sum, legs)))
-        self.hops += 2 * len(legs)
-        if parallel:
-            legs = [max(legs, key=sum)]
+        legs = max(per_sender, key=lambda legs: sum(map(sum, legs)))
         added = [delay for leg in legs for delay in leg]
         self.delays.extend(added)
         self.clock.advance_ms(sum(added) + then_ms)
@@ -163,7 +151,7 @@ class _Path:
             message_id=self.rep,
             compute_ms=compute,
             hop_delays_ms=tuple(self.delays),
-            hop_count=self.hops,
+            hop_count=len(self.delays),
         )
 
 
@@ -179,14 +167,13 @@ def _run_once(
         path.broker.inject_load(filler_rate, filler_window_s)
     values = _draw_values(spec, rng)
     encoded = [encode(v, spec.encoding) for v in values]
-    compute = spec.compute_ms + spec.overhead_ms
     if spec.topology.kind == RELAY_CHAIN:
         flow = _relay_flow
     elif spec.pet.kind == PET_ASS:
         flow = _share_flow
     else:
         flow = _value_flow
-    return flow(spec, path, rng, values, encoded, compute)
+    return flow(spec, path, rng, values, encoded, spec.compute_ms)
 
 
 def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
@@ -287,7 +274,7 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
 
     # shares reach the consumer undecoded; a dropped one is lost between
     # broker and subscriber
-    sent = path.cross("consumer", shares(), parallel=spec.pet.parallel_shares)
+    sent = path.cross("consumer", shares())
     received = [env for env in sent if (env.sensor_id, env.share_index) != drop]
     record = path.record(spec, compute)
     bundles = _collect_bundles(received, sensors, m, fp.modulus)

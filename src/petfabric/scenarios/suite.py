@@ -10,16 +10,34 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..codec import derive_params
 from ..fabric import LatencyModel, LATENCY_PRESETS
 from .config import (
-    GeneratorConfig,
-    PetConfig,
+    ON_DEVICE,
+    PET_ASS,
+    PET_GDP,
+    PET_LDP,
+    PET_NONE,
     REFERENCE_COMPUTE_MS,
+    VIRTUALIZED,
+    PetConfig,
     ScenarioSpec,
     SensorConfig,
     Topology,
 )
-from ..codec import derive_params
+
+#: The one encoding every placement uses: weights on [50, 120] kg, k = 1.
+ENCODING = derive_params(50.0, 120.0, 1)
+
+#: (name, topology, pet, sensors, REFERENCE_COMPUTE_MS key), cheapest first
+PLACEMENTS = (
+    ("baseline-on-device", ON_DEVICE, PET_NONE, 1, "baseline"),
+    ("ldp-on-device", ON_DEVICE, PET_LDP, 1, "ldp"),
+    ("gdp-on-device", ON_DEVICE, PET_GDP, 3, "gdp-on-device"),
+    ("gdp-virtualized", VIRTUALIZED, PET_GDP, 3, "gdp-virtualized"),
+    ("ass-on-device", ON_DEVICE, PET_ASS, 1, "ass-on-device"),
+    ("ass-virtualized", VIRTUALIZED, PET_ASS, 1, "ass-virtualized"),
+)
 
 
 def benchmark_suite(
@@ -32,67 +50,24 @@ def benchmark_suite(
 ) -> list[ScenarioSpec]:
     """Build the six comparison scenarios, cheapest placement first."""
     latency = latency if latency is not None else LATENCY_PRESETS["testbed"]
-    compute = dict(REFERENCE_COMPUTE_MS)
-    if compute_ms:
-        compute.update(compute_ms)
-    encoding = derive_params(50.0, 120.0, 1)
-    sensors = SensorConfig(count=1, generator=GeneratorConfig())
-    trio = SensorConfig(count=3, generator=GeneratorConfig())
-
-    def spec(name, topology, pet, sensor_cfg, compute_key):
-        return ScenarioSpec(
+    compute = {**REFERENCE_COMPUTE_MS, **(compute_ms or {})}
+    pets = {
+        PET_NONE: PetConfig(PET_NONE),
+        PET_LDP: PetConfig(PET_LDP, epsilon=epsilon),
+        PET_GDP: PetConfig(PET_GDP, epsilon=epsilon),
+        PET_ASS: PetConfig(PET_ASS, m=m),
+    }
+    return [
+        ScenarioSpec(
             name=name,
-            topology=topology,
-            pet=pet,
-            sensors=sensor_cfg,
-            encoding=encoding,
+            topology=Topology(topology),
+            pet=pets[pet],
+            sensors=SensorConfig(count=sensors),
+            encoding=ENCODING,
             latency=latency,
-            compute_ms=compute[compute_key],
+            compute_ms=compute[key],
             repetitions=repetitions,
             seed=seed,
         )
-
-    return [
-        spec(
-            "baseline-on-device",
-            Topology("on-device"),
-            PetConfig("none"),
-            sensors,
-            "baseline",
-        ),
-        spec(
-            "ldp-on-device",
-            Topology("on-device"),
-            PetConfig("ldp", epsilon=epsilon),
-            sensors,
-            "ldp",
-        ),
-        spec(
-            "gdp-on-device",
-            Topology("on-device"),
-            PetConfig("gdp", epsilon=epsilon),
-            trio,
-            "gdp-on-device",
-        ),
-        spec(
-            "gdp-virtualized",
-            Topology("virtualized"),
-            PetConfig("gdp", epsilon=epsilon),
-            trio,
-            "gdp-virtualized",
-        ),
-        spec(
-            "ass-on-device",
-            Topology("on-device"),
-            PetConfig("ass", m=m),
-            sensors,
-            "ass-on-device",
-        ),
-        spec(
-            "ass-virtualized",
-            Topology("virtualized"),
-            PetConfig("ass", m=m),
-            sensors,
-            "ass-virtualized",
-        ),
+        for name, topology, pet, sensors, key in PLACEMENTS
     ]

@@ -9,9 +9,8 @@ from petfabric import adversary, ass
 from petfabric.dp import PrivacyBudget
 
 
-def make_test(epsilon=1.0, sensitivity=1000, low=0, high=500, prefix=0):
+def make_test(epsilon=1.0, sensitivity=1000, low=0, high=500):
     return adversary.HypothesisTest(
-        known_prefix_sum=prefix,
         low=low,
         high=high,
         budget=PrivacyBudget(epsilon=epsilon, sensitivity=sensitivity),
@@ -19,16 +18,15 @@ def make_test(epsilon=1.0, sensitivity=1000, low=0, high=500, prefix=0):
 
 
 def test_threshold_is_the_midpoint():
-    t = make_test(low=0, high=10, prefix=0)
-    assert t.threshold == 5.0
-    assert make_test(low=3, high=10, prefix=100).threshold == 100 + 6.5
+    assert make_test(low=0, high=10).threshold == 5.0
+    assert make_test(low=3, high=10).threshold == 6.5
 
 
 def test_guess_thresholding():
     t = make_test(low=0, high=10)
     assert adversary.guess(t, t.threshold + 1) == 10
     assert adversary.guess(t, t.threshold - 1) == 0
-    assert adversary.guess(t, 7) == 10  # prefix 0, midpoint 5
+    assert adversary.guess(t, 7) == 10  # midpoint 5
     assert adversary.guess(t, t.threshold) == 0  # ties go low
 
 
@@ -63,16 +61,6 @@ def test_empirical_rate_huge_exponent_is_near_certain():
     t = make_test(10.0, 1000, 0, 1000)
     rate = adversary.empirical_guess_rate(t, 100_000, np.random.default_rng(79))
     assert rate == pytest.approx(0.9966, abs=0.01)
-
-
-def test_prefix_sum_does_not_change_the_rate():
-    rate0 = adversary.empirical_guess_rate(
-        make_test(prefix=0), 50_000, np.random.default_rng(80)
-    )
-    rate9 = adversary.empirical_guess_rate(
-        make_test(prefix=99_999), 50_000, np.random.default_rng(80)
-    )
-    assert rate0 == rate9  # same seed, threshold shifts with the prefix
 
 
 def test_ldp_variant_matches_analytic_too():

@@ -240,6 +240,13 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
             {**SWEEP, "encoding": {"k": 10**16, "x_lo": 50, "x_hi": 120}},
             "encoding.k",
         ),
+        ("adversary-sim", "adversary", {**ADVERSARY, "prefix_sum": 0}, "config"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "eps_grid": [1e-17]}, "eps_grid[0]"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "model": "gdp", "eps_grid": [1.0, 1e-320]}, "eps_grid[1]"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "sensitivity": 10**400}, "sensitivity"),
+        ("adversary-sim", "adversary", {**ADVERSARY, "eps_grid": [1e-320]}, "eps_grid[0]"),
+        ("adversary-sim", "adversary", {**ADVERSARY, "sensitivity": 10**400}, "sensitivity"),
+        ("bench-suite", "bench", {**BENCH, "epsilon": 1e-17}, "epsilon"),
     ],
 )
 def test_experiment_config_rejections_name_the_field(

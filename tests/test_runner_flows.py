@@ -35,13 +35,11 @@ FLOWS = {
     "on-device-gdp-sum": (ON_DEVICE, PetConfig("gdp", epsilon=1.0, aggregator="sum"), 3),
     "on-device-gdp-mean": (ON_DEVICE, PetConfig("gdp", epsilon=1.0, aggregator="mean"), 3),
     "on-device-ass": (ON_DEVICE, PetConfig("ass", m=3), 3),
-    "on-device-ass-parallel": (ON_DEVICE, PetConfig("ass", m=3, parallel_shares=True), 3),
     "on-device-ass-drop": (ON_DEVICE, PetConfig("ass", m=3, drop_one_share=True), 3),
     "virtualized-none": (VIRTUALIZED, PetConfig("none"), 1),
     "virtualized-gdp-sum": (VIRTUALIZED, PetConfig("gdp", epsilon=1.0, aggregator="sum"), 3),
     "virtualized-gdp-mean": (VIRTUALIZED, PetConfig("gdp", epsilon=1.0, aggregator="mean"), 3),
     "virtualized-ass": (VIRTUALIZED, PetConfig("ass", m=3), 1),
-    "virtualized-ass-parallel": (VIRTUALIZED, PetConfig("ass", m=3, parallel_shares=True), 1),
     "virtualized-ass-drop": (VIRTUALIZED, PetConfig("ass", m=3, drop_one_share=True), 1),
     "relay-chain-3": (Topology("relay-chain", depth=3), PetConfig("none"), 1),
 }
@@ -52,7 +50,6 @@ FILLER_RATES = (0.0, 200.0)
 DIGESTS = {
     "on-device-ass": "0cfc6461e7848847806d535a044c67336f78ec628c73890ac56f56cadcadb845",
     "on-device-ass-drop": "e70055764a25a04fe5679cf0c585f7a3d85977e9be31abf8adb512a15bfe3dff",
-    "on-device-ass-parallel": "86ce954a9963aead23b62aaa7ceaba533ce438d4dad79fbe3eecc3d7dd254a82",
     "on-device-gdp-mean": "86dd0cf131d5f4e000da79ea175eac77c9387e9ad70243bf3009afdc7b673338",
     "on-device-gdp-sum": "3217dcb1a1dc00f6099aa73aea6f63dfa67b682155fc12ca46dde2a1e1414e80",
     "on-device-krr": "bef74982f4109aeed714a224bc53aabcbe50354f74c6f9d5b1c6253b8b60cbad",
@@ -61,7 +58,6 @@ DIGESTS = {
     "relay-chain-3": "285497535530c77c6f717d729c7e40a30cc7ade0b47c8c31f88bdca425a59a2c",
     "virtualized-ass": "1a882cf9368c56d1c8906829c450df73f2f1a929223dd9c0b8fde974c444b77a",
     "virtualized-ass-drop": "771a888d05e69869b0e520901705e39ef455327dadda6fa33ae5d46aa97e0197",
-    "virtualized-ass-parallel": "19eb4f9df663a7d2c0130a8f0bef05106d91d422b3fcd3de720c8bfd7d644b4c",
     "virtualized-gdp-mean": "176034700e86483deda2ce19c3df5579cc352800067ef8130506dd76265ac6ae",
     "virtualized-gdp-sum": "c1b09809aa5837fb2e1e178f1ba77abbc8bd8c90c2f3a2617b2e0cd724e09c17",
     "virtualized-none": "867faf194e49f87a4f73b24ece0e5e13025f6b217357a107c8e2c988a5f531b3",
@@ -72,7 +68,6 @@ DIGESTS = {
 WIRE_DIGESTS = {
     "on-device-ass": "2b8387284ef49f1f64cbe6e5be9ee93bfa07a3939d6b0964616d97cd7f2a85d2",
     "on-device-ass-drop": "b315d90e4f688510d853cd706f159f87a9fc20c0d047454819e509570a64c377",
-    "on-device-ass-parallel": "2b8387284ef49f1f64cbe6e5be9ee93bfa07a3939d6b0964616d97cd7f2a85d2",
     "on-device-gdp-mean": "38874b18888e2fc0b24bdb656f3c743d5bfca67bfc82b626a6fbefef9440ab0f",
     "on-device-gdp-sum": "65b50e8f93e68547482226a12608a83adc1ea10ade4636d18896cac288998dd6",
     "on-device-krr": "f96242957d1b5bcf5c38ea38a9a6fe6f740516294767705b1c031b84ccea7b5d",
@@ -81,7 +76,6 @@ WIRE_DIGESTS = {
     "relay-chain-3": "8f0b49c2e82802f7ca06173e8a8bb6163dfc902820cce315b63d02836bb49f42",
     "virtualized-ass": "0b86ab31fce4d9384ba3fa52fa4f1cb45cafb51416ad9f39fb631a526de815de",
     "virtualized-ass-drop": "68f4630e706eb5de094478561f817a0a485be1db2a4c7f2471722e7e0517444b",
-    "virtualized-ass-parallel": "0b86ab31fce4d9384ba3fa52fa4f1cb45cafb51416ad9f39fb631a526de815de",
     "virtualized-gdp-mean": "8e2f0e875842f9976c24fb69a028813ba690abc88f6c62a50126567854479b8d",
     "virtualized-gdp-sum": "b16a80c57788280ad9f3fbbd55d964148e5806b803c9db67ed40504940eac4b9",
     "virtualized-none": "9b85d38b6a307988e661475a8a412d43f789956066cbf164c18c6549eda7e0bb",

@@ -88,8 +88,8 @@ def test_load_scenario_from_file(tmp_path):
             "pet.drop_one_share: expected true or false",
         ),
         (
-            lambda c: c["pet"].update(kind="ass", m=3, parallel_shares="no"),
-            "pet.parallel_shares: expected true or false",
+            lambda c: c["pet"].update(kind="ass", m=3, parallel_shares=False),
+            r"^pet: unknown keys \['parallel_shares'\]",
         ),
         (lambda c: c["sensors"].update(count=0), "sensors.count"),
         (lambda c: c["sensors"]["generator"].update(kind="zipf"), "generator.kind"),
@@ -104,7 +104,7 @@ def test_load_scenario_from_file(tmp_path):
         (lambda c: c.update(repetitions=True), "repetitions: expected an integer"),
         (lambda c: c.update(seed="42"), "seed: expected an integer"),
         (lambda c: c.update(compute_ms=float("nan")), "compute_ms: expected a finite number"),
-        (lambda c: c.update(overhead_ms="1"), "overhead_ms: expected a finite number"),
+        (lambda c: c.update(overhead_ms=0.0), r"^config: unknown keys \['overhead_ms'\]"),
         (
             lambda c: c["pet"].update(kind="ldp", epsilon=float("inf")),
             "pet.epsilon: expected a finite number",
@@ -132,6 +132,18 @@ def test_load_scenario_from_file(tmp_path):
             lambda c: (c["pet"].update(kind="ldp", epsilon=0.01), c["encoding"].update(k=10**19)),
             "^encoding.k: sensors.count",
         ),
+        (
+            lambda c: c["pet"].update(kind="ldp", epsilon=1e-17),
+            "^pet.epsilon: 1 \\* \\(170 \\+ 64 \\* 170 / 1e-17\\) must be below 2",
+        ),
+        (
+            lambda c: c["pet"].update(kind="ldp", epsilon=1e-320),
+            "^pet.epsilon: 1 \\* \\(170 \\+ 64 \\* 170 / 1e-320\\)",
+        ),
+        (
+            lambda c: (c["pet"].update(kind="gdp", epsilon=1e-320), c["sensors"].update(count=3)),
+            "^pet.epsilon: 3 \\* ",
+        ),
     ],
 )
 def test_config_rejections_name_the_field(mutate, message):
@@ -148,6 +160,17 @@ def test_encoded_sum_bound_is_exclusive():
     assert scenario_from_dict(cfg).encoding.q == 2**62 - 1
     cfg["encoding"]["k"] = 2**62
     with pytest.raises(ConfigError, match="^encoding.k: "):
+        scenario_from_dict(cfg)
+
+
+def test_noise_bound_is_exclusive():
+    # at epsilon 64 the Laplace scale is q / 64, so the bound reads q + q < 2**62
+    cfg = json.loads(json.dumps(GOOD_CONFIG))
+    cfg["pet"] = {"kind": "ldp", "epsilon": 64}
+    cfg["encoding"] = {"k": 2**61 - 1, "x_lo": 0, "x_hi": 1}
+    assert scenario_from_dict(cfg).encoding.q == 2**61 - 1
+    cfg["encoding"]["k"] = 2**61
+    with pytest.raises(ConfigError, match="^pet.epsilon: "):
         scenario_from_dict(cfg)
 
 
@@ -211,15 +234,9 @@ def test_baseline_calibration_value():
 
 def test_ldp_additive_model_value():
     # same calibration with 0.488 ms compute: the additive model gives
-    # 5.476 ms; the residual against measured hardware is absorbed by the
-    # optional overhead knob, never asserted
+    # 5.476 ms; the residual against measured hardware is not modeled
     records = run_scenario(make_spec(pet=PetConfig("ldp", epsilon=0.01), compute_ms=0.488))
     assert records[0].end_to_end_ms == pytest.approx(5.476)
-
-
-def test_overhead_knob_is_additive():
-    records = run_scenario(make_spec(overhead_ms=0.73))
-    assert records[0].end_to_end_ms == pytest.approx(5.295 + 0.73)
 
 
 def test_virtualized_gdp_doubles_hops_of_on_device():
@@ -330,20 +347,6 @@ def test_ass_flow_reconstructs_exactly():
         assert out.error is None
         assert out.encoded_result == out.encoded_truth
         assert out.record.hop_count == 6 == len(out.record.hop_delays_ms)
-
-
-def test_ass_parallel_shares_shorten_critical_path():
-    seq = make_spec(pet=PetConfig("ass", m=3), compute_ms=0.0, repetitions=6,
-                    latency=LatencyModel(2.0, 0.4, "gaussian"))
-    par = make_spec(
-        pet=PetConfig("ass", m=3, parallel_shares=True), compute_ms=0.0, repetitions=6,
-        latency=LatencyModel(2.0, 0.4, "gaussian"),
-    )
-    seq_recs = run_scenario(seq)
-    par_recs = run_scenario(par)
-    for s, p in zip(seq_recs, par_recs):
-        assert p.end_to_end_ms <= s.end_to_end_ms
-        assert p.hop_count == 6 and len(p.hop_delays_ms) == 2
 
 
 def test_ass_drop_injection_names_the_lost_share():
