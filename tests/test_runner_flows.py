@@ -46,21 +46,22 @@ FLOWS = {
 
 FILLER_RATES = (0.0, 200.0)
 
-#: sha256 of every flow's outcomes, recorded before the runner was rebuilt
+#: sha256 of every flow's outcomes; a record enters as its fields, listed
+#: explicitly, so the digest does not depend on RunRecord's repr
 DIGESTS = {
-    "on-device-ass": "0cfc6461e7848847806d535a044c67336f78ec628c73890ac56f56cadcadb845",
-    "on-device-ass-drop": "e70055764a25a04fe5679cf0c585f7a3d85977e9be31abf8adb512a15bfe3dff",
-    "on-device-gdp-mean": "86dd0cf131d5f4e000da79ea175eac77c9387e9ad70243bf3009afdc7b673338",
-    "on-device-gdp-sum": "3217dcb1a1dc00f6099aa73aea6f63dfa67b682155fc12ca46dde2a1e1414e80",
-    "on-device-krr": "bef74982f4109aeed714a224bc53aabcbe50354f74c6f9d5b1c6253b8b60cbad",
-    "on-device-ldp": "d57b9fd6f64336247dcc8b5902ed14b5994e481a5f4027ac8d2507d8847b6efe",
-    "on-device-none": "4b928ca1ed2b284481b9354523425e6ed1aaf1c1625ad1816dad683a65243375",
-    "relay-chain-3": "285497535530c77c6f717d729c7e40a30cc7ade0b47c8c31f88bdca425a59a2c",
-    "virtualized-ass": "1a882cf9368c56d1c8906829c450df73f2f1a929223dd9c0b8fde974c444b77a",
-    "virtualized-ass-drop": "771a888d05e69869b0e520901705e39ef455327dadda6fa33ae5d46aa97e0197",
-    "virtualized-gdp-mean": "176034700e86483deda2ce19c3df5579cc352800067ef8130506dd76265ac6ae",
-    "virtualized-gdp-sum": "c1b09809aa5837fb2e1e178f1ba77abbc8bd8c90c2f3a2617b2e0cd724e09c17",
-    "virtualized-none": "867faf194e49f87a4f73b24ece0e5e13025f6b217357a107c8e2c988a5f531b3",
+    "on-device-ass": "66661e74b2e41d27da2cb90d94f6b542dba7eb8193ecb575c511e579d061c6e6",
+    "on-device-ass-drop": "e50b3daa4f006859a5a4696f199bc38b2359d2c1db0d6a816e20975299d7b442",
+    "on-device-gdp-mean": "952c5c8c4c3bf77ddfb4490210b6801c8e3deaa4fce587bd0c32633678f167f4",
+    "on-device-gdp-sum": "a1e03bb9582e679c2dadab3103e4ed67cc9c55e8db31a6ba868c60c8402ab32b",
+    "on-device-krr": "531c1e4dc4ffe5080a61977a98a86b7cfa738a9655caed1e7513a9c623daf40c",
+    "on-device-ldp": "78c2f599a1a2c72298807b067acfcf66874999a82d729c1c3bac1aad8f597662",
+    "on-device-none": "0b710cff3b6919954baeda7d605ae8b466569bce3f6c65f524a7c48d06095ff5",
+    "relay-chain-3": "89bada7cbe56d09d1ddd2360f15c7379054a098441605e76e30369e7ec13dfba",
+    "virtualized-ass": "b3318d2e73b98cfc1ab471d2a7e09057757407b2fa23ec52bae07741fbb8a4ab",
+    "virtualized-ass-drop": "db74c485feddf9ef884ea67cd4f8b49104f69432a8ace6df5ba826a2b8f536d3",
+    "virtualized-gdp-mean": "e85c51139d489bc645458ee68ce9a54b6567c72247bbbad70aa87778bfb9d0dd",
+    "virtualized-gdp-sum": "0ea99a634540511ef1e511ff333007423d62a01f664ffdab2f175833a93be370",
+    "virtualized-none": "e1da48a013e8fa99ba4e58ea8103553fe9d006ab412681599f0357553d03d6e0",
 }
 
 #: sha256 of every flow's published payloads and audit-log lines, recorded
@@ -102,8 +103,9 @@ def flow_digest(spec: ScenarioSpec) -> str:
     for rate in FILLER_RATES:
         for out in run_scenario_outcomes(spec, filler_rate=rate):
             missing = None if out.error is None else out.error.missing
+            r = out.record
             fields = (
-                out.record,
+                (r.scenario, r.message_id, r.compute_ms, r.hop_delays_ms, r.hop_count),
                 out.result,
                 out.truth,
                 out.encoded_result,
