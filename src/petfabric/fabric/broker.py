@@ -409,16 +409,18 @@ class RunRecord:
     """Per-message latency breakdown for one measured flow.
 
     end_to_end_ms is additive by construction: compute time plus the sum of
-    the sampled hop delays along the critical path. hop_count is two hops
-    (publish + delivery) per message on the critical path, so it equals
-    len(hop_delays_ms).
+    the sampled hop delays along the critical path.
     """
 
     scenario: str
     message_id: int
     compute_ms: float
     hop_delays_ms: tuple[float, ...]
-    hop_count: int
+
+    @property
+    def hop_count(self) -> int:
+        """Two hops (publish + delivery) per message on the critical path."""
+        return len(self.hop_delays_ms)
 
     @property
     def end_to_end_ms(self) -> float:

@@ -151,7 +151,6 @@ class _Path:
             message_id=self.rep,
             compute_ms=compute,
             hop_delays_ms=tuple(self.delays),
-            hop_count=len(self.delays),
         )
 
 

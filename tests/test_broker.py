@@ -298,9 +298,7 @@ def test_latency_model_validation():
 
 
 def test_run_record_additivity():
-    rec = RunRecord(
-        scenario="x", message_id=0, compute_ms=0.3, hop_delays_ms=(1.0, 2.0), hop_count=2
-    )
+    rec = RunRecord(scenario="x", message_id=0, compute_ms=0.3, hop_delays_ms=(1.0, 2.0))
     assert rec.end_to_end_ms == 0.3 + 1.0 + 2.0
 
 
