@@ -39,7 +39,6 @@ from .codec import decode_sum, encode
 from .scenarios import (
     ConfigError,
     benchmark_suite,
-    generate_weights,
     run_scenario,
     weight_sum_experiment,
 )
@@ -176,10 +175,9 @@ def _sweep_epsilon(args, cfg):
         [p.epsilon, p.mean_abs_err, p.median_abs_err, p.std_err, p.reps] for p in report.points
     )
     # persist the seeded ground-truth dataset next to the report
-    weights = generate_weights(cfg["n"], params.x_lo, params.x_hi, seed)
     return seed, 1, {
         f"utility_{cfg['model']}.csv": (UTILITY_COLUMNS, utility),
-        "ground_truth.csv": (GROUND_TRUTH_COLUMNS, ([i, float(w)] for i, w in enumerate(weights))),
+        "ground_truth.csv": (GROUND_TRUTH_COLUMNS, enumerate(report.weights)),
     }
 
 

@@ -1,5 +1,6 @@
 """Declarative scenario engine: benchmark configs, flows, and experiments."""
 
+from ..dp import GDP_MODEL, LDP_MODEL
 from .config import (
     MIN_REPS,
     ConfigError,
@@ -9,12 +10,11 @@ from .config import (
     ScenarioSpec,
     SensorConfig,
     Topology,
+    benchmark_suite,
     load_scenario,
     scenario_from_dict,
 )
 from .experiments import (
-    GDP_MODEL,
-    LDP_MODEL,
     LatencySummary,
     LoadComparison,
     UtilityPoint,
@@ -28,7 +28,6 @@ from .runner import (
     run_scenario,
     run_scenario_outcomes,
 )
-from .suite import benchmark_suite
 
 __all__ = [
     "ConfigError",

@@ -1,5 +1,5 @@
-"""Config schemas: the typed scenario spec and the strict loader of every
-config file the CLI reads.
+"""Config schemas: the typed scenario spec, the strict loader of every
+config file the CLI reads, and the six-placement benchmark suite.
 
 Scenario configs mirror the ScenarioSpec fields one-to-one; the sweep,
 adversary, ass-demo and bench configs load into plain dicts. Loading is
@@ -10,6 +10,10 @@ validates also runs, and every validation message names the offending
 field, so a typo cannot silently change what a benchmark measures.
 Encoding parameters are stored as {k, x_lo, x_hi} only; the derived
 quantities are always recomputed.
+
+The suite's placement table (`PLACEMENTS`) lives here too, next to the
+bench loader that checks against it and `benchmark_suite`, which builds
+the six comparison scenarios from it.
 """
 
 from __future__ import annotations
@@ -35,17 +39,24 @@ PET_GDP = "gdp"
 PET_ASS = "ass"
 PET_KRR = "krr"
 
-#: Node compute times (ms) measured on the reference embedded testbed,
-#: used as defaults by the benchmark suite. The simulator treats compute
-#: as a model parameter; it never re-measures the host machine.
-REFERENCE_COMPUTE_MS = {
-    "baseline": 0.307,
-    "ldp": 0.488,
-    "gdp-on-device": 1.147,
-    "gdp-virtualized": 0.0,
-    "ass-on-device": 0.591,
-    "ass-virtualized": 17.265,
-}
+#: The one encoding every suite placement uses: weights on [50, 120] kg, k = 1.
+SUITE_ENCODING = derive_params(50.0, 120.0, 1)
+
+#: The benchmark suite's six placements, cheapest first: (name, topology,
+#: pet, sensors, compute_ms key, reference compute ms). The compute times
+#: were measured on the reference embedded testbed; the simulator treats
+#: compute as a model parameter and never re-measures the host machine.
+PLACEMENTS = (
+    ("baseline-on-device", ON_DEVICE, PET_NONE, 1, "baseline", 0.307),
+    ("ldp-on-device", ON_DEVICE, PET_LDP, 1, "ldp", 0.488),
+    ("gdp-on-device", ON_DEVICE, PET_GDP, 3, "gdp-on-device", 1.147),
+    ("gdp-virtualized", VIRTUALIZED, PET_GDP, 3, "gdp-virtualized", 0.0),
+    ("ass-on-device", ON_DEVICE, PET_ASS, 1, "ass-on-device", 0.591),
+    ("ass-virtualized", VIRTUALIZED, PET_ASS, 1, "ass-virtualized", 17.265),
+)
+
+#: compute_ms key -> reference compute ms, the suite's defaults
+REFERENCE_COMPUTE_MS = {key: ms for *_, key, ms in PLACEMENTS}
 
 #: Fewest repetitions that make per-epsilon error statistics reportable.
 MIN_REPS = 100
@@ -177,8 +188,7 @@ class ScenarioSpec:
             if pet == PET_NONE and self.sensors.count != 1:
                 raise ConfigError("sensors.count: a virtualized relay forwards one source")
         gen = self.sensors.generator
-        lo = gen.low if gen.low is not None else self.encoding.x_lo
-        hi = gen.high if gen.high is not None else self.encoding.x_hi
+        lo, hi = self.generator_range
         if not (self.encoding.x_lo <= lo <= hi <= self.encoding.x_hi):
             raise ConfigError(
                 "sensors.generator: bounds must nest inside the encoding domain"
@@ -191,6 +201,16 @@ class ScenarioSpec:
         if pet in (PET_LDP, PET_GDP):
             q = self.encoding.q
             check_noise_fits(self.sensors.count, q, q, self.pet.epsilon, "pet.epsilon")
+
+    @property
+    def generator_range(self) -> tuple[float, float]:
+        """The uniform generator's (low, high); an unset bound is the
+        encoding domain's."""
+        gen, enc = self.sensors.generator, self.encoding
+        return (
+            enc.x_lo if gen.low is None else gen.low,
+            enc.x_hi if gen.high is None else gen.high,
+        )
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
@@ -492,9 +512,11 @@ def adversary_from_dict(raw: dict) -> dict:
     sensitivity = _sensitivity(raw)
     gap_ratios = read_numbers(raw, "gap_ratios", "config")
     for i, ratio in enumerate(gap_ratios):
-        if round(ratio * sensitivity) < 1:
+        gap = ratio * sensitivity
+        if not (math.isfinite(gap) and 1 <= round(gap) < MAX_FIELD_BOUND):
             raise ConfigError(
-                f"gap_ratios[{i}]: ratio {ratio} with sensitivity {sensitivity} gives no gap"
+                f"gap_ratios[{i}]: ratio {ratio} with sensitivity {sensitivity} gives gap"
+                f" {gap}; need 1 <= round(ratio * sensitivity) < 2**62"
             )
     model = read_str(raw, "model", "config", GDP_MODEL)
     if model not in (GDP_MODEL, LDP_MODEL):
@@ -541,10 +563,8 @@ def bench_from_dict(raw: dict) -> dict:
             for k in compute
         }
     epsilon = _positive(read_number(raw, "epsilon", "config", 1.0), "epsilon")
-    from .suite import ENCODING, PLACEMENTS  # suite.py imports this module
-
-    count = max(n for _, _, pet, n, _ in PLACEMENTS if pet in (PET_LDP, PET_GDP))
-    check_noise_fits(count, ENCODING.q, ENCODING.q, epsilon, "epsilon")
+    count = max(n for _, _, pet, n, *_ in PLACEMENTS if pet in (PET_LDP, PET_GDP))
+    check_noise_fits(count, SUITE_ENCODING.q, SUITE_ENCODING.q, epsilon, "epsilon")
     return {
         "latency": latency_from_config(raw.get("latency", "testbed")),
         "repetitions": at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions"),
@@ -553,3 +573,39 @@ def bench_from_dict(raw: dict) -> dict:
         "compute_ms": compute,
         "seed": _seed(raw),
     }
+
+
+def benchmark_suite(
+    latency: Optional[LatencyModel] = None,
+    repetitions: int = 100,
+    seed: int = 0,
+    m: int = 3,
+    epsilon: float = 1.0,
+    compute_ms: Optional[dict[str, float]] = None,
+) -> list[ScenarioSpec]:
+    """Build the six comparison scenarios, cheapest placement first.
+
+    compute_ms overrides the reference compute time of the keys it names.
+    """
+    latency = latency if latency is not None else LATENCY_PRESETS["testbed"]
+    compute = compute_ms or {}
+    pets = {
+        PET_NONE: PetConfig(PET_NONE),
+        PET_LDP: PetConfig(PET_LDP, epsilon=epsilon),
+        PET_GDP: PetConfig(PET_GDP, epsilon=epsilon),
+        PET_ASS: PetConfig(PET_ASS, m=m),
+    }
+    return [
+        ScenarioSpec(
+            name=name,
+            topology=Topology(topology),
+            pet=pets[pet],
+            sensors=SensorConfig(count=sensors),
+            encoding=SUITE_ENCODING,
+            latency=latency,
+            compute_ms=compute.get(key, reference_ms),
+            repetitions=repetitions,
+            seed=seed,
+        )
+        for name, topology, pet, sensors, key, reference_ms in PLACEMENTS
+    ]

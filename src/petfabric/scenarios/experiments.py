@@ -20,8 +20,8 @@ import numpy as np
 from .. import dp
 # decode is unused here, but perfbench/tracing.py wraps experiments.decode
 from ..codec import decode, decode_sum, derive_params, encode
-from ..dp import GDP_MODEL, LDP_MODEL
-from .config import MIN_REPS, ConfigError, ScenarioSpec
+from ..dp import LDP_MODEL
+from .config import ScenarioSpec
 from .runner import run_scenario_outcomes
 
 
@@ -43,6 +43,7 @@ class UtilityReport:
     query: str
     ground_truth: float
     points: tuple[UtilityPoint, ...]
+    weights: tuple[float, ...]  # the dataset the sweep ran on
 
 
 def generate_weights(n: int, low: float, high: float, seed: int) -> np.ndarray:
@@ -62,19 +63,13 @@ def weight_sum_experiment(
 ) -> UtilityReport:
     """Privatized total-weight query against its true value, per epsilon.
 
-    The dataset is drawn once from `seed`; each epsilon then gets its own
-    derived noise stream (seed + 1 + index). Under the local model every
-    record is perturbed before summation; under the global model the exact
-    sum receives a single draw. Sensitivity defaults to the encoded width q.
+    Takes a sweep that `config.sweep_from_dict` accepted; nothing is
+    re-checked here. The dataset is drawn once from `seed`; each epsilon
+    then gets its own derived noise stream (seed + 1 + index). Under the
+    local model every record is perturbed before summation; under the
+    global model the exact sum receives a single draw. Sensitivity defaults
+    to the encoded width q.
     """
-    if n < 1:
-        raise ConfigError(f"n: need at least one record, got {n}")
-    if model not in (LDP_MODEL, GDP_MODEL):
-        raise ConfigError(f"model: expected ldp or gdp, got {model!r}")
-    if not eps_grid:
-        raise ConfigError("eps_grid: must not be empty")
-    if reps < MIN_REPS:
-        raise ConfigError(f"reps: need at least {MIN_REPS} per epsilon, got {reps}")
     low, high = domain
     params = derive_params(low, high, k)
     weights = generate_weights(n, low, high, seed)
@@ -86,8 +81,6 @@ def weight_sum_experiment(
 
     points = []
     for i, eps in enumerate(eps_grid):
-        if not eps > 0:
-            raise ConfigError(f"eps_grid[{i}]: epsilon must be positive, got {eps}")
         rng = np.random.default_rng(seed + 1 + i)
         budget = dp.PrivacyBudget(epsilon=eps, sensitivity=sens)
         errors = np.empty(reps)
@@ -107,7 +100,10 @@ def weight_sum_experiment(
             )
         )
     return UtilityReport(
-        query=f"weight-sum-{model}", ground_truth=true_sum, points=tuple(points)
+        query=f"weight-sum-{model}",
+        ground_truth=true_sum,
+        points=tuple(points),
+        weights=tuple(weights.tolist()),
     )
 
 
@@ -155,7 +151,8 @@ def load_test(
     byte for byte. Distributions are compared with a two-sample KS test.
     """
     if rate_per_s < 0:
-        raise ConfigError(f"rate: must be >= 0, got {rate_per_s}")
+        # a run skips inject_load, and so its check, for a rate <= 0
+        raise ValueError(f"rate_per_s: must be >= 0, got {rate_per_s}")
     base_out = run_scenario_outcomes(base)
     loaded_out = run_scenario_outcomes(base, filler_rate=rate_per_s, filler_window_s=filler_window_s)
     base_e2e = np.array([o.record.end_to_end_ms for o in base_out])

@@ -84,8 +84,7 @@ def _draw_values(spec: ScenarioSpec, rng: np.random.Generator) -> list[float]:
     n = spec.sensors.count
     if gen.kind == "constant":
         return [float(gen.value)] * n
-    lo = gen.low if gen.low is not None else spec.encoding.x_lo
-    hi = gen.high if gen.high is not None else spec.encoding.x_hi
+    lo, hi = spec.generator_range
     return [float(v) for v in rng.uniform(lo, hi, n)]
 
 

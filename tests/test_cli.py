@@ -247,6 +247,17 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("adversary-sim", "adversary", {**ADVERSARY, "eps_grid": [1e-320]}, "eps_grid[0]"),
         ("adversary-sim", "adversary", {**ADVERSARY, "sensitivity": 10**400}, "sensitivity"),
         ("bench-suite", "bench", {**BENCH, "epsilon": 1e-17}, "epsilon"),
+        (
+            "adversary-sim", "adversary",
+            {**ADVERSARY, "sensitivity": 10**10, "gap_ratios": [1e300]},
+            "gap_ratios[0]",
+        ),
+        ("adversary-sim", "adversary", {**ADVERSARY, "gap_ratios": [1e20]}, "gap_ratios[0]"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "n": 0}, "n"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "model": "local"}, "model"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "eps_grid": []}, "eps_grid"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "eps_grid": [0.0]}, "eps_grid[0]"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "reps": 10}, "reps"),
     ],
 )
 def test_experiment_config_rejections_name_the_field(

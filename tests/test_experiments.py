@@ -8,7 +8,6 @@ import pytest
 from petfabric.codec import decode_sum, derive_params, encode
 from petfabric.fabric import LATENCY_PRESETS, LatencyModel
 from petfabric.scenarios import (
-    ConfigError,
     PetConfig,
     ScenarioSpec,
     SensorConfig,
@@ -24,19 +23,9 @@ def test_weight_sum_report_shape():
     assert report.query == "weight-sum-ldp"
     assert [p.epsilon for p in report.points] == [0.5, 1.0]
     assert all(p.reps == 100 for p in report.points)
-
-
-def test_weight_sum_validation():
-    with pytest.raises(ConfigError, match="reps"):
-        weight_sum_experiment(50, (50, 120), 1, "ldp", [0.5], reps=10, seed=1)
-    with pytest.raises(ConfigError, match="model"):
-        weight_sum_experiment(50, (50, 120), 1, "local", [0.5], reps=100, seed=1)
-    with pytest.raises(ConfigError, match="eps_grid"):
-        weight_sum_experiment(50, (50, 120), 1, "ldp", [], reps=100, seed=1)
-    with pytest.raises(ConfigError, match="epsilon"):
-        weight_sum_experiment(50, (50, 120), 1, "ldp", [0.0], reps=100, seed=1)
-    with pytest.raises(ConfigError, match="n"):
-        weight_sum_experiment(0, (50, 120), 1, "ldp", [0.5], reps=100, seed=1)
+    # the report carries the dataset it ran on, as generate_weights draws it
+    assert report.weights == tuple(generate_weights(50, 50, 120, 1).tolist())
+    assert report.ground_truth == float(np.sum(report.weights))
 
 
 def test_ground_truth_sum_plausibility():
@@ -115,6 +104,16 @@ def test_zero_rate_reproduces_baseline_exactly():
     cmp = load_test(ldp_load_spec(reps=50), rate_per_s=0.0)
     assert cmp.ks_statistic == 0.0 and cmp.p_value == 1.0
     assert cmp.baseline == cmp.loaded
+
+
+def test_negative_load_rate_raises_before_any_repetition(monkeypatch):
+    from petfabric.scenarios import experiments
+
+    runs = []
+    monkeypatch.setattr(experiments, "run_scenario_outcomes", lambda *a, **k: runs.append(a))
+    with pytest.raises(ValueError, match="rate_per_s"):
+        load_test(ldp_load_spec(reps=2), rate_per_s=-1.0)
+    assert runs == []
 
 
 def test_load_test_constant_latency_is_trivially_neutral():
