@@ -7,7 +7,7 @@
   noise and the codec's one-sided quantization.
 * load_test: runs a scenario with and without synthetic background traffic
   through the same broker and compares the end-to-end latency distributions
-  with a two-sample KS test.
+  with a two-sample KS test and its exact p-value, computed here.
 """
 
 from __future__ import annotations
@@ -130,7 +130,14 @@ def _summarize(end_to_end: np.ndarray) -> LatencySummary:
 
 @dataclass(frozen=True)
 class LoadComparison:
-    """Paired latency comparison of one scenario with and without filler."""
+    """Paired latency comparison of one scenario with and without filler.
+
+    ks_statistic and p_value are the two-sample KS statistic and its exact
+    two-sided p-value. They equal those of SciPy's ks_2samp bit for bit
+    except where SciPy falls back to its asymptotic form: where the exact
+    recurrence rounds above 1 (p_value is then 1.0) and above 10 000
+    repetitions a side (p_value stays exact).
+    """
 
     rate_per_s: float
     baseline: LatencySummary
@@ -138,6 +145,41 @@ class LoadComparison:
     ks_statistic: float
     p_value: float
     filler_per_rep: int
+
+
+def _ks_2samp_equal(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    """Two-sample KS statistic and exact two-sided p-value, equal sizes only.
+
+    With n points a side and h the largest gap between the two counts of
+    points <= x, the statistic is h / n and the p-value is Hodges' (1958)
+    P(D >= h / n), evaluated with the float recurrence of SciPy's ks_2samp
+    exact method, in its operation order, so the two agree bit for bit
+    wherever that method succeeds. They differ in two cases:
+
+    * where the recurrence rounds above 1 (for n <= 400, 360 pairs (n, h),
+      all with h <= 5, e.g. n=7, h=1) the p-value is clipped to 1.0; SciPy
+      falls back to its asymptotic form there (0.99996 at n=7, h=1),
+      though the exact value lies within 2e-16 of 1;
+    * above 10 000 points a side SciPy switches to the asymptotic form;
+      this stays exact.
+    """
+    n = len(a)
+    if n == 0 or len(b) != n:
+        raise ValueError(f"need two non-empty samples of equal size, got {n} and {len(b)}")
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    gaps = np.searchsorted(a, pooled, side="right") - np.searchsorted(b, pooled, side="right")
+    h = int(np.abs(gaps).max())
+    if h == 0:
+        return 0.0, 1.0
+    # P(D >= h/n) = 2 * A0 * (1 - A1 * (1 - A2 * (...))), Horner-like
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        term = 1.0
+        for j in range(h):
+            term = (n - k * h - j) * term / (n + k * h + j + 1)
+        p = term * (1.0 - p)
+    return h * 1.0 / n, min(2 * p, 1.0)
 
 
 def load_test(
@@ -148,7 +190,10 @@ def load_test(
     The loaded run shares the scenario seed; the filler consumes from the
     same random stream, so its presence reshuffles (but cannot shift) the
     sampled hop delays, and a rate of zero reproduces the baseline records
-    byte for byte. Distributions are compared with a two-sample KS test.
+    byte for byte. Distributions are compared with a two-sample KS test
+    whose p-value is the exact two-sided one; it differs from
+    SciPy's ks_2samp only where that falls back to its asymptotic form
+    (see `_ks_2samp_equal`).
     """
     if rate_per_s < 0:
         # a run skips inject_load, and so its check, for a rate <= 0
@@ -160,10 +205,7 @@ def load_test(
     if np.array_equal(base_e2e, loaded_e2e):
         statistic, p_value = 0.0, 1.0
     else:
-        from scipy.stats import ks_2samp  # here, not at module level: it costs ~1 s
-
-        result = ks_2samp(base_e2e, loaded_e2e)
-        statistic, p_value = float(result.statistic), float(result.pvalue)
+        statistic, p_value = _ks_2samp_equal(base_e2e, loaded_e2e)
     return LoadComparison(
         rate_per_s=rate_per_s,
         baseline=_summarize(base_e2e),

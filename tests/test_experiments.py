@@ -1,9 +1,12 @@
 """Utility experiments: decay curves, oracle agreement, load neutrality."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from petfabric.codec import decode_sum, derive_params, encode
 from petfabric.fabric import LATENCY_PRESETS, LatencyModel
@@ -16,6 +19,7 @@ from petfabric.scenarios import (
     load_test,
     weight_sum_experiment,
 )
+from petfabric.scenarios.experiments import _ks_2samp_equal
 
 
 def test_weight_sum_report_shape():
@@ -130,3 +134,62 @@ def test_load_test_constant_latency_is_trivially_neutral():
     )
     cmp = load_test(spec, rate_per_s=400.0)
     assert cmp.p_value == 1.0  # all records identical constants
+
+
+# -- the in-house KS test ------------------------------------------------------------
+
+#: sample sizes a side, fixed up front: the small sizes reach the rounding
+#: fallback, 200 and 400 are the load tests' sizes
+KS_SIZES = (1, 2, 3, 5, 7, 16, 50, 200, 400, 1000)
+KS_SEEDS = range(20)
+
+
+def exact_ks_p(n: int, h: int) -> Fraction:
+    """P(D >= h/n) for two samples of n, from binomial coefficients:
+    2 * sum_k (-1)**(k-1) * C(2n, n - k*h) / C(2n, n)."""
+    terms = (
+        (-1) ** (k - 1) * math.comb(2 * n, n - k * h) for k in range(1, n // h + 1)
+    )
+    return 2 * Fraction(sum(terms), math.comb(2 * n, n))
+
+
+def ks_pair(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two normal samples, the second shifted by 0 to 1 sd; odd seeds are
+    rounded to one decimal, so they carry ties."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(0.0, 1.0, n), rng.normal((seed % 5) * 0.25, 1.0, n)
+    return (np.round(a, 1), np.round(b, 1)) if seed % 2 else (a, b)
+
+
+@pytest.mark.parametrize("n", KS_SIZES)
+def test_ks_matches_scipy_bit_for_bit_where_its_exact_method_succeeds(n):
+    exact_runs = 0
+    for seed in KS_SEEDS:
+        a, b = ks_pair(n, seed)
+        statistic, p_value = _ks_2samp_equal(a, b)
+        with warnings.catch_warnings():
+            # scipy warns when it leaves the exact method for the asymptotic one
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                result = ks_2samp(a, b)
+            except RuntimeWarning:
+                h = round(statistic * n)
+                assert p_value == 1.0 and abs(exact_ks_p(n, h) - 1) <= Fraction(1e-15)
+                continue
+        assert (statistic, p_value) == (float(result.statistic), float(result.pvalue))
+        exact_runs += 1
+    assert exact_runs > 0
+
+
+def test_ks_clips_to_one_where_the_recurrence_rounds_above_it():
+    # interleaved samples: the counts never differ by more than 1
+    a = np.arange(7) * 2.0
+    assert _ks_2samp_equal(a, a + 1.0) == (1 / 7, 1.0)
+    assert abs(exact_ks_p(7, 1) - 1) <= Fraction(1e-15)
+
+
+def test_ks_needs_two_samples_of_one_size():
+    with pytest.raises(ValueError, match="equal size"):
+        _ks_2samp_equal(np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="non-empty"):
+        _ks_2samp_equal(np.zeros(0), np.zeros(0))

@@ -1,6 +1,7 @@
 """Start-up cost: the CLI imports scipy.stats and the process pool only
-where they are used, so subcommands that never reach a chi-square or KS test
-or a worker pool do not pay for them.
+where they are used, so subcommands that never reach a chi-square test or a
+worker pool do not pay for them. The load test's KS test is computed in
+house, so it never imports scipy.stats at all.
 
 Each case runs in a fresh interpreter, because this test session has long
 since imported everything.
@@ -16,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
+FAN_IN_LDP = ROOT / "perfbench" / "configs" / "fan-in-ldp.json"
 
 #: validate-config --kind for every shipped config that is not a scenario
 KINDS = {
@@ -82,3 +84,19 @@ def test_subcommand_runs_without_scipy(tmp_path, subcommand, config, shrink):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["outputs"] and manifest["workers"] == 1
+
+
+def test_load_test_runs_without_scipy():
+    # at this seed the two runs differ, so the KS test itself runs
+    raw = json.loads(FAN_IN_LDP.read_text())
+    code = BLOCK_SCIPY + (
+        "import json\n"
+        "from petfabric import scenarios\n"
+        "spec = scenarios.scenario_from_dict(json.loads(sys.argv[1]))\n"
+        "comparison = scenarios.load_test(spec)\n"
+        "assert comparison.loaded.n == 2 and comparison.ks_statistic > 0, comparison\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    proc = run_python(code, json.dumps({**raw, "repetitions": 2}))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
