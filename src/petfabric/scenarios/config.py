@@ -61,6 +61,15 @@ REFERENCE_COMPUTE_MS = {key: ms for *_, key, ms in PLACEMENTS}
 #: Fewest repetitions that make per-epsilon error statistics reportable.
 MIN_REPS = 100
 
+#: Bound on a run's virtual clock, in us: half the 64-bit range of the
+#: envelope's CBOR timestamp, so the float rounding of the clock's advances
+#: cannot carry a run that fits it up to 2**64.
+MAX_CLOCK_US = 2**63
+
+#: Standard deviations of Gaussian jitter the clock bound allows each hop;
+#: one draw exceeds mean + 12 sd with probability about 1.8e-33.
+CLOCK_JITTER_SDS = 12
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
@@ -201,6 +210,8 @@ class ScenarioSpec:
         if pet in (PET_LDP, PET_GDP):
             q = self.encoding.q
             check_noise_fits(self.sensors.count, q, q, self.pet.epsilon, "pet.epsilon")
+        hops = hop_bound(self.pet.m, self.topology.depth)
+        check_clock_fits(self.repetitions, self.compute_ms, hops, self.latency, "compute_ms")
 
     @property
     def generator_range(self) -> tuple[float, float]:
@@ -273,6 +284,42 @@ def check_noise_fits(count: int, q: int, sensitivity: int, epsilon: float, field
         raise ConfigError(
             f"{field}: {count} * ({q} + 64 * {sensitivity} / {epsilon}) must be below 2**62;"
             " raise epsilon"
+        )
+
+
+def hop_bound(m: Optional[int], depth: int) -> int:
+    """At least the hops on a repetition's critical path, which the runner
+    counts as it goes: two per message, m messages for ass, and one more
+    crossing through a virtual node or depth more through a relay chain."""
+    return 2 + 2 * max(m or 1, depth)
+
+
+def check_clock_fits(
+    repetitions: int, compute_ms: float, hops: int, latency: LatencyModel, compute_field: str
+) -> None:
+    """A run's virtual clock must stay below MAX_CLOCK_US. Repetition r
+    starts at r * 10**6 us and advances by its compute time and its hops,
+    each counted at mean + CLOCK_JITTER_SDS * sd:
+    (repetitions - 1) * 10**6 + 1000 * (compute_ms + hops * (mean + 12 sd))
+    < 2**63, in exact integers. The error names the field of the largest
+    term."""
+    mean, sd = latency.per_hop_mean_ms, latency.per_hop_jitter_std_ms
+    ratios = [x.as_integer_ratio() for x in (compute_ms, mean, sd)]
+    # every denominator is a power of two, so the largest is a common one
+    den = max(d for _, d in ratios)
+    scaled_compute, scaled_mean, scaled_sd = (num * (den // d) for num, d in ratios)
+    terms = {  # in us, times den
+        "repetitions": (repetitions - 1) * 10**6 * den,
+        compute_field: 1000 * scaled_compute,
+        "latency.per_hop_mean_ms": 1000 * hops * scaled_mean,
+        "latency.jitter_std_ms": 1000 * hops * CLOCK_JITTER_SDS * scaled_sd,
+    }
+    if sum(terms.values()) >= MAX_CLOCK_US * den:
+        field = max(terms, key=terms.get)
+        raise ConfigError(
+            f"{field}: the virtual clock reaches ({repetitions} - 1) * 10**6 + 1000 * "
+            f"({compute_ms} + {hops} * ({mean} + {CLOCK_JITTER_SDS} * {sd})) us,"
+            f" which must be below 2**63; lower {field}"
         )
 
 
@@ -565,10 +612,17 @@ def bench_from_dict(raw: dict) -> dict:
     epsilon = _positive(read_number(raw, "epsilon", "config", 1.0), "epsilon")
     count = max(n for _, _, pet, n, *_ in PLACEMENTS if pet in (PET_LDP, PET_GDP))
     check_noise_fits(count, SUITE_ENCODING.q, SUITE_ENCODING.q, epsilon, "epsilon")
+    latency = latency_from_config(raw.get("latency", "testbed"))
+    repetitions = at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions")
+    m = at_least(read_int(raw, "m", "config", 3), 2, "m")
+    for _, _, pet, _, key, reference_ms in PLACEMENTS:
+        hops = hop_bound(m if pet == PET_ASS else None, 0)
+        compute_ms = (compute or {}).get(key, reference_ms)
+        check_clock_fits(repetitions, compute_ms, hops, latency, f"compute_ms.{key}")
     return {
-        "latency": latency_from_config(raw.get("latency", "testbed")),
-        "repetitions": at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions"),
-        "m": at_least(read_int(raw, "m", "config", 3), 2, "m"),
+        "latency": latency,
+        "repetitions": repetitions,
+        "m": m,
         "epsilon": epsilon,
         "compute_ms": compute,
         "seed": _seed(raw),

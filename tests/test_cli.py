@@ -258,6 +258,14 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("sweep-epsilon", "sweep", {**SWEEP, "eps_grid": []}, "eps_grid"),
         ("sweep-epsilon", "sweep", {**SWEEP, "eps_grid": [0.0]}, "eps_grid[0]"),
         ("sweep-epsilon", "sweep", {**SWEEP, "reps": 10}, "reps"),
+        ("run-scenario", "scenario", {**BASELINE, "compute_ms": 1e17}, "compute_ms"),
+        ("run-scenario", "scenario", {**BASELINE, "compute_ms": 1e306}, "compute_ms"),
+        (
+            "run-scenario", "scenario",
+            {**BASELINE, "latency": {"per_hop_mean_ms": 1e306}},
+            "latency.per_hop_mean_ms",
+        ),
+        ("bench-suite", "bench", {**BENCH, "compute_ms": {"baseline": 1e17}}, "compute_ms.baseline"),
     ],
 )
 def test_experiment_config_rejections_name_the_field(

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from petfabric.cli import main
 from petfabric.codec import derive_params
 from petfabric.fabric import LatencyModel
 from petfabric.scenarios import (
@@ -21,6 +22,7 @@ from petfabric.scenarios import (
     run_scenario_outcomes,
     scenario_from_dict,
 )
+from petfabric.scenarios.config import hop_bound
 
 PARAMS = derive_params(50, 120, 1)
 
@@ -174,6 +176,19 @@ def test_noise_bound_is_exclusive():
         scenario_from_dict(cfg)
 
 
+def test_clock_bound_is_exclusive(tmp_path):
+    # one repetition at zero hop latency: the bound reads 1000 * compute_ms < 2**63,
+    # and doubles near 9.2e15 are 2 apart
+    cfg = json.loads(json.dumps(GOOD_CONFIG))
+    cfg.update(repetitions=1, latency={"per_hop_mean_ms": 0}, compute_ms=9223372036854774.0)
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run-scenario", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    cfg["compute_ms"] = 9223372036854776.0
+    with pytest.raises(ConfigError, match="^compute_ms: the virtual clock reaches"):
+        scenario_from_dict(cfg)
+
+
 def test_relay_chain_constraints():
     with pytest.raises(ConfigError, match="unprocessed"):
         make_spec(topology=Topology("relay-chain", depth=5), pet=PetConfig("ldp", epsilon=1))
@@ -222,6 +237,7 @@ def test_hop_counts_follow_the_flow():
     ]
     for topology, pet, hops in cases:
         assert run_scenario(make_spec(topology=topology, pet=pet))[0].hop_count == hops
+        assert hops <= hop_bound(pet.m, topology.depth)  # the clock bound's count
 
 
 def test_baseline_calibration_value():
