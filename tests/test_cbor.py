@@ -110,6 +110,14 @@ def test_encode_rejects_out_of_subset(value):
         ("0000", "trailing bytes"),
         ("1c", "reserved additional info"),
         ("", "empty input"),
+        ("a1001800", "non-minimal one-byte head in a map value"),
+        ("a100190001", "non-minimal two-byte head in a map value"),
+        ("a1001b0000000000000001", "non-minimal eight-byte head in a map value"),
+        ("a100f93c00", "half-precision float in a map value"),
+        ("a100fb0000", "truncated float in a map value"),
+        ("a1001c", "reserved additional info in a map value"),
+        ("a10018", "truncated head in a map value"),
+        ("a200002000", "negative key after a valid map value"),
     ],
 )
 def test_decode_rejects_malformed_or_noncanonical(hexbytes, reason):
