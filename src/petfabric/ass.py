@@ -18,6 +18,7 @@ something to interpolate around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -100,6 +101,7 @@ class FieldParams:
             )
 
 
+@lru_cache(maxsize=256)
 def choose_modulus(n_max: int, q: int) -> FieldParams:
     """Smallest prime strictly greater than n_max * q.
 

@@ -21,9 +21,9 @@ each with its own broker, never as threads sharing one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +60,7 @@ def validate_topic(topic: str) -> None:
         raise MalformedTopicError(f"publish topic {topic!r} must not contain wildcards")
 
 
+@lru_cache(maxsize=4096)
 def validate_filter(pattern: str) -> None:
     """Check a subscription filter: wildcards only as whole levels, '#' last."""
     if not pattern:
@@ -117,30 +118,48 @@ class AclEntry:
 class AclTable:
     """Deny-by-default topic ACL: no matching entry means refusal.
 
-    Entries are kept in grant order, and also indexed by (permission,
-    client id) with their patterns split into levels, so a check looks only
-    at the client's own grants and the "*" grants.
+    Entries are kept in grant order, each once: granting a held permission
+    again changes nothing. They are also indexed by (permission, client id),
+    so a check looks only at the client's own grants and the "*" grants: a
+    pattern without wildcards in a set of exact topics, any other split
+    into levels.
     """
 
     def __init__(self, entries: Iterable[AclEntry] = ()):
         self._entries: list[AclEntry] = []
+        self._granted: set[tuple[str, str, str]] = set()
+        self._exact: dict[tuple[str, str], set[str]] = {}
         self._grants: dict[tuple[str, str], list[tuple[str, ...]]] = {}
         for entry in entries:
             self._add(entry)
 
     def _add(self, entry: AclEntry) -> None:
+        grant = (entry.permission, entry.client_id, entry.pattern)
+        if grant in self._granted:
+            return
+        self._granted.add(grant)
         self._entries.append(entry)
-        key = (entry.permission, entry.client_id)
-        self._grants.setdefault(key, []).append(tuple(entry.pattern.split("/")))
+        key, pattern = grant[:2], entry.pattern
+        if "+" in pattern or "#" in pattern:
+            self._grants.setdefault(key, []).append(tuple(pattern.split("/")))
+        else:
+            self._exact.setdefault(key, set()).add(pattern)
 
     def allow(self, client_id: str, pattern: str, permission: str) -> None:
-        self._add(AclEntry(client_id, pattern, permission))
+        if (permission, client_id, pattern) not in self._granted:
+            self._add(AclEntry(client_id, pattern, permission))
 
     def _permits(self, permission: str, client_id: str, topic: str) -> bool:
-        tlevels = topic.split("/")
-        grants = self._grants
-        for key in ((permission, client_id), (permission, "*")):
+        keys = ((permission, client_id), (permission, "*"))
+        exact, grants = self._exact, self._grants
+        for key in keys:
+            if topic in exact.get(key, ()):
+                return True
+        tlevels = None
+        for key in keys:
             for plevels in grants.get(key, ()):
+                if tlevels is None:
+                    tlevels = topic.split("/")
                 if _levels_match(plevels, tlevels):
                     return True
         return False
@@ -193,7 +212,8 @@ class LatencyModel:
         if self.distribution == CONSTANT:
             return self.per_hop_mean_ms
         # negative draws are clamped: a hop cannot complete before it starts
-        return max(0.0, rng.normal(self.per_hop_mean_ms, self.per_hop_jitter_std_ms))
+        v = rng.normal(self.per_hop_mean_ms, self.per_hop_jitter_std_ms)
+        return v if v > 0.0 else 0.0
 
 
 #: Named per-hop profiles. "default" is calibrated so a 12-hop relay chain
@@ -233,23 +253,31 @@ class AuditRecord:
         return f"{self.event}\t{self.client_id}\t{self.topic}\t{self.timestamp_us}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Delivery:
-    """One envelope handed to one subscriber, with its two-leg path cost."""
+    """One envelope handed to one subscriber, with its two-leg path cost.
+
+    A plain dataclass that decodes its payload once, on first access: a
+    frozen one pays object.__setattr__ per field and a cached_property
+    takes a lock, on every delivery.
+    """
 
     topic: str
     payload: bytes
     subscriber: str
     publish_delay_ms: float
     delivery_delay_ms: float
+    _envelope: Optional[Envelope] = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def envelope(self) -> Envelope:
-        return cbor_decode(self.payload, topic=self.topic)
+        """The payload decoded, once."""
+        if self._envelope is None:
+            self._envelope = cbor_decode(self.payload, topic=self.topic)
+        return self._envelope
 
 
-@dataclass(frozen=True)
-class PublishReceipt:
+class PublishReceipt(NamedTuple):
     topic: str
     publish_delay_ms: float
     deliveries: tuple[Delivery, ...]
@@ -295,6 +323,8 @@ class Broker:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._clients: set[str] = set()
         self._subscriptions: list[Subscription] = []
+        # topic -> its matching subscriptions in subscribe order; subscribe clears it
+        self._routes: dict[str, tuple[Subscription, ...]] = {}
         # (event, client_id, topic, timestamp_us); audit_log builds the records
         self._audit: list[tuple[str, str, str, int]] = []
 
@@ -332,6 +362,7 @@ class Broker:
             raise AclDeniedError(f"{client_id!r} may not subscribe to {pattern!r}")
         sub = Subscription(client_id, pattern)
         self._subscriptions.append(sub)
+        self._routes.clear()
         self._record("subscribe", client_id, pattern)
         return sub
 
@@ -340,33 +371,37 @@ class Broker:
         delay per matched subscriber."""
         topic = env.topic
         self._require_client(client_id)
-        validate_topic(topic)
-        if not self.acl.permits_publish(client_id, topic):
+        routes = self._routes
+        route = routes.get(topic)
+        if route is None:
+            validate_topic(topic)  # a routed topic was validated before
+        acl, audit, now = self.acl, self._audit, self.clock.now_us
+        if not acl.permits_publish(client_id, topic):
             self._record("publish-denied", client_id, topic)
             raise AclDeniedError(f"{client_id!r} may not publish to {topic!r}")
+        if route is None:
+            tlevels = topic.split("/")
+            route = routes[topic] = tuple(
+                sub for sub in self._subscriptions if _levels_match(sub.levels, tlevels)
+            )
         payload = cbor_encode(env)
-        publish_delay = self.latency.sample_hop_ms(self._rng)
-        self._record("publish", client_id, topic)
-        tlevels = topic.split("/")
+        latency, rng = self.latency, self._rng
+        publish_delay = latency.sample_hop_ms(rng)
+        audit.append(("publish", client_id, topic, now))
         deliveries = []
-        for sub in self._subscriptions:
-            if not _levels_match(sub.levels, tlevels):
-                continue
-            if not self.acl.permits_subscribe_topic(sub.client_id, topic):
+        for sub in route:
+            subscriber = sub.client_id
+            if not acl.permits_subscribe_topic(subscriber, topic):
                 # filter was granted but this concrete topic is not:
                 # never deliver what the ACL does not cover
-                self._record("deliver-denied", sub.client_id, topic)
+                audit.append(("deliver-denied", subscriber, topic, now))
                 continue
             delivery = Delivery(
-                topic=topic,
-                payload=payload,
-                subscriber=sub.client_id,
-                publish_delay_ms=publish_delay,
-                delivery_delay_ms=self.latency.sample_hop_ms(self._rng),
+                topic, payload, subscriber, publish_delay, latency.sample_hop_ms(rng)
             )
             sub.messages.append(delivery)
             deliveries.append(delivery)
-            self._record("deliver", sub.client_id, topic)
+            audit.append(("deliver", subscriber, topic, now))
         return PublishReceipt(topic, publish_delay, tuple(deliveries))
 
     # -- background traffic ----------------------------------------------------

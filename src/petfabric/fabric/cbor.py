@@ -94,7 +94,23 @@ def _encode_into(buf: bytearray, value) -> None:
                 buf.append(key)
             else:
                 _append_head(buf, _MAJOR_UINT, key)
-            _encode_into(buf, value[key])
+            # scalar values inline, without a recursive call per item
+            item = value[key]
+            kind = type(item)
+            if kind is int:
+                if 0 <= item < 24:
+                    buf.append(item)
+                elif item >= 0:
+                    _append_head(buf, _MAJOR_UINT, item)
+                else:
+                    _append_head(buf, _MAJOR_NEGINT, -1 - item)
+            elif kind is float:
+                buf += _PACK_FLOAT64(_FLOAT64_HEAD, item)
+            elif kind is str and len(item) < 24 and item.isascii():
+                buf.append(_MAJOR_TEXT << 5 | len(item))
+                buf += item.encode("ascii")
+            else:
+                _encode_into(buf, item)
     elif isinstance(value, bool):
         raise CborEncodeError("booleans are not part of the wire subset")
     else:
@@ -169,6 +185,32 @@ def _decode_item(data: bytes, i: int, end: int):
                     "map keys must be strictly ascending (canonical form)"
                 )
             prev = key
+            # well-formed scalar values inline; any other item, and every
+            # malformed one, takes the general path, which raises
+            head = data[j] if j < end else 0xFF
+            info = head & 0x1F
+            if head < 0x40 and info < 24:  # an unsigned or negative integer
+                out[key] = info if head < 0x20 else -1 - info
+                j += 1
+                continue
+            if head < 0x40 and info < 28:
+                unpack, width, minimum = _HEAD_FORMS[info]
+                if j + 1 + width <= end:
+                    (arg,) = unpack(data, j + 1)
+                    if arg >= minimum:
+                        out[key] = arg if head < 0x20 else -1 - arg
+                        j += 1 + width
+                        continue
+            elif head == _FLOAT64_HEAD and j + 9 <= end:
+                out[key] = _UNPACK_FLOAT64(data, j + 1)[0]
+                j += 9
+                continue
+            elif _MAJOR_TEXT << 5 <= head < (_MAJOR_TEXT << 5) + 24 and j + 1 + info <= end:
+                text = data[j + 1 : j + 1 + info]
+                if text.isascii():
+                    out[key] = text.decode("ascii")
+                    j += 1 + info
+                    continue
             out[key], j = _decode_item(data, j, end)
         return out, j
     raise CborDecodeError(f"unsupported major type {major}")

@@ -58,7 +58,7 @@ class EnvelopeError(ValueError):
 
 def _require_uint(payload: dict, key: int, name: str) -> int:
     v = payload[key]
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+    if type(v) is not int or v < 0:  # cbor.decode makes no int subclass
         raise EnvelopeError(f"key {key} ({name}) must be an unsigned integer, got {v!r}")
     return v
 
@@ -145,7 +145,7 @@ def cbor_decode(data: bytes, topic: str = "") -> Envelope:
     if scheme is None:
         raise EnvelopeError(f"unknown scheme tag {scheme_tag}")
     value = payload[_KEY_VALUE]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise EnvelopeError(f"key 3 (value) must be an integer, got {value!r}")
     timestamp_us = _require_uint(payload, _KEY_TIMESTAMP, "timestamp")
 
@@ -160,14 +160,7 @@ def cbor_decode(data: bytes, topic: str = "") -> Envelope:
 
     try:
         return Envelope(
-            topic=topic,
-            sensor_id=sensor_id,
-            sequence=sequence,
-            scheme=scheme,
-            value=value,
-            share_index=share_index,
-            epsilon=epsilon,
-            timestamp_us=timestamp_us,
+            topic, sensor_id, sequence, scheme, value, share_index, epsilon, timestamp_us
         )
     except EnvelopeError as exc:
         raise EnvelopeError(f"inconsistent payload: {exc}") from None

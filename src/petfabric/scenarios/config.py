@@ -61,6 +61,10 @@ REFERENCE_COMPUTE_MS = {key: ms for *_, key, ms in PLACEMENTS}
 #: Fewest repetitions that make per-epsilon error statistics reportable.
 MIN_REPS = 100
 
+#: Most shares a secret may be split into (`pet.m`, and `m` of `ass-demo`
+#: and `bench-suite`); each split holds m shares per sensor.
+MAX_SHARES = 1024
+
 #: Bound on a run's virtual clock, in us: half the 64-bit range of the
 #: envelope's CBOR timestamp, so the float rounding of the clock's advances
 #: cannot carry a run that fits it up to 2**64.
@@ -119,6 +123,7 @@ class PetConfig:
                 raise ConfigError(
                     "pet.m: additive sharing needs at least 2 channels (m >= 2)"
                 )
+            check_shares(self.m, "pet.m")
         else:
             if self.m is not None:
                 raise ConfigError("pet.m: only valid for ass")
@@ -321,6 +326,13 @@ def check_clock_fits(
             f"({compute_ms} + {hops} * ({mean} + {CLOCK_JITTER_SDS} * {sd})) us,"
             f" which must be below 2**63; lower {field}"
         )
+
+
+def check_shares(m: int, field: str) -> int:
+    """`m`, unless it is above MAX_SHARES."""
+    if m > MAX_SHARES:
+        raise ConfigError(f"{field}: at most {MAX_SHARES} shares per secret, got {m}")
+    return m
 
 
 def at_least(value, low, field: str):
@@ -586,7 +598,7 @@ def ass_demo_from_dict(raw: dict) -> dict:
     """The `ass-demo` config: split/reconstruct round trips."""
     check_keys(raw, {"n", "m", "encoding", "repetitions", "drop_one_share", "seed"}, "config")
     n = at_least(read_int(raw, "n", "config"), 1, "n")
-    m = at_least(read_int(raw, "m", "config"), 2, "m")
+    m = check_shares(at_least(read_int(raw, "m", "config"), 2, "m"), "m")
     params = encoding_from_dict(require_key(raw, "encoding", "config"))
     check_sum_fits(n, params, "n")
     return {
@@ -614,7 +626,7 @@ def bench_from_dict(raw: dict) -> dict:
     check_noise_fits(count, SUITE_ENCODING.q, SUITE_ENCODING.q, epsilon, "epsilon")
     latency = latency_from_config(raw.get("latency", "testbed"))
     repetitions = at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions")
-    m = at_least(read_int(raw, "m", "config", 3), 2, "m")
+    m = check_shares(at_least(read_int(raw, "m", "config", 3), 2, "m"), "m")
     for _, _, pet, _, key, reference_ms in PLACEMENTS:
         hops = hop_bound(m if pet == PET_ASS else None, 0)
         compute_ms = (compute or {}).get(key, reference_ms)

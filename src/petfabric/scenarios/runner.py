@@ -3,7 +3,8 @@
 Each repetition is fully independent: it gets its own broker, clients and
 seeded generator (seed = master_seed + repetition index), so repetitions can
 be sharded across workers and merged by index without changing a single
-sampled value. Within a repetition the draw order is fixed: background
+sampled value. The repetitions of a run share one ACL table, since each
+makes the same grants. Within a repetition the draw order is fixed: background
 filler first (when configured), then sensor data, then loss injection, then
 per-sensor privacy randomness and transport legs in (sensor, channel) order.
 
@@ -98,10 +99,10 @@ def _leg(receipt: PublishReceipt, subscriber: str) -> tuple[float, float]:
 class _Path:
     """One repetition's broker and the critical path its messages take."""
 
-    def __init__(self, spec: ScenarioSpec, rep: int, rng: np.random.Generator):
+    def __init__(self, spec: ScenarioSpec, rep: int, rng: np.random.Generator, acl: AclTable):
         # 1 s of virtual time per repetition keeps audit timestamps distinct
         self.clock = VirtualClock(start_us=rep * 1_000_000)
-        self.broker = Broker(acl=AclTable(), latency=spec.latency, rng=rng, clock=self.clock)
+        self.broker = Broker(acl=acl, latency=spec.latency, rng=rng, clock=self.clock)
         self.rep = rep
         self.delays: list[float] = []
 
@@ -130,12 +131,12 @@ class _Path:
         """
         sent: list[Envelope] = []
         per_sender = []
+        publish, rep, now = self.broker.publish, self.rep, self.clock.now_us
         for sender, messages in batches:
             legs = []
             for fields in messages:
-                stamp = {"sequence": self.rep, "timestamp_us": self.clock.now_us}
-                env = Envelope(**{**stamp, **fields})
-                legs.append(_leg(self.broker.publish(sender, env), receiver))
+                env = Envelope(**{"sequence": rep, "timestamp_us": now, **fields})
+                legs.append(_leg(publish(sender, env), receiver))
                 sent.append(env)
             per_sender.append(legs)
         legs = max(per_sender, key=lambda legs: sum(map(sum, legs)))
@@ -159,8 +160,9 @@ def _run_once(
     rng: np.random.Generator,
     filler_rate: float,
     filler_window_s: float,
+    acl: AclTable,
 ) -> RepOutcome:
-    path = _Path(spec, rep, rng)
+    path = _Path(spec, rep, rng, acl)
     if filler_rate > 0:
         path.broker.inject_load(filler_rate, filler_window_s)
     values = _draw_values(spec, rng)
@@ -330,9 +332,12 @@ def _outcomes_for_range(
     filler_window_s: float,
 ) -> list[RepOutcome]:
     out = []
+    # every repetition grants the same permissions, so one table serves all:
+    # the first repetition fills it, and the later ones find each grant held
+    acl = AclTable()
     for rep in range(start, stop):
         rng = np.random.default_rng(spec.seed + rep)
-        out.append(_run_once(spec, rep, rng, filler_rate, filler_window_s))
+        out.append(_run_once(spec, rep, rng, filler_rate, filler_window_s, acl))
     return out
 
 

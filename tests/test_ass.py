@@ -40,6 +40,16 @@ def test_choose_modulus_bounds():
         ass.choose_modulus(1 << 32, 1 << 31)
 
 
+def test_choose_modulus_is_memoized_but_never_caches_a_refusal():
+    first = ass.choose_modulus(500, 170)
+    assert ass.choose_modulus(500, 170) == first == ass.FieldParams(85009, 500, 170)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            ass.choose_modulus(0, 170)
+        with pytest.raises(OverflowError):
+            ass.choose_modulus(ass.MAX_FIELD_BOUND // 170 + 1, 170)
+
+
 def test_field_params_validation():
     with pytest.raises(ValueError, match="not prime"):
         ass.FieldParams(modulus=100, n_max=1, width=10)

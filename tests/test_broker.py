@@ -1,5 +1,7 @@
 """Broker behavior: matching, ACL soundness, latency accounting, load."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -113,12 +115,16 @@ ACL_GRANTS = [
     ("c1", "galley/oven", SUBSCRIBE),
     ("*", "relay/leg0", SUBSCRIBE),
     ("c3", "a/+/#", SUBSCRIBE),
+    ("c1", "a//b", PUBLISH),
+    ("c4", "a/b/", SUBSCRIBE),
+    ("*", "/a", SUBSCRIBE),
 ]
 ACL_CLIENTS = ["c1", "c2", "c3", "c4", "*"]
 ACL_TOPICS = [
     "cabin", "cabin/", "cabin/sim/s1/value", "cabin/sim/s2/value", "cabin/seat/weight",
     "cabin/seat/12A/weight", "bench/filler", "bench/filler/0", "galley/oven", "galley/oven/x",
     "relay/leg0", "relay/leg1", "a", "a/b", "a/b/c", "x/y",
+    "a//b", "a//b/", "a/b/", "/a", "/a/", "galley/oven/",
 ]
 # requested filters, checked literally by permits_subscribe_filter
 ACL_FILTERS = ["#", "cabin/#", "cabin/+/weight", "cabin/+", "+/+", "a/+/#", "relay/+"]
@@ -167,6 +173,18 @@ def test_indexed_acl_agrees_with_a_linear_scan(built):
                     assert method(client, topic) is expected, (method.__name__, client, topic)
 
 
+def test_a_repeated_grant_is_held_once():
+    acl = AclTable([AclEntry("c", "a/+", SUBSCRIBE)])
+    acl.allow("c", "a/+", SUBSCRIBE)
+    acl.allow("c", "a/b", PUBLISH)
+    acl.allow("c", "a/b", PUBLISH)
+    assert acl._entries == [AclEntry("c", "a/+", SUBSCRIBE), AclEntry("c", "a/b", PUBLISH)]
+    for _ in range(2):  # a refused grant is refused again
+        with pytest.raises(MalformedTopicError):
+            acl.allow("c", "a/#/b", SUBSCRIBE)
+    assert len(acl._entries) == 2
+
+
 def test_unknown_client():
     broker = Broker(acl=open_acl())
     with pytest.raises(UnknownClientError):
@@ -189,6 +207,31 @@ def test_delivery_rechecks_acl_per_topic():
     assert receipt.deliveries == ()
     assert sub.messages == []
     assert "deliver-denied" in [r.event for r in broker.audit_log]
+
+
+def test_route_table_follows_subscribe_and_rechecks_the_acl_per_publish():
+    acl = AclTable()
+    acl.allow("p", "cabin/#", PUBLISH)
+    acl.allow("c1", "cabin/#", SUBSCRIBE)
+    acl.allow("c2", "cabin/a/#", SUBSCRIBE)
+    # covers the filter 'cabin/#' taken literally, but not the topic 'cabin/a/b'
+    acl.allow("c3", "cabin/+", SUBSCRIBE)
+    broker = Broker(acl=acl, latency=LatencyModel(1.0))
+    for c in ("p", "c1", "c2", "c3"):
+        broker.register_client(c)
+    broker.subscribe("c3", "cabin/#")
+    c1 = broker.subscribe("c1", "cabin/#")
+    receipts = [broker.publish("p", env_for("cabin/a/b", seq=0))]
+    c2 = broker.subscribe("c2", "cabin/a/+")
+    receipts += [broker.publish("p", env_for("cabin/a/b", seq=seq)) for seq in (1, 2)]
+    assert [[d.subscriber for d in r.deliveries] for r in receipts] == [
+        ["c1"], ["c1", "c2"], ["c1", "c2"]
+    ]
+    assert [d.envelope.sequence for d in c1.messages] == [0, 1, 2]
+    assert [d.envelope.sequence for d in c2.messages] == [1, 2]
+    events = [(r.event, r.client_id) for r in broker.audit_log if r.event != "subscribe"]
+    once = [("publish", "p"), ("deliver-denied", "c3"), ("deliver", "c1")]
+    assert events == once + 2 * (once + [("deliver", "c2")])
 
 
 def test_audit_soundness_every_delivery_was_permitted():
@@ -282,6 +325,15 @@ def test_gaussian_hops_never_negative():
     rng = np.random.default_rng(11)
     draws = [model.sample_hop_ms(rng) for _ in range(2000)]
     assert min(draws) >= 0.0
+
+
+def test_hop_clamp_returns_what_max_returns():
+    model = LatencyModel(0.0, 1.0, "gaussian")
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(10_000):
+        got, want = model.sample_hop_ms(rng), max(0.0, twin.normal(0.0, 1.0))
+        assert type(got) is type(want)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 def test_latency_model_validation():

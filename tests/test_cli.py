@@ -266,6 +266,10 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
             "latency.per_hop_mean_ms",
         ),
         ("bench-suite", "bench", {**BENCH, "compute_ms": {"baseline": 1e17}}, "compute_ms.baseline"),
+        ("ass-demo", "ass-demo", {**ASS_DEMO, "n": 10, "repetitions": 3, "m": 2**62}, "m"),
+        ("ass-demo", "ass-demo", {**ASS_DEMO, "m": 1025}, "m"),
+        ("bench-suite", "bench", {**BENCH, "m": 2**62}, "m"),
+        ("run-scenario", "scenario", {**BASELINE, "pet": {"kind": "ass", "m": 1025}}, "pet.m"),
     ],
 )
 def test_experiment_config_rejections_name_the_field(

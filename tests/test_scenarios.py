@@ -22,7 +22,7 @@ from petfabric.scenarios import (
     run_scenario_outcomes,
     scenario_from_dict,
 )
-from petfabric.scenarios.config import hop_bound
+from petfabric.scenarios.config import MAX_SHARES, ass_demo_from_dict, hop_bound
 
 PARAMS = derive_params(50, 120, 1)
 
@@ -146,6 +146,8 @@ def test_load_scenario_from_file(tmp_path):
             lambda c: (c["pet"].update(kind="gdp", epsilon=1e-320), c["sensors"].update(count=3)),
             "^pet.epsilon: 3 \\* ",
         ),
+        (lambda c: c["pet"].update(kind="ass", m=2**62), "^pet.m: at most 1024 shares"),
+        (lambda c: c["pet"].update(kind="ass", m=1025), "^pet.m: at most 1024 shares"),
     ],
 )
 def test_config_rejections_name_the_field(mutate, message):
@@ -153,6 +155,17 @@ def test_config_rejections_name_the_field(mutate, message):
     mutate(cfg)
     with pytest.raises(ConfigError, match=message):
         scenario_from_dict(cfg)
+
+
+def test_share_cap_is_inclusive():
+    # checked at load only: a run at the cap would split every reading 1024 ways
+    cfg = json.loads(json.dumps(GOOD_CONFIG))
+    cfg["pet"] = {"kind": "ass", "m": MAX_SHARES}
+    assert scenario_from_dict(cfg).pet.m == MAX_SHARES == 1024
+    demo = {"n": 10, "m": MAX_SHARES, "encoding": {"k": 1, "x_lo": 50, "x_hi": 120}}
+    assert ass_demo_from_dict(demo)["m"] == MAX_SHARES
+    with pytest.raises(ConfigError, match="^m: at most 1024 shares"):
+        ass_demo_from_dict({**demo, "m": MAX_SHARES + 1})
 
 
 def test_encoded_sum_bound_is_exclusive():
