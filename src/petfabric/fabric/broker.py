@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -76,8 +76,9 @@ def validate_filter(pattern: str) -> None:
             raise MalformedTopicError(f"wildcard must occupy a whole level in {pattern!r}")
 
 
-def _levels_match(plevels: Sequence[str], tlevels: Sequence[str]) -> bool:
-    """MQTT matching of a split filter against a split topic."""
+def topic_matches(pattern: str, topic: str) -> bool:
+    """MQTT matching; '#' also matches the parent level itself."""
+    plevels, tlevels = pattern.split("/"), topic.split("/")
     for i, level in enumerate(plevels):
         if level == "#":
             return True
@@ -90,9 +91,9 @@ def _levels_match(plevels: Sequence[str], tlevels: Sequence[str]) -> bool:
     return len(tlevels) == len(plevels)
 
 
-def topic_matches(pattern: str, topic: str) -> bool:
-    """MQTT matching; '#' also matches the parent level itself."""
-    return _levels_match(pattern.split("/"), topic.split("/"))
+#: topic_matches for the broker and the ACL table, memoized: every
+#: repetition of a run matches the same (filter, topic) pairs
+_matches = lru_cache(maxsize=4096)(topic_matches)
 
 
 # --------------------------------------------------------------------------
@@ -121,15 +122,14 @@ class AclTable:
     Entries are kept in grant order, each once: granting a held permission
     again changes nothing. They are also indexed by (permission, client id),
     so a check looks only at the client's own grants and the "*" grants: a
-    pattern without wildcards in a set of exact topics, any other split
-    into levels.
+    pattern without wildcards in a set of exact topics, any other in a list.
     """
 
     def __init__(self, entries: Iterable[AclEntry] = ()):
         self._entries: list[AclEntry] = []
         self._granted: set[tuple[str, str, str]] = set()
         self._exact: dict[tuple[str, str], set[str]] = {}
-        self._grants: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+        self._grants: dict[tuple[str, str], list[str]] = {}
         for entry in entries:
             self._add(entry)
 
@@ -141,7 +141,7 @@ class AclTable:
         self._entries.append(entry)
         key, pattern = grant[:2], entry.pattern
         if "+" in pattern or "#" in pattern:
-            self._grants.setdefault(key, []).append(tuple(pattern.split("/")))
+            self._grants.setdefault(key, []).append(pattern)
         else:
             self._exact.setdefault(key, set()).add(pattern)
 
@@ -155,12 +155,9 @@ class AclTable:
         for key in keys:
             if topic in exact.get(key, ()):
                 return True
-        tlevels = None
         for key in keys:
-            for plevels in grants.get(key, ()):
-                if tlevels is None:
-                    tlevels = topic.split("/")
-                if _levels_match(plevels, tlevels):
+            for pattern in grants.get(key, ()):
+                if _matches(pattern, topic):
                     return True
         return False
 
@@ -289,7 +286,6 @@ class Subscription:
     def __init__(self, client_id: str, pattern: str):
         self.client_id = client_id
         self.pattern = pattern
-        self.levels = tuple(pattern.split("/"))
         self.messages: list[Delivery] = []
 
     def pop_all(self) -> list[Delivery]:
@@ -380,9 +376,8 @@ class Broker:
             self._record("publish-denied", client_id, topic)
             raise AclDeniedError(f"{client_id!r} may not publish to {topic!r}")
         if route is None:
-            tlevels = topic.split("/")
             route = routes[topic] = tuple(
-                sub for sub in self._subscriptions if _levels_match(sub.levels, tlevels)
+                [sub for sub in self._subscriptions if _matches(sub.pattern, topic)]
             )
         payload = cbor_encode(env)
         latency, rng = self.latency, self._rng

@@ -6,7 +6,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from petfabric.fabric.cbor import CborDecodeError, CborEncodeError, decode, encode
+from petfabric.fabric.cbor import CborDecodeError, CborEncodeError, _decode_item, decode, encode
 
 # reference byte strings from the CBOR specification's integer/string tables
 VECTORS = [
@@ -140,3 +140,25 @@ def test_map_round_trip_property(payload):
 @given(scalars)
 def test_scalar_round_trip_property(value):
     assert decode(encode(value)) == value
+
+
+# the map decoder parses scalar values inline; it must accept and refuse
+# exactly what the general item parser does
+# heads with an argument, followed by bytes that are often small (non-minimal)
+heads = st.sampled_from([0x18, 0x19, 0x1A, 0x1B, 0x1C, 0x38, 0x3B, 0x63, 0xF9, 0xFB])
+tails = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 255)), max_size=9).map(bytes)
+raw_items = st.builds(lambda head, tail: bytes([head]) + tail, heads | st.integers(0, 255), tails)
+
+
+@given(st.one_of(raw_items, scalars.map(encode)))
+def test_map_values_decode_like_top_level_items(item):
+    # parse a prefix, so that trailing bytes cannot hide a difference
+    framed = b"\xa1\x00" + item
+    try:
+        _, end = _decode_item(item, 0, len(item))
+    except CborDecodeError:
+        with pytest.raises(CborDecodeError):
+            _decode_item(framed, 0, len(framed))
+    else:
+        value, stop = _decode_item(framed, 0, len(framed))
+        assert stop == end + 2 and encode(value) == framed[:stop]
