@@ -205,7 +205,7 @@ def _decode_item(data: bytes, i: int, end: int):
                 out[key] = _UNPACK_FLOAT64(data, j + 1)[0]
                 j += 9
                 continue
-            elif _MAJOR_TEXT << 5 <= head < (_MAJOR_TEXT << 5) + 24 and j + 1 + info <= end:
+            elif 0x60 <= head < 0x78 and j + 1 + info <= end:  # text below 24 bytes
                 text = data[j + 1 : j + 1 + info]
                 if text.isascii():
                     out[key] = text.decode("ascii")
