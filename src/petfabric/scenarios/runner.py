@@ -4,9 +4,10 @@ Each repetition is fully independent: it gets its own broker, clients and
 seeded generator (seed = master_seed + repetition index), so repetitions can
 be sharded across workers and merged by index without changing a single
 sampled value. The repetitions of a run share one ACL table, since each
-makes the same grants. Within a repetition the draw order is fixed: background
-filler first (when configured), then sensor data, then loss injection, then
-per-sensor privacy randomness and transport legs in (sensor, channel) order.
+makes the same grants. Within a repetition the draw order is fixed:
+background filler first (when configured), then sensor data, then loss
+injection, then per-sensor privacy randomness and transport legs in
+(sensor, channel) order.
 
 Each flow is written once, as the messages it sends. A repetition's _Path
 links senders to a receiver -- each sender may publish only its own topic,
