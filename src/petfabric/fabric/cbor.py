@@ -94,7 +94,7 @@ def _encode_into(buf: bytearray, value) -> None:
                 buf.append(key)
             else:
                 _append_head(buf, _MAJOR_UINT, key)
-            # int and float values inline, without a recursive call each
+            # scalar values inline, without a recursive call per item
             item = value[key]
             kind = type(item)
             if kind is int:
@@ -106,6 +106,9 @@ def _encode_into(buf: bytearray, value) -> None:
                     _append_head(buf, _MAJOR_NEGINT, -1 - item)
             elif kind is float:
                 buf += _PACK_FLOAT64(_FLOAT64_HEAD, item)
+            elif kind is str and len(item) < 24 and item.isascii():
+                buf.append(_MAJOR_TEXT << 5 | len(item))
+                buf += item.encode("ascii")
             else:
                 _encode_into(buf, item)
     elif isinstance(value, bool):
