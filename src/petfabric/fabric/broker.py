@@ -119,35 +119,29 @@ class AclEntry:
 class AclTable:
     """Deny-by-default topic ACL: no matching entry means refusal.
 
-    Entries are kept in grant order, each once: granting a held permission
-    again changes nothing. They are also indexed by (permission, client id),
-    so a check looks only at the client's own grants and the "*" grants: a
-    pattern without wildcards in a set of exact topics, any other in a list.
+    Entries are kept in grant order, and also indexed by (permission,
+    client id), so a check looks only at the client's own grants and the "*"
+    grants: a pattern without wildcards in a set of exact topics, any other
+    in a list.
     """
 
     def __init__(self, entries: Iterable[AclEntry] = ()):
         self._entries: list[AclEntry] = []
-        self._granted: set[tuple[str, str, str]] = set()
         self._exact: dict[tuple[str, str], set[str]] = {}
         self._grants: dict[tuple[str, str], list[str]] = {}
         for entry in entries:
             self._add(entry)
 
     def _add(self, entry: AclEntry) -> None:
-        grant = (entry.permission, entry.client_id, entry.pattern)
-        if grant in self._granted:
-            return
-        self._granted.add(grant)
         self._entries.append(entry)
-        key, pattern = grant[:2], entry.pattern
+        key, pattern = (entry.permission, entry.client_id), entry.pattern
         if "+" in pattern or "#" in pattern:
             self._grants.setdefault(key, []).append(pattern)
         else:
             self._exact.setdefault(key, set()).add(pattern)
 
     def allow(self, client_id: str, pattern: str, permission: str) -> None:
-        if (permission, client_id, pattern) not in self._granted:
-            self._add(AclEntry(client_id, pattern, permission))
+        self._add(AclEntry(client_id, pattern, permission))
 
     def _permits(self, permission: str, client_id: str, topic: str) -> bool:
         keys = ((permission, client_id), (permission, "*"))
@@ -250,13 +244,15 @@ class AuditRecord:
         return f"{self.event}\t{self.client_id}\t{self.topic}\t{self.timestamp_us}"
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class Delivery:
     """One envelope handed to one subscriber, with its two-leg path cost.
 
     A plain dataclass that decodes its payload once, on first access: a
     frozen one pays object.__setattr__ per field and a cached_property
-    takes a lock, on every delivery.
+    takes a lock, on every delivery. It hashes and compares by its five
+    fields, as a frozen one would; do not reassign them, since `envelope`
+    keeps what it decoded first.
     """
 
     topic: str

@@ -106,9 +106,6 @@ def _encode_into(buf: bytearray, value) -> None:
                     _append_head(buf, _MAJOR_NEGINT, -1 - item)
             elif kind is float:
                 buf += _PACK_FLOAT64(_FLOAT64_HEAD, item)
-            elif kind is str and len(item) < 24 and item.isascii():
-                buf.append(_MAJOR_TEXT << 5 | len(item))
-                buf += item.encode("ascii")
             else:
                 _encode_into(buf, item)
     elif isinstance(value, bool):
@@ -205,12 +202,6 @@ def _decode_item(data: bytes, i: int, end: int):
                 out[key] = _UNPACK_FLOAT64(data, j + 1)[0]
                 j += 9
                 continue
-            elif 0x60 <= head < 0x78 and j + 1 + info <= end:  # text below 24 bytes
-                text = data[j + 1 : j + 1 + info]
-                if text.isascii():
-                    out[key] = text.decode("ascii")
-                    j += 1 + info
-                    continue
             out[key], j = _decode_item(data, j, end)
         return out, j
     raise CborDecodeError(f"unsupported major type {major}")

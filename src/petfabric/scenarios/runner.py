@@ -3,11 +3,9 @@
 Each repetition is fully independent: it gets its own broker, clients and
 seeded generator (seed = master_seed + repetition index), so repetitions can
 be sharded across workers and merged by index without changing a single
-sampled value. The repetitions of a run share one ACL table, since each
-makes the same grants. Within a repetition the draw order is fixed:
-background filler first (when configured), then sensor data, then loss
-injection, then per-sensor privacy randomness and transport legs in
-(sensor, channel) order.
+sampled value. Within a repetition the draw order is fixed: background
+filler first (when configured), then sensor data, then loss injection, then
+per-sensor privacy randomness and transport legs in (sensor, channel) order.
 
 Each flow is written once, as the messages it sends. A repetition's _Path
 links senders to a receiver -- each sender may publish only its own topic,
@@ -100,10 +98,10 @@ def _leg(receipt: PublishReceipt, subscriber: str) -> tuple[float, float]:
 class _Path:
     """One repetition's broker and the critical path its messages take."""
 
-    def __init__(self, spec: ScenarioSpec, rep: int, rng: np.random.Generator, acl: AclTable):
+    def __init__(self, spec: ScenarioSpec, rep: int, rng: np.random.Generator):
         # 1 s of virtual time per repetition keeps audit timestamps distinct
         self.clock = VirtualClock(start_us=rep * 1_000_000)
-        self.broker = Broker(acl=acl, latency=spec.latency, rng=rng, clock=self.clock)
+        self.broker = Broker(acl=AclTable(), latency=spec.latency, rng=rng, clock=self.clock)
         self.rep = rep
         self.delays: list[float] = []
 
@@ -161,9 +159,8 @@ def _run_once(
     rng: np.random.Generator,
     filler_rate: float,
     filler_window_s: float,
-    acl: AclTable,
 ) -> RepOutcome:
-    path = _Path(spec, rep, rng, acl)
+    path = _Path(spec, rep, rng)
     if filler_rate > 0:
         path.broker.inject_load(filler_rate, filler_window_s)
     values = _draw_values(spec, rng)
@@ -333,12 +330,9 @@ def _outcomes_for_range(
     filler_window_s: float,
 ) -> list[RepOutcome]:
     out = []
-    # every repetition grants the same permissions, so one table serves all:
-    # the first repetition fills it, and the later ones find each grant held
-    acl = AclTable()
     for rep in range(start, stop):
         rng = np.random.default_rng(spec.seed + rep)
-        out.append(_run_once(spec, rep, rng, filler_rate, filler_window_s, acl))
+        out.append(_run_once(spec, rep, rng, filler_rate, filler_window_s))
     return out
 
 

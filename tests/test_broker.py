@@ -10,6 +10,7 @@ from petfabric.fabric import (
     AclEntry,
     AclTable,
     Broker,
+    Delivery,
     Envelope,
     LatencyModel,
     MalformedTopicError,
@@ -173,16 +174,18 @@ def test_indexed_acl_agrees_with_a_linear_scan(built):
                     assert method(client, topic) is expected, (method.__name__, client, topic)
 
 
-def test_a_repeated_grant_is_held_once():
-    acl = AclTable([AclEntry("c", "a/+", SUBSCRIBE)])
-    acl.allow("c", "a/+", SUBSCRIBE)
-    acl.allow("c", "a/b", PUBLISH)
-    acl.allow("c", "a/b", PUBLISH)
-    assert acl._entries == [AclEntry("c", "a/+", SUBSCRIBE), AclEntry("c", "a/b", PUBLISH)]
-    for _ in range(2):  # a refused grant is refused again
-        with pytest.raises(MalformedTopicError):
-            acl.allow("c", "a/#/b", SUBSCRIBE)
-    assert len(acl._entries) == 2
+def test_receipts_hash_and_compare_by_value():
+    broker = Broker(acl=open_acl(), latency=LatencyModel(1.0))
+    for c in ("p", "s"):
+        broker.register_client(c)
+    sub = broker.subscribe("s", "cabin/#")
+    receipt = broker.publish("p", env_for("cabin/a", seq=0))
+    (delivery,) = receipt.deliveries
+    twin = Delivery(delivery.topic, delivery.payload, "s", 1.0, 1.0)
+    assert delivery.envelope.sequence == 0  # decoded and kept: still equal
+    assert twin == delivery and hash(twin) == hash(delivery)
+    assert hash(receipt) == hash(receipt._replace(deliveries=(twin,)))
+    assert sub.messages == [twin]
 
 
 def test_unknown_client():
