@@ -1,5 +1,7 @@
 """Additive sharing: field selection, exact reconstruction, secrecy, failure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,3 +230,70 @@ def test_partial_sum_uniformity_chi_square():
     for subset in [(0, 1), (0, 2), (1, 2)]:
         partial = shares[:, list(subset)].sum(axis=1) % 101
         assert stats.chisquare(np.bincount(partial, minlength=101)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("modulus", [101, 85_009, 8_500_007, 2**40 + 15, 2**61 - 1])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_split_draws_like_one_sized_prefix_draw(m, modulus):
+    # the shares are one rng.integers(0, Q, size=m - 1) draw plus the closing
+    # share, and the stream is left where that draw leaves it
+    fp = ass.FieldParams(modulus=modulus, n_max=1, width=100)
+    rng, twin = np.random.default_rng(m * modulus), np.random.default_rng(m * modulus)
+    for secret in range(0, 101, 4):
+        prefix = twin.integers(0, modulus, size=m - 1).tolist()
+        last = (secret - sum(prefix)) % modulus
+        assert ass.split(secret, m, fp, rng).shares == (*prefix, last)
+        assert rng.integers(0, modulus) == twin.integers(0, modulus)
+        assert rng.random() == twin.random()
+
+
+def _bundles(m, sensors, modulus=101):
+    return [
+        ass.ShareBundle(sensor_id=f"s{i}", shares=tuple(range(1, m + 1)), modulus=modulus)
+        for i in range(sensors)
+    ]
+
+
+def test_missing_share_error_lists_bundles_then_channels():
+    fp = ass.FieldParams(modulus=101, n_max=5, width=20)
+    bundles = _bundles(3, 5)
+    bundles[3] = replace(bundles[3], shares=(None, 2, None))
+    bundles[1] = replace(bundles[1], shares=(1, None, 3))
+    with pytest.raises(ass.MissingShareError) as excinfo:
+        ass.reconstruct_sum(bundles, fp)
+    assert excinfo.value.missing == [("s1", 2), ("s3", 1), ("s3", 3)]
+
+
+def test_a_mismatch_in_the_last_bundle_only_keeps_its_message():
+    fp = ass.FieldParams(modulus=101, n_max=5, width=20)
+    bundles = _bundles(3, 5)
+    cases = [
+        (
+            replace(bundles[4], modulus=103),
+            "modulus mismatch: bundle 's4' uses 103, field uses 101",
+        ),
+        (replace(bundles[4], shares=(1, 2)), "share-count mismatch: 's4' has 2 shares, expected 3"),
+    ]
+    for last, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            ass.reconstruct_sum(bundles[:4] + [last], fp)
+        assert str(excinfo.value) == message
+    # the bundles are checked in order, each for its modulus, then its count
+    bundles[1] = replace(bundles[1], shares=(1, 2))
+    bundles[4] = replace(bundles[4], modulus=103)
+    with pytest.raises(ValueError, match="share-count mismatch: 's1' has 2"):
+        ass.reconstruct_sum(bundles, fp)
+
+
+@pytest.mark.parametrize(
+    "shares,message",
+    [
+        ((1, 101, 2), "share 2 of 's' is 101, outside [0, 101)"),
+        ((None, 5, -1), "share 3 of 's' is -1, outside [0, 101)"),
+        ((1, 200, -1, 7), "share 2 of 's' is 200, outside [0, 101)"),
+    ],
+)
+def test_share_bundle_names_the_first_share_out_of_range(shares, message):
+    with pytest.raises(ValueError) as excinfo:
+        ass.ShareBundle(sensor_id="s", shares=shares, modulus=101)
+    assert str(excinfo.value) == message

@@ -1,6 +1,8 @@
 """Byte pins for every shipped config: the epsilon sweep (ldp and gdp), the
 distinguisher grid, the share round trips with and without a dropped share,
-the six-placement bench suite and the five scenario configs.
+the six-placement bench suite and the five scenario configs. The dropped
+share is pinned at m = 2, 4 and 5 too: its victim draw follows the splits,
+so it fixes the stream position on both sides of `ass.split`'s draw cut-off.
 
 Each case runs a shipped config, shrunk to the sizes `perfbench/workloads.py`
 calls TINY, at the config's own seed, and pins the sha256 of every CSV the
@@ -86,6 +88,27 @@ PINS = {
         "run-scenario", "relay-chain.json", {"repetitions": 3},
         {
             "relay-chain-5_records.csv": "340d150724ea520e0ef6f3fe874f619726c10b8449e46b145f999156e502c5c5",
+        },
+    ),
+    "ass-demo-drop-one-share-m2": (
+        "ass-demo", "ass-demo.json",
+        {"n": 10, "repetitions": 3, "drop_one_share": True, "m": 2},
+        {
+            "ass_demo.csv": "cd9af4983c6a5b5495ff0990f3896243fb254620fbc6f72519d0ba3a195d61d9",
+        },
+    ),
+    "ass-demo-drop-one-share-m4": (
+        "ass-demo", "ass-demo.json",
+        {"n": 10, "repetitions": 3, "drop_one_share": True, "m": 4},
+        {
+            "ass_demo.csv": "f749feb374f10d02f8e014ea9998fbef8a1f73594145f98d756f8e155d4631ef",
+        },
+    ),
+    "ass-demo-drop-one-share-m5": (
+        "ass-demo", "ass-demo.json",
+        {"n": 10, "repetitions": 3, "drop_one_share": True, "m": 5},
+        {
+            "ass_demo.csv": "c3c79284ad64dc6a48e3e90eb599e6c639967ab195b71504ed0ea690436caf4e",
         },
     ),
 }
