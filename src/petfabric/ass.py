@@ -135,12 +135,15 @@ class ShareBundle:
     modulus: int
 
     def __post_init__(self) -> None:
-        if len(self.shares) < 1:
+        shares, modulus = self.shares, self.modulus
+        if not shares:
             raise ValueError("a bundle needs at least one share")
-        for ch, s in enumerate(self.shares, start=1):
-            if s is not None and not 0 <= s < self.modulus:
+        for s in shares:
+            if s is not None and not 0 <= s < modulus:
+                # the first share equal to s is the first one out of range
                 raise ValueError(
-                    f"share {ch} of {self.sensor_id!r} is {s}, outside [0, {self.modulus})"
+                    f"share {shares.index(s) + 1} of {self.sensor_id!r} is {s},"
+                    f" outside [0, {modulus})"
                 )
 
     @property
@@ -160,11 +163,17 @@ def split(
         raise ValueError(f"share count m must be >= 1, got {m}")
     if not 0 <= secret <= fp.width:
         raise ValueError(f"secret {secret} outside encoded domain [0, {fp.width}]")
+    modulus = fp.modulus
     # Generator.integers draws bounded ints by rejection (Lemire's method),
     # so shares are exactly uniform; the secrecy argument needs that.
-    prefix = rng.integers(0, fp.modulus, size=m - 1).tolist()
-    last = (secret - sum(prefix)) % fp.modulus
-    return ShareBundle(sensor_id=sensor_id, shares=(*prefix, last), modulus=fp.modulus)
+    # k scalar draws take the same words from the stream as one size-k draw;
+    # up to m = 3 they are cheaper, as they skip the sized draw's shape check.
+    if m <= 3:
+        prefix = [int(rng.integers(0, modulus)) for _ in range(m - 1)]
+    else:
+        prefix = rng.integers(0, modulus, size=m - 1).tolist()
+    last = (secret - sum(prefix)) % modulus
+    return ShareBundle(sensor_id=sensor_id, shares=(*prefix, last), modulus=modulus)
 
 
 def draw_lost_share(n: int, m: int, rng: np.random.Generator) -> tuple[int, int]:
@@ -183,6 +192,8 @@ def _check_bundles(bundles: Sequence[ShareBundle], fp: FieldParams) -> None:
     if len(bundles) > fp.n_max:
         raise ValueError(f"{len(bundles)} bundles exceed the field's n_max={fp.n_max}")
     m = bundles[0].m
+    if {(b.modulus, len(b.shares)) for b in bundles} == {(fp.modulus, m)}:
+        return
     for b in bundles:
         if b.modulus != fp.modulus:
             raise ValueError(
@@ -201,17 +212,15 @@ def reconstruct_sum(bundles: Sequence[ShareBundle], fp: FieldParams) -> int:
     if any share was lost.
     """
     _check_bundles(bundles, fp)
-    missing: list[tuple[str, int]] = []
-    total = 0
-    for b in bundles:
-        for ch, s in enumerate(b.shares, start=1):
-            if s is None:
-                missing.append((b.sensor_id, ch))
-            else:
-                total += s
-    if missing:
-        raise MissingShareError(missing)
-    return total % fp.modulus
+    shares = [b.shares for b in bundles]
+    if any(None in s for s in shares):
+        raise MissingShareError(
+            (b.sensor_id, ch)
+            for b in bundles
+            for ch, s in enumerate(b.shares, start=1)
+            if s is None
+        )
+    return sum(map(sum, shares)) % fp.modulus
 
 
 def reconstruct_average(

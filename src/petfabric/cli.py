@@ -203,14 +203,13 @@ def _ass_demo(args, cfg):
     params = cfg["encoding"]
     n, m = cfg["n"], cfg["m"]
     fp = ass.choose_modulus(n, params.q)
+    sensor_ids = [f"s{i}" for i in range(n)]
     rows = []
     for rep in range(cfg["repetitions"]):
         rng = np.random.default_rng(seed + rep)
         values = rng.uniform(params.x_lo, params.x_hi, n)
-        encoded = [encode(float(v), params) for v in values]
-        bundles = [
-            ass.split(x, m, fp, rng, sensor_id=f"s{i}") for i, x in enumerate(encoded)
-        ]
+        encoded = [encode(v, params) for v in values.tolist()]
+        bundles = [ass.split(x, m, fp, rng, sid) for x, sid in zip(encoded, sensor_ids)]
         if cfg["drop_one_share"]:
             victim, channel = ass.draw_lost_share(n, m, rng)
             shares = bundles[victim].shares

@@ -65,6 +65,11 @@ MIN_REPS = 100
 #: and `bench-suite`); each split holds m shares per sensor.
 MAX_SHARES = 1024
 
+#: Most values one repetition may hold: the readings of `sensors.count`
+#: sensors (`n` for `sweep-epsilon` and `ass-demo`), times the m shares each
+#: splits into under ass.
+MAX_ELEMENTS = 2**20
+
 #: Bound on a run's virtual clock, in us: half the 64-bit range of the
 #: envelope's CBOR timestamp, so the float rounding of the clock's advances
 #: cannot carry a run that fits it up to 2**64.
@@ -211,6 +216,7 @@ class ScenarioSpec:
             self.encoding.x_lo <= gen.value <= self.encoding.x_hi
         ):
             raise ConfigError("sensors.generator.value: outside the encoding domain")
+        check_elements(self.sensors.count, self.pet.m or 1, "sensors.count")
         check_sum_fits(self.sensors.count, self.encoding, "sensors.count")
         if pet in (PET_LDP, PET_GDP):
             q = self.encoding.q
@@ -333,6 +339,14 @@ def check_shares(m: int, field: str) -> int:
     if m > MAX_SHARES:
         raise ConfigError(f"{field}: at most {MAX_SHARES} shares per secret, got {m}")
     return m
+
+
+def check_elements(count: int, m: int, field: str) -> None:
+    """`count` readings, split m ways (m = 1: not split), must be at most
+    MAX_ELEMENTS values."""
+    if count * m > MAX_ELEMENTS:
+        got = f"{count}" if m == 1 else f"{count} * {m} = {count * m} shares"
+        raise ConfigError(f"{field}: at most {MAX_ELEMENTS} values per repetition, got {got}")
 
 
 def at_least(value, low, field: str):
@@ -549,6 +563,7 @@ def sweep_from_dict(raw: dict) -> dict:
     if model not in (LDP_MODEL, GDP_MODEL):
         raise ConfigError(f"model: expected ldp or gdp, got {model!r}")
     n = at_least(read_int(raw, "n", "config"), 1, "n")
+    check_elements(n, 1, "n")
     params = encoding_from_dict(require_key(raw, "encoding", "config"))
     check_sum_fits(n, params, "n")
     eps_grid = _epsilons(raw)
@@ -599,6 +614,7 @@ def ass_demo_from_dict(raw: dict) -> dict:
     check_keys(raw, {"n", "m", "encoding", "repetitions", "drop_one_share", "seed"}, "config")
     n = at_least(read_int(raw, "n", "config"), 1, "n")
     m = check_shares(at_least(read_int(raw, "m", "config"), 2, "m"), "m")
+    check_elements(n, m, "n")
     params = encoding_from_dict(require_key(raw, "encoding", "config"))
     check_sum_fits(n, params, "n")
     return {

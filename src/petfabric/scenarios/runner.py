@@ -85,7 +85,7 @@ def _draw_values(spec: ScenarioSpec, rng: np.random.Generator) -> list[float]:
     if gen.kind == "constant":
         return [float(gen.value)] * n
     lo, hi = spec.generator_range
-    return [float(v) for v in rng.uniform(lo, hi, n)]
+    return rng.uniform(lo, hi, n).tolist()
 
 
 def _leg(receipt: PublishReceipt, subscriber: str) -> tuple[float, float]:

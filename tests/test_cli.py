@@ -282,6 +282,53 @@ def test_experiment_config_rejections_name_the_field(
     assert err.count(f"{field}: ") == 2, err
 
 
+def _sensors(count):
+    return {"count": count, "generator": {"kind": "uniform"}}
+
+
+ASS_SCENARIO = {**BASELINE, "pet": {"kind": "ass", "m": 4}}
+
+#: (validate-config --kind, config at the 2**20-value cap, one value over it,
+#: the field the refusal names)
+ELEMENT_CAP = [
+    ("scenario", {**BASELINE, "sensors": _sensors(2**20)},
+     {**BASELINE, "sensors": _sensors(2**20 + 1)}, "sensors.count"),
+    ("scenario", {**ASS_SCENARIO, "sensors": _sensors(2**18)},
+     {**ASS_SCENARIO, "sensors": _sensors(2**18 + 1)}, "sensors.count"),
+    ("sweep", {**SWEEP, "n": 2**20}, {**SWEEP, "n": 2**20 + 1}, "n"),
+    ("ass-demo", {**ASS_DEMO, "n": 2**19, "m": 2}, {**ASS_DEMO, "n": 2**19 + 1, "m": 2}, "n"),
+    ("ass-demo", {**ASS_DEMO, "n": 2**10, "m": 2**10},
+     {**ASS_DEMO, "n": 2**10 + 1, "m": 2**10}, "n"),
+]
+
+
+@pytest.mark.parametrize("kind,at_cap,over_cap,field", ELEMENT_CAP)
+def test_element_cap_is_inclusive_and_names_the_field(
+    tmp_path, capsys, kind, at_cap, over_cap, field
+):
+    # validate-config only: an accepted config at the cap runs as large as it says
+    validate = ["validate-config", "--kind", kind, "--config"]
+    assert main(validate + [write(tmp_path, "a.json", at_cap)]) == 0
+    assert main(validate + [write(tmp_path, "b.json", over_cap)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: at most 1048576 values per repetition"), err
+
+
+@pytest.mark.parametrize(
+    "kind,config,field",
+    [
+        ("scenario", {**BASELINE, "sensors": _sensors(2**50)}, "sensors.count"),
+        ("sweep", {**SWEEP, "n": 2**50, "eps_grid": [1e9]}, "n"),
+        ("ass-demo", {**ASS_DEMO, "n": 2**50}, "n"),
+    ],
+)
+def test_huge_sizes_are_refused_at_load(tmp_path, capsys, kind, config, field):
+    # each of these used to print "valid"; a run would allocate 2**50 readings
+    cfg = write(tmp_path, "c.json", config)
+    assert main(["validate-config", "--kind", kind, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: at most "), field
+
+
 CONFIGS = {
     "run-scenario": BASELINE,
     "sweep-epsilon": SWEEP,
