@@ -191,15 +191,13 @@ def _check_bundles(bundles: Sequence[ShareBundle], fp: FieldParams) -> None:
         raise ValueError("no bundles to reconstruct from")
     if len(bundles) > fp.n_max:
         raise ValueError(f"{len(bundles)} bundles exceed the field's n_max={fp.n_max}")
-    m = bundles[0].m
-    if {(b.modulus, len(b.shares)) for b in bundles} == {(fp.modulus, m)}:
-        return
+    modulus, m = fp.modulus, len(bundles[0].shares)
     for b in bundles:
-        if b.modulus != fp.modulus:
+        if b.modulus != modulus:
             raise ValueError(
-                f"modulus mismatch: bundle {b.sensor_id!r} uses {b.modulus}, field uses {fp.modulus}"
+                f"modulus mismatch: bundle {b.sensor_id!r} uses {b.modulus}, field uses {modulus}"
             )
-        if b.m != m:
+        if len(b.shares) != m:
             raise ValueError(
                 f"share-count mismatch: {b.sensor_id!r} has {b.m} shares, expected {m}"
             )
@@ -212,15 +210,17 @@ def reconstruct_sum(bundles: Sequence[ShareBundle], fp: FieldParams) -> int:
     if any share was lost.
     """
     _check_bundles(bundles, fp)
-    shares = [b.shares for b in bundles]
-    if any(None in s for s in shares):
-        raise MissingShareError(
-            (b.sensor_id, ch)
-            for b in bundles
-            for ch, s in enumerate(b.shares, start=1)
-            if s is None
-        )
-    return sum(map(sum, shares)) % fp.modulus
+    total = 0
+    for b in bundles:
+        if None in b.shares:
+            raise MissingShareError(
+                (c.sensor_id, ch)
+                for c in bundles
+                for ch, s in enumerate(c.shares, start=1)
+                if s is None
+            )
+        total += sum(b.shares)
+    return total % fp.modulus
 
 
 def reconstruct_average(
