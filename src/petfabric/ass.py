@@ -166,12 +166,9 @@ def split(
     modulus = fp.modulus
     # Generator.integers draws bounded ints by rejection (Lemire's method),
     # so shares are exactly uniform; the secrecy argument needs that.
-    # k scalar draws take the same words from the stream as one size-k draw;
-    # up to m = 3 they are cheaper, as they skip the sized draw's shape check.
-    if m <= 3:
-        prefix = [int(rng.integers(0, modulus)) for _ in range(m - 1)]
-    else:
-        prefix = rng.integers(0, modulus, size=m - 1).tolist()
+    # k scalar draws take the same words from the stream as one size-k draw,
+    # and skip its per-call shape check; at large m a sized draw is cheaper.
+    prefix = [int(rng.integers(0, modulus)) for _ in range(m - 1)]
     last = (secret - sum(prefix)) % modulus
     return ShareBundle(sensor_id=sensor_id, shares=(*prefix, last), modulus=modulus)
 

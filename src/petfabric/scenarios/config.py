@@ -67,7 +67,7 @@ MAX_SHARES = 1024
 
 #: Most values one repetition may hold: the readings of `sensors.count`
 #: sensors (`n` for `sweep-epsilon` and `ass-demo`), times the m shares each
-#: splits into under ass.
+#: splits into under ass, and the `trials` of one `adversary-sim` grid point.
 MAX_ELEMENTS = 2**20
 
 #: Bound on a run's virtual clock, in us: half the 64-bit range of the
@@ -599,11 +599,13 @@ def adversary_from_dict(raw: dict) -> dict:
     for i, eps in enumerate(eps_grid):
         if not math.isfinite(sensitivity / eps):
             raise ConfigError(f"eps_grid[{i}]: Laplace scale {sensitivity} / {eps} is not finite")
+    trials = at_least(read_int(raw, "trials", "config", 100_000), 1, "trials")
+    check_elements(trials, 1, "trials")
     return {
         "eps_grid": eps_grid,
         "gap_ratios": gap_ratios,
         "sensitivity": sensitivity,
-        "trials": at_least(read_int(raw, "trials", "config", 100_000), 1, "trials"),
+        "trials": trials,
         "model": model,
         "seed": _seed(raw),
     }

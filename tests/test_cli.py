@@ -299,6 +299,7 @@ ELEMENT_CAP = [
     ("ass-demo", {**ASS_DEMO, "n": 2**19, "m": 2}, {**ASS_DEMO, "n": 2**19 + 1, "m": 2}, "n"),
     ("ass-demo", {**ASS_DEMO, "n": 2**10, "m": 2**10},
      {**ASS_DEMO, "n": 2**10 + 1, "m": 2**10}, "n"),
+    ("adversary", {**ADVERSARY, "trials": 2**20}, {**ADVERSARY, "trials": 2**20 + 1}, "trials"),
 ]
 
 
@@ -320,6 +321,7 @@ def test_element_cap_is_inclusive_and_names_the_field(
         ("scenario", {**BASELINE, "sensors": _sensors(2**50)}, "sensors.count"),
         ("sweep", {**SWEEP, "n": 2**50, "eps_grid": [1e9]}, "n"),
         ("ass-demo", {**ASS_DEMO, "n": 2**50}, "n"),
+        ("adversary", {**ADVERSARY, "trials": 2**50}, "trials"),
     ],
 )
 def test_huge_sizes_are_refused_at_load(tmp_path, capsys, kind, config, field):
