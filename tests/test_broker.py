@@ -339,6 +339,31 @@ def test_hop_clamp_returns_what_max_returns():
         assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
+GAUSSIAN_HOP_CASES = [
+    LATENCY_PRESETS["wifi-no-powersave"],
+    LATENCY_PRESETS["eth"],
+    LatencyModel(0.1, 5.0, "gaussian"),  # most raw draws negative
+    LatencyModel(1234.5678, 0.0123, "gaussian"),
+    LatencyModel(7.25, 0.0, "gaussian"),  # no jitter, still one draw per hop
+]
+
+
+@pytest.mark.parametrize("model", GAUSSIAN_HOP_CASES, ids=repr)
+def test_gaussian_hop_is_the_clamped_normal_draw(model):
+    # each hop is exactly one rng.normal(mean, sd), clamped at 0, and leaves
+    # the stream where that draw leaves it
+    seed = round(model.per_hop_mean_ms * 1000 + model.per_hop_jitter_std_ms * 10)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    mean, sd = model.per_hop_mean_ms, model.per_hop_jitter_std_ms
+    for _ in range(100_000):
+        got = model.sample_hop_ms(rng)
+        raw = twin.normal(mean, sd)
+        want = raw if raw > 0.0 else 0.0
+        if got != want or type(got) is not type(want):
+            pytest.fail(f"hop drew {got!r}, rng.normal gives {want!r}")
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_latency_model_validation():
     with pytest.raises(ValueError):
         LatencyModel(-1.0)
