@@ -104,16 +104,21 @@ PUBLISH = "publish"
 SUBSCRIBE = "subscribe"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AclEntry:
     client_id: str  # exact id, or "*" for any client
     pattern: str
     permission: str
 
-    def __post_init__(self) -> None:
-        if self.permission not in (PUBLISH, SUBSCRIBE):
-            raise ValueError(f"permission must be publish or subscribe, got {self.permission!r}")
-        validate_filter(self.pattern)
+    def __init__(self, client_id: str, pattern: str, permission: str) -> None:
+        # stores into the instance dict, as Envelope does
+        if permission not in (PUBLISH, SUBSCRIBE):
+            raise ValueError(f"permission must be publish or subscribe, got {permission!r}")
+        validate_filter(pattern)
+        d = self.__dict__
+        d["client_id"] = client_id
+        d["pattern"] = pattern
+        d["permission"] = permission
 
 
 class AclTable:
@@ -202,8 +207,11 @@ class LatencyModel:
     def sample_hop_ms(self, rng: np.random.Generator) -> float:
         if self.distribution == CONSTANT:
             return self.per_hop_mean_ms
-        # negative draws are clamped: a hop cannot complete before it starts
-        v = rng.normal(self.per_hop_mean_ms, self.per_hop_jitter_std_ms)
+        # negative draws are clamped: a hop cannot complete before it starts.
+        # numpy computes normal(loc, scale) as loc + scale * standard_normal,
+        # so this is the same double from the same place in the stream,
+        # without normal's per-call argument checks
+        v = self.per_hop_mean_ms + self.per_hop_jitter_std_ms * rng.standard_normal()
         return v if v > 0.0 else 0.0
 
 
@@ -362,7 +370,8 @@ class Broker:
         """Route one envelope; samples one publish-leg and one delivery-leg
         delay per matched subscriber."""
         topic = env.topic
-        self._require_client(client_id)
+        if client_id not in self._clients:
+            self._require_client(client_id)  # raises
         routes = self._routes
         route = routes.get(topic)
         if route is None:

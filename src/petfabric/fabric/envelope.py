@@ -63,9 +63,14 @@ def _require_uint(payload: dict, key: int, name: str) -> int:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Envelope:
-    """One pub/sub message: routing topic plus the CBOR payload fields."""
+    """One pub/sub message: routing topic plus the CBOR payload fields.
+
+    The hand-written __init__ validates, then stores the fields straight
+    into the instance dict: the generated one of a frozen dataclass makes
+    one object.__setattr__ call per field, on every message.
+    """
 
     topic: str
     sensor_id: str
@@ -76,36 +81,62 @@ class Envelope:
     epsilon: Optional[float] = None
     timestamp_us: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.sensor_id, str):
-            raise EnvelopeError(f"sensor_id must be text, got {self.sensor_id!r}")
-        if self.sequence < 0:
-            raise EnvelopeError(f"sequence must be >= 0, got {self.sequence}")
-        if self.timestamp_us < 0:
-            raise EnvelopeError(f"timestamp_us must be >= 0, got {self.timestamp_us}")
-        scheme = self.scheme
+    def __init__(
+        self,
+        topic: str,
+        sensor_id: str,
+        sequence: int,
+        scheme: Scheme,
+        value: int,
+        share_index: Optional[int] = None,
+        epsilon: Optional[float] = None,
+        timestamp_us: int = 0,
+    ) -> None:
+        if not isinstance(sensor_id, str):
+            raise EnvelopeError(f"sensor_id must be text, got {sensor_id!r}")
+        # the wire carries only plain ints: no float, bool or numpy integer
+        if type(sequence) is not int:
+            raise EnvelopeError(f"sequence must be an integer, got {sequence!r}")
+        if sequence < 0:
+            raise EnvelopeError(f"sequence must be >= 0, got {sequence}")
+        if type(timestamp_us) is not int:
+            raise EnvelopeError(f"timestamp_us must be an integer, got {timestamp_us!r}")
+        if timestamp_us < 0:
+            raise EnvelopeError(f"timestamp_us must be >= 0, got {timestamp_us}")
+        if type(value) is not int:
+            raise EnvelopeError(f"value must be an integer, got {value!r}")
         if type(scheme) is not Scheme:
             try:
                 scheme = Scheme(scheme)
             except ValueError:
                 raise EnvelopeError(f"unknown scheme tag {scheme!r}") from None
-            object.__setattr__(self, "scheme", scheme)
         if scheme is Scheme.ASS_SHARE:
-            if self.share_index is None:
+            if share_index is None:
                 raise EnvelopeError("ass-share envelope requires a share_index")
-            if self.share_index < 1:
-                raise EnvelopeError(f"share_index must be >= 1, got {self.share_index}")
-            if self.value < 0:
-                raise EnvelopeError(f"share values are field elements, got {self.value}")
-        elif self.share_index is not None:
+            if type(share_index) is not int:
+                raise EnvelopeError(f"share_index must be an integer, got {share_index!r}")
+            if share_index < 1:
+                raise EnvelopeError(f"share_index must be >= 1, got {share_index}")
+            if value < 0:
+                raise EnvelopeError(f"share values are field elements, got {value}")
+        elif share_index is not None:
             raise EnvelopeError(f"share_index is only valid for ass-share, not {scheme.name}")
         if scheme in _SCHEMES_WITH_EPSILON:
-            if self.epsilon is None:
+            if epsilon is None:
                 raise EnvelopeError(f"{scheme.name} envelope requires epsilon")
-            if not self.epsilon > 0:
-                raise EnvelopeError(f"epsilon must be positive, got {self.epsilon}")
-        elif self.epsilon is not None:
+            if not epsilon > 0:
+                raise EnvelopeError(f"epsilon must be positive, got {epsilon}")
+        elif epsilon is not None:
             raise EnvelopeError(f"epsilon is only valid for ldp/gdp/krr, not {scheme.name}")
+        d = self.__dict__
+        d["topic"] = topic
+        d["sensor_id"] = sensor_id
+        d["sequence"] = sequence
+        d["scheme"] = scheme
+        d["value"] = value
+        d["share_index"] = share_index
+        d["epsilon"] = epsilon
+        d["timestamp_us"] = timestamp_us
 
 
 def cbor_encode(env: Envelope) -> bytes:
