@@ -4,7 +4,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from petfabric.fabric.cbor import CborDecodeError, CborEncodeError, _decode_item, decode, encode
 
@@ -132,6 +132,9 @@ scalars = st.one_of(
 )
 
 
+# the first st.text() draw of a fresh checkout builds Hypothesis's unicode
+# cache, which takes about 2 s; only that slowness is let through
+@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(st.dictionaries(st.integers(0, 2**17), scalars, max_size=12))
 def test_map_round_trip_property(payload):
     assert decode(encode(payload)) == payload
