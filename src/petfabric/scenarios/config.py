@@ -67,7 +67,9 @@ MAX_SHARES = 1024
 
 #: Most values one repetition may hold: the readings of `sensors.count`
 #: sensors (`n` for `sweep-epsilon` and `ass-demo`), times the m shares each
-#: splits into under ass, and the `trials` of one `adversary-sim` grid point.
+#: splits into under ass, the relays of a relay chain (`topology.depth`), the
+#: `reps` errors of one `sweep-epsilon` point and the `trials` of one
+#: `adversary-sim` grid point.
 MAX_ELEMENTS = 2**20
 
 #: Bound on a run's virtual clock, in us: half the 64-bit range of the
@@ -95,6 +97,7 @@ class Topology:
         if self.kind == RELAY_CHAIN:
             if self.depth < 1:
                 raise ConfigError("topology.depth: relay chain needs depth >= 1")
+            check_elements(self.depth, 1, "topology.depth")
         elif self.depth != 0:
             raise ConfigError(f"topology.depth: only valid for relay-chain, got {self.depth}")
 
@@ -287,14 +290,20 @@ def check_noise_fits(count: int, q: int, sensitivity: int, epsilon: float, field
     """A sum of `count` encoded values, each carrying Laplace noise at scale
     b = sensitivity / epsilon, must stay below ass.MAX_FIELD_BOUND even when
     every draw is 64 b, which one draw exceeds with probability e**-64
-    (about 1.6e-28): count * (q + 64 b) < 2**62. A tiny epsilon makes b
-    huge, so the error names the epsilon field."""
+    (about 1.6e-28): count * (q + 64 b) < 2**62. The error names the larger
+    of the two factors of q + 64 b = q * (1 + 64 b / q): the encoding when q
+    is (a domain or k too wide), else the epsilon field (a tiny epsilon
+    makes b huge)."""
     # in exact integers, with epsilon = num / den
     num, den = epsilon.as_integer_ratio()
-    if count * (q * num + 64 * sensitivity * den) >= MAX_FIELD_BOUND * num:
+    per_value = q * num + 64 * sensitivity * den  # (q + 64 b) * num
+    if count * per_value >= MAX_FIELD_BOUND * num:
+        fix = "raise epsilon"
+        if q * q * num >= per_value:
+            field, fix = "encoding", "lower k or narrow the domain"
         raise ConfigError(
             f"{field}: {count} * ({q} + 64 * {sensitivity} / {epsilon}) must be below 2**62;"
-            " raise epsilon"
+            f" {fix}"
         )
 
 
@@ -569,12 +578,14 @@ def sweep_from_dict(raw: dict) -> dict:
     eps_grid = _epsilons(raw)
     for i, eps in enumerate(eps_grid):
         check_noise_fits(n, params.q, sensitivity or params.q, eps, f"eps_grid[{i}]")
+    reps = at_least(read_int(raw, "reps", "config", MIN_REPS), MIN_REPS, "reps")
+    check_elements(reps, 1, "reps")
     return {
         "n": n,
         "encoding": params,
         "model": model,
         "eps_grid": eps_grid,
-        "reps": at_least(read_int(raw, "reps", "config", MIN_REPS), MIN_REPS, "reps"),
+        "reps": reps,
         "sensitivity": sensitivity,
         "seed": _seed(raw),
     }

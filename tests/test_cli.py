@@ -270,6 +270,20 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         ("ass-demo", "ass-demo", {**ASS_DEMO, "m": 1025}, "m"),
         ("bench-suite", "bench", {**BENCH, "m": 2**62}, "m"),
         ("run-scenario", "scenario", {**BASELINE, "pet": {"kind": "ass", "m": 1025}}, "pet.m"),
+        (
+            "run-scenario", "scenario",
+            {
+                **BASELINE,
+                "pet": {"kind": "ldp", "epsilon": 0.01},
+                "encoding": {"k": 1, "x_lo": 50, "x_hi": 1e17},
+            },
+            "encoding",
+        ),
+        (
+            "sweep-epsilon", "sweep",
+            {**SWEEP, "n": 1, "encoding": {"k": 1, "x_lo": -1e17, "x_hi": 120}},
+            "encoding",
+        ),
     ],
 )
 def test_experiment_config_rejections_name_the_field(
@@ -300,6 +314,9 @@ ELEMENT_CAP = [
     ("ass-demo", {**ASS_DEMO, "n": 2**10, "m": 2**10},
      {**ASS_DEMO, "n": 2**10 + 1, "m": 2**10}, "n"),
     ("adversary", {**ADVERSARY, "trials": 2**20}, {**ADVERSARY, "trials": 2**20 + 1}, "trials"),
+    ("sweep", {**SWEEP, "reps": 2**20}, {**SWEEP, "reps": 2**20 + 1}, "reps"),
+    ("scenario", {**BASELINE, "topology": {"kind": "relay-chain", "depth": 2**20}},
+     {**BASELINE, "topology": {"kind": "relay-chain", "depth": 2**20 + 1}}, "topology.depth"),
 ]
 
 
@@ -322,6 +339,7 @@ def test_element_cap_is_inclusive_and_names_the_field(
         ("sweep", {**SWEEP, "n": 2**50, "eps_grid": [1e9]}, "n"),
         ("ass-demo", {**ASS_DEMO, "n": 2**50}, "n"),
         ("adversary", {**ADVERSARY, "trials": 2**50}, "trials"),
+        ("sweep", {**SWEEP, "reps": 2**62}, "reps"),
     ],
 )
 def test_huge_sizes_are_refused_at_load(tmp_path, capsys, kind, config, field):

@@ -8,6 +8,12 @@ exit 0. Nothing may pass validation and then fail at run time, except an
 injected share loss (`pet.drop_one_share: true`), which is a run failure by
 design.
 
+A second pass replaces each leaf of the shipped configs and of the
+benchmark's fan-in scenario configs by extreme magnitudes, under the same
+rule, except that a size leaf (`repetitions`, `reps`, `trials`, `n`,
+`sensors.count`) is only validated: an accepted size runs as long as it
+says.
+
 Sizes are shrunk first, so one run takes milliseconds.
 """
 
@@ -18,7 +24,9 @@ import pytest
 
 from petfabric.cli import main
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+FAN_IN_CONFIGS = sorted((ROOT / "perfbench" / "configs").glob("fan-in-*.json"))
 
 #: config file -> (subcommand, validate-config --kind, shrunk sizes)
 SHIPPED = {
@@ -37,6 +45,20 @@ REPLACEMENTS = (-1, 0, 2.5, "1", True, None)
 
 #: the one mutation that may validate and then exit 1
 RUN_FAILURES = {("pet.drop_one_share", True)}
+
+EXTREMES = (5e-324, 1e-300, 1e9, 1e17, 1e306, -1e306, 2**62, 2**64)
+
+#: leaves that size a run; the extreme pass validates them without a run
+SIZE_FIELDS = {"repetitions", "reps", "trials", "n", "sensors.count"}
+
+#: config name -> (file, subcommand, validate-config --kind, shrunk sizes)
+EXTREME_CASES = {
+    **{name: (CONFIGS / name, *SHIPPED[name]) for name in SHIPPED},
+    **{
+        path.name: (path, "run-scenario", "scenario", {"repetitions": 3})
+        for path in FAN_IN_CONFIGS
+    },
+}
 
 
 def leaves(node, path=()):
@@ -75,17 +97,19 @@ def test_every_shipped_config_is_covered():
     assert sorted(p.name for p in CONFIGS.glob("*.json")) == sorted(SHIPPED)
 
 
-@pytest.mark.parametrize("config", sorted(SHIPPED))
-def test_single_field_mutations_run_or_exit_2_naming_the_field(tmp_path, capsys, config):
-    subcommand, kind, shrink = SHIPPED[config]
-    raw = {**json.loads((CONFIGS / config).read_text()), **shrink}
-    path = tmp_path / config
+def mutation_failures(tmp_path, capsys, source, case, replacements, run_sizes=True):
+    """What breaks the rule when each leaf of the config file `source`, with
+    its sizes shrunk, takes each of `replacements` in turn; case is
+    (subcommand, validate-config --kind, shrunk sizes)."""
+    subcommand, kind, shrink = case
+    raw = {**json.loads(source.read_text()), **shrink}
+    path = tmp_path / source.name
     failures = []
     for leaf in leaves(raw):
         field = field_name(leaf)
         # the field itself or an enclosing object, as the message's subject
         subjects = tuple(field_name(leaf[:i]) for i in range(len(leaf), 0, -1))
-        for value in REPLACEMENTS:
+        for value in replacements:
             path.write_text(json.dumps(mutated(raw, leaf, value)))
             capsys.readouterr()
             code = main(["validate-config", "--kind", kind, "--config", str(path)])
@@ -98,10 +122,31 @@ def test_single_field_mutations_run_or_exit_2_naming_the_field(tmp_path, capsys,
             if code != 0:
                 failures.append(f"{field}={value!r}: validate-config exited {code}: {err!r}")
                 continue
+            if not run_sizes and field in SIZE_FIELDS:
+                continue
             out = tmp_path / "out"
             code = main([subcommand, "--config", str(path), "--out", str(out)])
             err = capsys.readouterr().err
             allowed = {0, 1} if (field, value) in RUN_FAILURES else {0}
             if code not in allowed:
                 failures.append(f"{field}={value!r}: {subcommand} exited {code}: {err!r}")
+    return failures
+
+
+@pytest.mark.parametrize("config", sorted(SHIPPED))
+def test_single_field_mutations_run_or_exit_2_naming_the_field(tmp_path, capsys, config):
+    failures = mutation_failures(tmp_path, capsys, CONFIGS / config, SHIPPED[config], REPLACEMENTS)
+    assert not failures, "\n".join(failures)
+
+
+def test_the_extreme_pass_covers_the_fan_in_configs():
+    assert [p.name for p in FAN_IN_CONFIGS] == [
+        f"fan-in-{pet}.json" for pet in ("ass", "gdp", "krr", "ldp", "none")
+    ]
+
+
+@pytest.mark.parametrize("config", sorted(EXTREME_CASES))
+def test_extreme_magnitudes_run_or_exit_2_naming_the_field(tmp_path, capsys, config):
+    source, *case = EXTREME_CASES[config]
+    failures = mutation_failures(tmp_path, capsys, source, case, EXTREMES, run_sizes=False)
     assert not failures, "\n".join(failures)

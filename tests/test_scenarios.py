@@ -185,7 +185,8 @@ def test_noise_bound_is_exclusive():
     cfg["encoding"] = {"k": 2**61 - 1, "x_lo": 0, "x_hi": 1}
     assert scenario_from_dict(cfg).encoding.q == 2**61 - 1
     cfg["encoding"]["k"] = 2**61
-    with pytest.raises(ConfigError, match="^pet.epsilon: "):
+    # q is the larger factor of q + 64 b = q * (1 + 64 b / q) = q * 2 here
+    with pytest.raises(ConfigError, match="^encoding: "):
         scenario_from_dict(cfg)
 
 
