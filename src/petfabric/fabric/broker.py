@@ -370,8 +370,7 @@ class Broker:
         """Route one envelope; samples one publish-leg and one delivery-leg
         delay per matched subscriber."""
         topic = env.topic
-        if client_id not in self._clients:
-            self._require_client(client_id)  # raises
+        self._require_client(client_id)
         routes = self._routes
         route = routes.get(topic)
         if route is None:
