@@ -94,31 +94,16 @@ def _encode_into(buf: bytearray, value) -> None:
                 buf.append(key)
             else:
                 _append_head(buf, _MAJOR_UINT, key)
-            # scalar values inline, without a recursive call per item, and
-            # the heads of unsigned ints below 2**32 and of short text too
+            # scalar values inline, without a recursive call per item
             item = value[key]
             kind = type(item)
             if kind is int:
-                if item < 0:
-                    _append_head(buf, _MAJOR_NEGINT, -1 - item)
-                elif item < 24:
+                if 0 <= item < 24:
                     buf.append(item)
-                elif item < 1 << 8:
-                    buf.append(24)
-                    buf.append(item)
-                elif item < 1 << 16:
-                    buf += _PACK_HEAD16(25, item)
-                elif item < 1 << 32:
-                    buf += _PACK_HEAD32(26, item)
-                else:
+                elif item >= 0:
                     _append_head(buf, _MAJOR_UINT, item)
-            elif kind is str:
-                data = item.encode("utf-8")
-                if len(data) < 24:
-                    buf.append(0x60 | len(data))
                 else:
-                    _append_head(buf, _MAJOR_TEXT, len(data))
-                buf += data
+                    _append_head(buf, _MAJOR_NEGINT, -1 - item)
             elif kind is float:
                 buf += _PACK_FLOAT64(_FLOAT64_HEAD, item)
             else:

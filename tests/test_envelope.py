@@ -1,6 +1,5 @@
 """Envelope wire format: construction rules, round trips, decode errors."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -116,27 +115,6 @@ def test_field_validation():
         make_env(timestamp_us=-1)
     with pytest.raises(EnvelopeError):
         make_env(sensor_id=7)
-
-
-@pytest.mark.parametrize(
-    "change,message",
-    [
-        (dict(sequence=1.5), "sequence must be an integer, got 1.5"),
-        (dict(timestamp_us=2.0), "timestamp_us must be an integer, got 2.0"),
-        (dict(value=4.0), "value must be an integer, got 4.0"),
-        (dict(value=True), "value must be an integer, got True"),
-        (dict(value=np.int64(4)), f"value must be an integer, got {np.int64(4)!r}"),
-        (
-            dict(scheme=Scheme.ASS_SHARE, share_index=2.0),
-            "share_index must be an integer, got 2.0",
-        ),
-    ],
-)
-def test_fields_the_decoder_refuses_are_refused_at_construction(change, message):
-    # each of these used to construct, then fail in cbor_decode or at publish
-    with pytest.raises(EnvelopeError) as excinfo:
-        make_env(**change)
-    assert str(excinfo.value) == message
 
 
 def payload_bytes(payload: dict) -> bytes:

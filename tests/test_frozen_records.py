@@ -6,6 +6,7 @@ refuse bad fields with the same messages in the same order."""
 import dataclasses
 from dataclasses import FrozenInstanceError, replace
 
+import numpy as np
 import pytest
 
 from petfabric.ass import ShareBundle
@@ -158,6 +159,16 @@ ENVELOPE_REFUSALS = [
     (dict(epsilon=0.0), "epsilon must be positive, got 0.0"),
     (dict(epsilon=-1.5), "epsilon must be positive, got -1.5"),
     (dict(epsilon=float("nan")), "epsilon must be positive, got nan"),
+    # the wire carries only plain ints, so these are refused here, not by cbor_decode
+    (dict(sequence=1.5), "sequence must be an integer, got 1.5"),
+    (dict(timestamp_us=2.0), "timestamp_us must be an integer, got 2.0"),
+    (dict(value=4.0), "value must be an integer, got 4.0"),
+    (dict(value=True), "value must be an integer, got True"),
+    (dict(value=np.int64(4)), f"value must be an integer, got {np.int64(4)!r}"),
+    (
+        dict(scheme=Scheme.ASS_SHARE, epsilon=None, share_index=2.0),
+        "share_index must be an integer, got 2.0",
+    ),
 ]
 
 
