@@ -121,37 +121,30 @@ def choose_modulus(n_max: int, q: int) -> FieldParams:
     return FieldParams(modulus=candidate, n_max=n_max, width=q)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ShareBundle:
     """The m shares of one encoded secret.
 
     Share j is published to broadcast channel j (1-based); the assignment is
     deterministic so eavesdropper coverage is well defined. A None entry
     marks a share lost in transit; such a bundle can never be reconstructed.
-    The __init__ validates, then stores the fields straight into the
-    instance dict, which is cheaper than a frozen dataclass's generated one.
     """
 
     sensor_id: str
     shares: tuple[Optional[int], ...]
     modulus: int
 
-    def __init__(
-        self, sensor_id: str, shares: tuple[Optional[int], ...], modulus: int
-    ) -> None:
+    def __post_init__(self) -> None:
+        shares, modulus = self.shares, self.modulus
         if not shares:
             raise ValueError("a bundle needs at least one share")
         for s in shares:
             if s is not None and not 0 <= s < modulus:
                 # the first share equal to s is the first one out of range
                 raise ValueError(
-                    f"share {shares.index(s) + 1} of {sensor_id!r} is {s},"
+                    f"share {shares.index(s) + 1} of {self.sensor_id!r} is {s},"
                     f" outside [0, {modulus})"
                 )
-        d = self.__dict__
-        d["sensor_id"] = sensor_id
-        d["shares"] = shares
-        d["modulus"] = modulus
 
     @property
     def m(self) -> int:

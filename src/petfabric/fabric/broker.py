@@ -104,21 +104,16 @@ PUBLISH = "publish"
 SUBSCRIBE = "subscribe"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class AclEntry:
     client_id: str  # exact id, or "*" for any client
     pattern: str
     permission: str
 
-    def __init__(self, client_id: str, pattern: str, permission: str) -> None:
-        # stores into the instance dict, as Envelope does
-        if permission not in (PUBLISH, SUBSCRIBE):
-            raise ValueError(f"permission must be publish or subscribe, got {permission!r}")
-        validate_filter(pattern)
-        d = self.__dict__
-        d["client_id"] = client_id
-        d["pattern"] = pattern
-        d["permission"] = permission
+    def __post_init__(self) -> None:
+        if self.permission not in (PUBLISH, SUBSCRIBE):
+            raise ValueError(f"permission must be publish or subscribe, got {self.permission!r}")
+        validate_filter(self.pattern)
 
 
 class AclTable:
