@@ -164,6 +164,48 @@ def test_decode_rejects_wrong_types():
         cbor_decode(payload_bytes({**GOOD_RAW, 1: -1}))  # negative sequence
 
 
+GOOD_SHARE = {**GOOD_RAW, 2: 3, 4: 1}
+GOOD_LDP = {**GOOD_RAW, 2: 1, 5: 1.0}
+
+#: (id, payload, a pattern its refusal message must match): every payload a
+#: constructed Envelope would refuse, the decoder refuses too
+DECODE_REFUSALS = [
+    ("sensor-id-int", {**GOOD_RAW, 0: 5}, r"sensor.id"),
+    ("sequence-negative", {**GOOD_RAW, 1: -1}, r"sequence"),
+    ("sequence-float", {**GOOD_RAW, 1: 1.5}, r"sequence"),
+    ("sequence-text", {**GOOD_RAW, 1: "1"}, r"sequence"),
+    ("timestamp-negative", {**GOOD_RAW, 6: -1}, r"timestamp"),
+    ("timestamp-float", {**GOOD_RAW, 6: 2.0}, r"timestamp"),
+    ("value-text", {**GOOD_RAW, 3: "x"}, r"value"),
+    ("value-float", {**GOOD_RAW, 3: 1.5}, r"value"),
+    ("tag-unknown", {**GOOD_RAW, 2: 99}, r"scheme"),
+    ("tag-negative", {**GOOD_RAW, 2: -1}, r"scheme"),
+    ("tag-float", {**GOOD_RAW, 2: 1.0}, r"scheme"),
+    ("tag-float-with-epsilon", {**GOOD_LDP, 2: 1.0}, r"scheme"),
+    ("share-index-zero", {**GOOD_SHARE, 4: 0}, r"share.index"),
+    ("share-index-negative", {**GOOD_SHARE, 4: -1}, r"share.index"),
+    ("share-index-float", {**GOOD_SHARE, 4: 1.0}, r"share.index"),
+    ("share-index-on-raw", {**GOOD_RAW, 4: 1}, r"share.index"),
+    ("share-without-index", {**GOOD_RAW, 2: 3}, r"share.index"),
+    ("share-value-negative", {**GOOD_SHARE, 3: -5}, r"share value"),
+    ("epsilon-int", {**GOOD_LDP, 5: 1}, r"epsilon"),
+    ("epsilon-text", {**GOOD_LDP, 5: "x"}, r"epsilon"),
+    ("epsilon-zero", {**GOOD_LDP, 5: 0.0}, r"epsilon"),
+    ("epsilon-negative", {**GOOD_LDP, 5: -1.0}, r"epsilon"),
+    ("epsilon-nan", {**GOOD_LDP, 5: float("nan")}, r"epsilon"),
+    ("epsilon-on-raw", {**GOOD_RAW, 5: 1.0}, r"epsilon"),
+    ("ldp-without-epsilon", {**GOOD_RAW, 2: 1}, r"epsilon"),
+]
+
+
+@pytest.mark.parametrize(
+    "payload,pattern", [row[1:] for row in DECODE_REFUSALS], ids=[row[0] for row in DECODE_REFUSALS]
+)
+def test_decode_refusals_name_the_field(payload, pattern):
+    with pytest.raises(EnvelopeError, match=pattern):
+        cbor_decode(payload_bytes(payload))
+
+
 def test_decode_rejects_non_map_payload():
     with pytest.raises(EnvelopeError, match="CBOR map"):
         cbor_decode(raw_cbor_encode(42))

@@ -11,10 +11,11 @@ no ACL grant goes unused.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from petfabric.codec import derive_params
-from petfabric.fabric import PUBLISH, Broker, LatencyModel, topic_matches
+from petfabric.fabric import PUBLISH, Broker, LatencyModel, Scheme, topic_matches
 from petfabric.fabric import broker as broker_module
 from petfabric.scenarios import (
     PetConfig,
@@ -23,6 +24,7 @@ from petfabric.scenarios import (
     Topology,
     run_scenario_outcomes,
 )
+from petfabric.scenarios.runner import DATA_FILTER, DATA_TOPIC, _Path
 
 ON_DEVICE = Topology("on-device")
 VIRTUALIZED = Topology("virtualized")
@@ -182,3 +184,14 @@ def test_every_acl_grant_is_used(name, rate, monkeypatch):
                 client == entry.client_id and ev == event and topic_matches(entry.pattern, topic)
                 for client, ev, topic in used
             ), f"unused grant {entry}"
+
+
+def test_cross_refuses_a_publish_the_receiver_does_not_get():
+    spec = flow_spec("virtualized-none")
+    path = _Path(spec, 0, np.random.default_rng(0))
+    topic = DATA_TOPIC.format(sensor="s0")
+    path.link(["s0"], [topic], "vnode", DATA_FILTER)
+    raw = dict(topic=topic, sensor_id="s0", scheme=Scheme.RAW, value=1)
+    with pytest.raises(RuntimeError) as excinfo:
+        path.cross("consumer", [("s0", [raw])])
+    assert str(excinfo.value) == f"wiring error: no delivery to 'consumer' on {topic!r}"
