@@ -56,13 +56,6 @@ class EnvelopeError(ValueError):
     """Payload violates the wire-format contract."""
 
 
-def _require_uint(payload: dict, key: int, name: str) -> int:
-    v = payload[key]
-    if type(v) is not int or v < 0:  # cbor.decode makes no int subclass
-        raise EnvelopeError(f"key {key} ({name}) must be an unsigned integer, got {v!r}")
-    return v
-
-
 @dataclass(frozen=True, init=False)
 class Envelope:
     """One pub/sub message: routing topic plus the CBOR payload fields.
@@ -106,10 +99,11 @@ class Envelope:
         if type(value) is not int:
             raise EnvelopeError(f"value must be an integer, got {value!r}")
         if type(scheme) is not Scheme:
-            try:
-                scheme = Scheme(scheme)
-            except ValueError:
-                raise EnvelopeError(f"unknown scheme tag {scheme!r}") from None
+            # only a plain int is a tag: Scheme(1.0), Scheme(True) and
+            # Scheme(np.int64(1)) would each make LDP
+            if type(scheme) is not int or scheme not in _SCHEME_BY_TAG:
+                raise EnvelopeError(f"unknown scheme tag {scheme!r}")
+            scheme = _SCHEME_BY_TAG[scheme]
         if scheme is Scheme.ASS_SHARE:
             if share_index is None:
                 raise EnvelopeError("ass-share envelope requires a share_index")
@@ -156,7 +150,9 @@ def cbor_encode(env: Envelope) -> bytes:
 
 
 def cbor_decode(data: bytes, topic: str = "") -> Envelope:
-    """Parse and validate payload bytes; the topic is supplied out-of-band."""
+    """Parse and validate payload bytes; the topic is supplied out-of-band.
+
+    A decoded payload passes the same checks as a constructed Envelope."""
     payload = cbor.decode(data)
     if not isinstance(payload, dict):
         raise EnvelopeError(f"payload must be a CBOR map, got {type(payload).__name__}")
@@ -167,31 +163,20 @@ def cbor_decode(data: bytes, topic: str = "") -> Envelope:
         unknown = sorted(set(payload) - _ALL_KEYS)
         raise EnvelopeError(f"unknown payload keys {unknown}")
 
-    sensor_id = payload[_KEY_SENSOR]
-    if not isinstance(sensor_id, str):
-        raise EnvelopeError(f"key 0 (sensor id) must be text, got {sensor_id!r}")
-    sequence = _require_uint(payload, _KEY_SEQUENCE, "sequence")
-    scheme_tag = _require_uint(payload, _KEY_SCHEME, "scheme")
-    scheme = _SCHEME_BY_TAG.get(scheme_tag)
-    if scheme is None:
-        raise EnvelopeError(f"unknown scheme tag {scheme_tag}")
-    value = payload[_KEY_VALUE]
-    if type(value) is not int:
-        raise EnvelopeError(f"key 3 (value) must be an integer, got {value!r}")
-    timestamp_us = _require_uint(payload, _KEY_TIMESTAMP, "timestamp")
-
-    share_index = None
-    if _KEY_SHARE_INDEX in payload:
-        share_index = _require_uint(payload, _KEY_SHARE_INDEX, "share index")
-    epsilon = None
-    if _KEY_EPSILON in payload:
-        epsilon = payload[_KEY_EPSILON]
-        if not isinstance(epsilon, float):
-            raise EnvelopeError(f"key 5 (epsilon) must be a float, got {epsilon!r}")
-
+    epsilon = payload.get(_KEY_EPSILON)
+    # Envelope takes an int epsilon; the wire carries only a float
+    if epsilon is not None and not isinstance(epsilon, float):
+        raise EnvelopeError(f"key 5 (epsilon) must be a float, got {epsilon!r}")
     try:
         return Envelope(
-            topic, sensor_id, sequence, scheme, value, share_index, epsilon, timestamp_us
+            topic,
+            payload[_KEY_SENSOR],
+            payload[_KEY_SEQUENCE],
+            payload[_KEY_SCHEME],
+            payload[_KEY_VALUE],
+            payload.get(_KEY_SHARE_INDEX),
+            epsilon,
+            payload[_KEY_TIMESTAMP],
         )
     except EnvelopeError as exc:
         raise EnvelopeError(f"inconsistent payload: {exc}") from None

@@ -169,6 +169,10 @@ ENVELOPE_REFUSALS = [
         dict(scheme=Scheme.ASS_SHARE, epsilon=None, share_index=2.0),
         "share_index must be an integer, got 2.0",
     ),
+    # only a plain int is a scheme tag
+    (dict(scheme=1.0), "unknown scheme tag 1.0"),
+    (dict(scheme=True), "unknown scheme tag True"),
+    (dict(scheme=np.int64(1)), f"unknown scheme tag {np.int64(1)!r}"),
 ]
 
 
