@@ -17,7 +17,7 @@ something to interpolate around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -181,6 +181,12 @@ def draw_lost_share(n: int, m: int, rng: np.random.Generator) -> tuple[int, int]
     """
     victim = int(rng.integers(0, n))
     return victim, int(rng.integers(1, m + 1))
+
+
+def lose_share(bundle: ShareBundle, channel: int) -> ShareBundle:
+    """The bundle with its share on `channel` (1-based) lost in transit."""
+    shares = bundle.shares
+    return replace(bundle, shares=shares[: channel - 1] + (None,) + shares[channel:])
 
 
 def _check_bundles(bundles: Sequence[ShareBundle], fp: FieldParams) -> None:

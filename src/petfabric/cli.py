@@ -28,7 +28,6 @@ import logging
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -212,10 +211,7 @@ def _ass_demo(args, cfg):
         bundles = [ass.split(x, m, fp, rng, sid) for x, sid in zip(encoded, sensor_ids)]
         if cfg["drop_one_share"]:
             victim, channel = ass.draw_lost_share(n, m, rng)
-            shares = bundles[victim].shares
-            bundles[victim] = replace(
-                bundles[victim], shares=shares[: channel - 1] + (None,) + shares[channel:]
-            )
+            bundles[victim] = ass.lose_share(bundles[victim], channel)
         base = [rep, n, m, fp.modulus]
         try:
             total = ass.reconstruct_sum(bundles, fp)

@@ -287,10 +287,6 @@ class Subscription:
         self.pattern = pattern
         self.messages: list[Delivery] = []
 
-    def pop_all(self) -> list[Delivery]:
-        out, self.messages = self.messages, []
-        return out
-
 
 @dataclass(frozen=True)
 class LoadReport:

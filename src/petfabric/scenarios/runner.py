@@ -10,9 +10,10 @@ per-sensor privacy randomness and transport legs in (sensor, channel) order.
 Each flow is written once, as the messages it sends. A repetition's _Path
 links senders to a receiver -- each sender may publish only its own topic,
 the receiver may subscribe only its filter -- and carries every crossing of
-the broker. Latency bookkeeping is additive by construction: a RunRecord's
-end-to-end time is its compute time plus the sampled delays of the hops on
-the critical path, and its hop count is counted from the same crossings:
+the broker, handing the receiver what it got. Latency bookkeeping is
+additive by construction: a RunRecord's end-to-end time is its compute time
+plus the sampled delays of the hops on the critical path, and its hop count
+is counted from the same crossings:
 
     Every message on the critical path is two hops (publish + delivery).
     Of the senders in one crossing, the slowest lies on the critical path.
@@ -33,11 +34,10 @@ from ..codec import decode, decode_sum, encode
 from ..fabric import (
     AclTable,
     Broker,
+    Delivery,
     Envelope,
-    PublishReceipt,
     RunRecord,
     Scheme,
-    Subscription,
     VirtualClock,
     PUBLISH,
     SUBSCRIBE,
@@ -88,13 +88,6 @@ def _draw_values(spec: ScenarioSpec, rng: np.random.Generator) -> list[float]:
     return rng.uniform(lo, hi, n).tolist()
 
 
-def _leg(receipt: PublishReceipt, subscriber: str) -> tuple[float, float]:
-    for d in receipt.deliveries:
-        if d.subscriber == subscriber:
-            return receipt.publish_delay_ms, d.delivery_delay_ms
-    raise RuntimeError(f"wiring error: no delivery to {subscriber!r} on {receipt.topic!r}")
-
-
 class _Path:
     """One repetition's broker and the critical path its messages take."""
 
@@ -105,7 +98,7 @@ class _Path:
         self.rep = rep
         self.delays: list[float] = []
 
-    def link(self, senders, topics, receiver: str, pattern: str) -> Subscription:
+    def link(self, senders, topics, receiver: str, pattern: str) -> None:
         """Grant each sender its one publish topic and the receiver its filter,
         then subscribe the receiver."""
         broker = self.broker
@@ -114,35 +107,42 @@ class _Path:
             broker.acl.allow(sender, topic, PUBLISH)
         broker.register_client(receiver)
         broker.acl.allow(receiver, pattern, SUBSCRIBE)
-        return broker.subscribe(receiver, pattern)
+        broker.subscribe(receiver, pattern)
 
     def cross(
         self, receiver: str, batches: Iterable[Batch], then_ms: float = 0.0
-    ) -> list[Envelope]:
-        """Publish each sender's messages in order and return the envelopes.
+    ) -> list[Delivery]:
+        """Publish each sender's messages in order and return what the
+        receiver got, in publish order.
 
         batches is consumed lazily, so whatever randomness builds a sender's
         messages is drawn just before they are published. Envelopes carry the
         repetition as sequence and the current time unless a message says
-        otherwise. The slowest sender's legs join the critical path, and the
-        clock advances by their delay plus then_ms, the time the receiver
-        spends before it sends on.
+        otherwise. Each message must reach the receiver, and only it. The
+        slowest sender's legs join the critical path, and the clock advances
+        by their delay plus then_ms, the time the receiver spends before it
+        sends on.
         """
-        sent: list[Envelope] = []
         per_sender = []
         publish, rep, now = self.broker.publish, self.rep, self.clock.now_us
         for sender, messages in batches:
-            legs = []
+            got = []
             for fields in messages:
                 env = Envelope(**{"sequence": rep, "timestamp_us": now, **fields})
-                legs.append(_leg(publish(sender, env), receiver))
-                sent.append(env)
-            per_sender.append(legs)
-        legs = max(per_sender, key=lambda legs: sum(map(sum, legs)))
-        added = [delay for leg in legs for delay in leg]
+                deliveries = publish(sender, env).deliveries
+                if len(deliveries) != 1 or deliveries[0].subscriber != receiver:
+                    raise RuntimeError(
+                        f"wiring error: no delivery to {receiver!r} on {env.topic!r}"
+                    )
+                got.append(deliveries[0])
+            per_sender.append(got)
+        slowest = max(
+            per_sender, key=lambda got: sum(d.publish_delay_ms + d.delivery_delay_ms for d in got)
+        )
+        added = [delay for d in slowest for delay in (d.publish_delay_ms, d.delivery_delay_ms)]
         self.delays.extend(added)
         self.clock.advance_ms(sum(added) + then_ms)
-        return sent
+        return [d for got in per_sender for d in got]
 
     def record(self, spec: ScenarioSpec, compute: float) -> RunRecord:
         return RunRecord(
@@ -187,11 +187,11 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
     virtualized = spec.topology.kind == VIRTUALIZED
     hub = "vnode" if virtualized else "aggregator"
     if virtualized:
-        inbox = path.link(sensors, topics, hub, DATA_FILTER)
+        path.link(sensors, topics, hub, DATA_FILTER)
     if virtualized or pet.kind == PET_GDP:
-        outbox = path.link([hub], [OUT_TOPIC], "consumer", OUT_TOPIC)
+        path.link([hub], [OUT_TOPIC], "consumer", OUT_TOPIC)
     else:
-        outbox = path.link(sensors, topics, "consumer", DATA_FILTER)
+        path.link(sensors, topics, "consumer", DATA_FILTER)
 
     def readings(scheme, wire, epsilon=None) -> list[Batch]:
         return [
@@ -206,12 +206,11 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
             budget = dp.PrivacyBudget.for_sum(pet.epsilon, params.q)
         collected = encoded
         if virtualized:
-            path.cross(hub, readings(Scheme.RAW, encoded))
-            collected = [d.envelope.value for d in inbox.pop_all()]
+            collected = [d.envelope.value for d in path.cross(hub, readings(Scheme.RAW, encoded))]
         noisy = round(dp.gdp_aggregate(collected, budget, pet.aggregator, rng).value)
         path.clock.advance_ms(compute)
         out = dict(topic=OUT_TOPIC, sensor_id=hub, scheme=Scheme.GDP, epsilon=pet.epsilon)
-        path.cross("consumer", [(hub, [dict(out, value=noisy)])])
+        received = path.cross("consumer", [(hub, [dict(out, value=noisy)])])
     else:
         if pet.kind == PET_LDP:
             budget = dp.PrivacyBudget.for_sum(pet.epsilon, params.q)
@@ -222,14 +221,16 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
             wire = encoded
         path.clock.advance_ms(compute)
         scheme = SENSOR_SCHEMES[pet.kind]
-        path.cross(hub if virtualized else "consumer", readings(scheme, wire, pet.epsilon))
+        received = path.cross(
+            hub if virtualized else "consumer", readings(scheme, wire, pet.epsilon)
+        )
         if virtualized:
             # the vnode forwards the one source's envelope as it arrived
-            (inbound,) = inbox.pop_all()
+            (inbound,) = received
             forward = dict(vars(inbound.envelope), topic=OUT_TOPIC, sensor_id=hub)
-            path.cross("consumer", [(hub, [forward])])
+            received = path.cross("consumer", [(hub, [forward])])
 
-    total = sum(d.envelope.value for d in outbox.pop_all())
+    total = sum(d.envelope.value for d in received)
     record = path.record(spec, compute)
     if pet.aggregator == "mean":
         return RepOutcome(record, decode(total, params), float(sum(values)) / n)
@@ -253,17 +254,19 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
     if virtualized:
         # one source publishes raw; a virtual node does the splitting
         topic = DATA_TOPIC.format(sensor="s0")
-        inbox = path.link(["s0"], [topic], "vnode", DATA_FILTER)
+        path.link(["s0"], [topic], "vnode", DATA_FILTER)
         raw = dict(topic=topic, sensor_id="s0", scheme=Scheme.RAW, value=encoded[0])
-        path.cross("vnode", [("s0", [raw])], then_ms=compute)
-        secrets = [d.envelope.value for d in inbox.pop_all()]
+        secrets = [d.envelope.value for d in path.cross("vnode", [("s0", [raw])], then_ms=compute)]
     else:
         path.clock.advance_ms(compute)
         secrets = encoded
 
+    bundles = []
+
     def shares():
         for splitter, sid, secret in zip(splitters, sensors, secrets):
             bundle = ass.split(secret, m, fp, rng, sensor_id=sid)
+            bundles.append(bundle)
             share = dict(sensor_id=sid, scheme=Scheme.ASS_SHARE)
             yield splitter, [
                 dict(share, topic=SHARE_TOPIC.format(channel=ch), value=v, share_index=ch)
@@ -272,10 +275,10 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
 
     # shares reach the consumer undecoded; a dropped one is lost between
     # broker and subscriber
-    sent = path.cross("consumer", shares())
-    received = [env for env in sent if (env.sensor_id, env.share_index) != drop]
+    path.cross("consumer", shares())
+    if drop is not None:
+        bundles[victim] = ass.lose_share(bundles[victim], channel)
     record = path.record(spec, compute)
-    bundles = _collect_bundles(received, sensors, m, fp.modulus)
     encoded_truth = sum(encoded)
     try:
         total = ass.reconstruct_sum(bundles, fp)
@@ -293,31 +296,20 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
     )
 
 
-def _collect_bundles(envelopes, sensor_ids, m, modulus) -> list[ass.ShareBundle]:
-    by_sensor: dict[str, list[Optional[int]]] = {sid: [None] * m for sid in sensor_ids}
-    for env in envelopes:
-        by_sensor[env.sensor_id][env.share_index - 1] = env.value
-    return [
-        ass.ShareBundle(sensor_id=sid, shares=tuple(by_sensor[sid]), modulus=modulus)
-        for sid in sensor_ids
-    ]
-
-
 def _relay_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
     """One source's raw value, forwarded unchanged through depth relays."""
     depth = spec.topology.depth
     chain = ["source", *(f"relay{i}" for i in range(1, depth + 1)), "consumer"]
     topics = [RELAY_TOPIC.format(i=i) for i in range(depth + 1)]
-    inboxes = [
+    hops = list(zip(chain, chain[1:], topics))
+    for sender, receiver, topic in hops:
         path.link([sender], [topic], receiver, topic)
-        for sender, receiver, topic in zip(chain, chain[1:], topics)
-    ]
     path.clock.advance_ms(compute)
     message = dict(sensor_id="source", scheme=Scheme.RAW, value=encoded[0])
-    for sender, receiver, topic, inbox in zip(chain, chain[1:], topics, inboxes):
-        path.cross(receiver, [(sender, [dict(message, topic=topic)])])
+    for sender, receiver, topic in hops:
+        (delivery,) = path.cross(receiver, [(sender, [dict(message, topic=topic)])])
         # relays add no processing time; they immediately forward
-        message = vars(inbox.pop_all()[0].envelope)
+        message = vars(delivery.envelope)
     record = path.record(spec, compute)
     return RepOutcome(record, decode(message["value"], spec.encoding), values[0])
 

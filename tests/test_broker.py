@@ -284,7 +284,7 @@ def test_relay_chain_totals_twelve_hops():
     receipt = broker.publish("source", env_for("chain/leg0"))
     for i in range(1, 6):
         legs.extend([receipt.publish_delay_ms, receipt.deliveries[0].delivery_delay_ms])
-        inbound = subs[i - 1].pop_all()[0].envelope
+        inbound = subs[i - 1].messages[0].envelope
         forward = Envelope(
             topic=f"chain/leg{i}",
             sensor_id=inbound.sensor_id,
