@@ -223,7 +223,7 @@ class ScenarioSpec:
         check_sum_fits(self.sensors.count, self.encoding, "sensors.count")
         if pet in (PET_LDP, PET_GDP):
             q = self.encoding.q
-            check_noise_fits(self.sensors.count, q, q, self.pet.epsilon, "pet.epsilon")
+            check_noise_fits(self.sensors.count, q, None, self.pet.epsilon, "pet.epsilon")
         hops = hop_bound(self.pet.m, self.topology.depth)
         check_clock_fits(self.repetitions, self.compute_ms, hops, self.latency, "compute_ms")
 
@@ -286,14 +286,18 @@ def check_sum_fits(count: int, params: EncodingParams, count_field: str) -> None
         )
 
 
-def check_noise_fits(count: int, q: int, sensitivity: int, epsilon: float, field: str) -> None:
+def check_noise_fits(
+    count: int, q: int, sensitivity: Optional[int], epsilon: float, field: str
+) -> None:
     """A sum of `count` encoded values, each carrying Laplace noise at scale
-    b = sensitivity / epsilon, must stay below ass.MAX_FIELD_BOUND even when
-    every draw is 64 b, which one draw exceeds with probability e**-64
-    (about 1.6e-28): count * (q + 64 b) < 2**62. The error names the larger
-    of the two factors of q + 64 b = q * (1 + 64 b / q): the encoding when q
-    is (a domain or k too wide), else the epsilon field (a tiny epsilon
-    makes b huge)."""
+    b = sensitivity / epsilon (sensitivity None: q), must stay below
+    ass.MAX_FIELD_BOUND even when every draw is 64 b, which one draw exceeds
+    with probability e**-64 (about 1.6e-28): count * (q + 64 b) < 2**62. The
+    error names the larger of the two factors of q + 64 b = q * (1 + 64 b / q):
+    the encoding when q is (a domain or k too wide), else the larger factor
+    of b: an explicit sensitivity, or the epsilon field (a tiny epsilon)."""
+    explicit = sensitivity is not None
+    sensitivity = sensitivity if explicit else q
     # in exact integers, with epsilon = num / den
     num, den = epsilon.as_integer_ratio()
     per_value = q * num + 64 * sensitivity * den  # (q + 64 b) * num
@@ -301,6 +305,8 @@ def check_noise_fits(count: int, q: int, sensitivity: int, epsilon: float, field
         fix = "raise epsilon"
         if q * q * num >= per_value:
             field, fix = "encoding", "lower k or narrow the domain"
+        elif explicit and sensitivity * num > q * den:
+            field, fix = "sensitivity", "lower sensitivity"
         raise ConfigError(
             f"{field}: {count} * ({q} + 64 * {sensitivity} / {epsilon}) must be below 2**62;"
             f" {fix}"
@@ -577,7 +583,7 @@ def sweep_from_dict(raw: dict) -> dict:
     check_sum_fits(n, params, "n")
     eps_grid = _epsilons(raw)
     for i, eps in enumerate(eps_grid):
-        check_noise_fits(n, params.q, sensitivity or params.q, eps, f"eps_grid[{i}]")
+        check_noise_fits(n, params.q, sensitivity, eps, f"eps_grid[{i}]")
     reps = at_least(read_int(raw, "reps", "config", MIN_REPS), MIN_REPS, "reps")
     check_elements(reps, 1, "reps")
     return {
@@ -652,7 +658,7 @@ def bench_from_dict(raw: dict) -> dict:
         }
     epsilon = _positive(read_number(raw, "epsilon", "config", 1.0), "epsilon")
     count = max(n for _, _, pet, n, *_ in PLACEMENTS if pet in (PET_LDP, PET_GDP))
-    check_noise_fits(count, SUITE_ENCODING.q, SUITE_ENCODING.q, epsilon, "epsilon")
+    check_noise_fits(count, SUITE_ENCODING.q, None, epsilon, "epsilon")
     latency = latency_from_config(raw.get("latency", "testbed"))
     repetitions = at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions")
     m = check_shares(at_least(read_int(raw, "m", "config", 3), 2, "m"), "m")

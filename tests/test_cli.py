@@ -284,6 +284,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
             {**SWEEP, "n": 1, "encoding": {"k": 1, "x_lo": -1e17, "x_hi": 120}},
             "encoding",
         ),
+        ("sweep-epsilon", "sweep", {**SWEEP, "sensitivity": 2**55, "eps_grid": [1.0]}, "sensitivity"),
     ],
 )
 def test_experiment_config_rejections_name_the_field(
