@@ -199,7 +199,9 @@ DECODE_REFUSALS = [
 
 
 @pytest.mark.parametrize(
-    "payload,pattern", [row[1:] for row in DECODE_REFUSALS], ids=[row[0] for row in DECODE_REFUSALS]
+    "payload,pattern",
+    [row[1:] for row in DECODE_REFUSALS],
+    ids=[row[0] for row in DECODE_REFUSALS],
 )
 def test_decode_refusals_name_the_field(payload, pattern):
     with pytest.raises(EnvelopeError, match=pattern):
