@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from . import ass
 from .dp import GDP_MODEL, LDP_MODEL, PrivacyBudget, sample_laplace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CoverageError(ValueError):
@@ -98,6 +99,8 @@ def empirical_guess_rate(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if model not in (GDP_MODEL, LDP_MODEL):
         raise ValueError(f"unknown model {model!r}, expected 'gdp' or 'ldp'")
+    import numpy as np
+
     high_truth = rng.integers(0, 2, size=trials).astype(bool)
     noise = sample_laplace(test.budget.scale, rng, size=trials)
     if model == LDP_MODEL:
@@ -131,6 +134,8 @@ def guess_rate_grid(
 
     ci_halfwidth is three binomial standard errors at the analytic rate.
     """
+    import numpy as np
+
     rows: list[GuessRateRow] = []
     index = 0
     for eps in epsilons:
@@ -194,6 +199,8 @@ def partial_sums(
     coverage: CoverageSet, bundles: Sequence[ass.ShareBundle], fp: ass.FieldParams
 ) -> np.ndarray:
     """Per-bundle sum of the observed shares, mod Q."""
+    import numpy as np
+
     channels = sorted(coverage.observed_channels)
     sums = np.empty(len(bundles), dtype=np.int64)
     for i, b in enumerate(bundles):
@@ -237,9 +244,11 @@ def eavesdrop_reconstruct(
     if not bundles or not coverage.observed_channels:
         # nothing observed: trivially consistent with uniform
         return UniformityReport(observations=0, bins=fp.modulus, chi_square=0.0, p_value=1.0)
+    import numpy as np
+    from scipy.stats import chisquare  # here, not at module level: it costs ~1 s
+
     sums = partial_sums(coverage, bundles, fp)
     counts = np.bincount(sums, minlength=fp.modulus)
-    from scipy.stats import chisquare  # here, not at module level: it costs ~1 s
 
     result = chisquare(counts)
     return UniformityReport(
@@ -259,11 +268,13 @@ def two_sample_uniformity(
     observation distributions are statistically indistinguishable. Bins
     empty in both samples are dropped (they contribute nothing).
     """
+    import numpy as np
+    from scipy.stats import chi2_contingency
+
     counts = np.stack(
         [np.bincount(sums_a, minlength=bins), np.bincount(sums_b, minlength=bins)]
     )
     counts = counts[:, counts.sum(axis=0) > 0]
-    from scipy.stats import chi2_contingency
 
     result = chi2_contingency(counts)
     return float(result.statistic), float(result.pvalue)

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .codec import EncodingParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: n_max * q at or beyond this cannot be represented safely in the 64-bit
 #: share arithmetic used on the wire; config loading refuses such encodings.

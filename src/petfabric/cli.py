@@ -31,8 +31,6 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__, adversary, ass
 from .codec import decode_sum, encode
 from .scenarios import (
@@ -115,6 +113,8 @@ def _resolve_seed(flag_seed, config_seed) -> int:
 def _write_reports(args, seed: int, workers: int, reports: dict) -> None:
     """Write each report CSV into --out, then manifest.json: what ran, on
     what, and with which interpreter and numpy."""
+    import numpy as np
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in reports.items():
@@ -198,6 +198,8 @@ def _adversary_sim(args, cfg):
 
 
 def _ass_demo(args, cfg):
+    import numpy as np
+
     seed = _resolve_seed(args.seed, cfg["seed"])
     params = cfg["encoding"]
     n, m = cfg["n"], cfg["m"]
@@ -237,6 +239,8 @@ def _ass_demo(args, cfg):
 
 
 def _bench_suite(args, cfg):
+    import numpy as np
+
     seed = _resolve_seed(args.seed, cfg["seed"])
     specs = benchmark_suite(
         latency=cfg["latency"],

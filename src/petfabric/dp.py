@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .codec import EncodingParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The two deployment models, as configs and reports name them.
 LDP_MODEL = "ldp"
@@ -89,6 +90,8 @@ def sample_laplace(scale: float, rng: np.random.Generator, size=None):
             u = rng.random()
         u -= 0.5
         return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
+    import numpy as np
+
     u = rng.random(size)
     while True:
         zero = u == 0.0
@@ -109,6 +112,8 @@ def ldp_perturb(x: int, budget: PrivacyBudget, rng: np.random.Generator) -> int:
 
 def ldp_perturb_array(xs, budget: PrivacyBudget, rng: np.random.Generator) -> np.ndarray:
     """Vector form of ldp_perturb for batch experiments (int64 output)."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=np.int64)
     noise = np.rint(sample_laplace(budget.scale, rng, size=xs.shape))
     return xs + noise.astype(np.int64)

@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .envelope import Envelope, Scheme, cbor_decode, cbor_encode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FabricError(Exception):
@@ -311,7 +312,11 @@ class Broker:
         self.acl = acl if acl is not None else AclTable()
         self.latency = latency if latency is not None else LatencyModel()
         self.clock = clock if clock is not None else VirtualClock()
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng(0)
+        self._rng = rng
         self._clients: set[str] = set()
         self._subscriptions: list[Subscription] = []
         # topic -> its matching subscriptions in subscribe order; subscribe clears it

@@ -13,9 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .. import dp
 # decode is unused here, but perfbench/tracing.py wraps experiments.decode
@@ -23,6 +21,9 @@ from ..codec import decode, decode_sum, derive_params, encode
 from ..dp import LDP_MODEL
 from .config import ScenarioSpec
 from .runner import run_scenario_outcomes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class UtilityReport:
 
 def generate_weights(n: int, low: float, high: float, seed: int) -> np.ndarray:
     """The experiment's seeded ground-truth dataset (uniform weights)."""
+    import numpy as np
+
     return np.random.default_rng(seed).uniform(low, high, n)
 
 
@@ -70,6 +73,8 @@ def weight_sum_experiment(
     global model the exact sum receives a single draw. Sensitivity defaults
     to the encoded width q.
     """
+    import numpy as np
+
     low, high = domain
     params = derive_params(low, high, k)
     weights = generate_weights(n, low, high, seed)
@@ -120,6 +125,8 @@ class LatencySummary:
 
 
 def _summarize(end_to_end: np.ndarray) -> LatencySummary:
+    import numpy as np
+
     return LatencySummary(
         mean_ms=float(end_to_end.mean()),
         median_ms=float(np.median(end_to_end)),
@@ -166,6 +173,8 @@ def _ks_2samp_equal(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     n = len(a)
     if n == 0 or len(b) != n:
         raise ValueError(f"need two non-empty samples of equal size, got {n} and {len(b)}")
+    import numpy as np
+
     a, b = np.sort(a), np.sort(b)
     pooled = np.concatenate([a, b])
     gaps = np.searchsorted(a, pooled, side="right") - np.searchsorted(b, pooled, side="right")
@@ -198,6 +207,8 @@ def load_test(
     if rate_per_s < 0:
         # a run skips inject_load, and so its check, for a rate <= 0
         raise ValueError(f"rate_per_s: must be >= 0, got {rate_per_s}")
+    import numpy as np
+
     base_out = run_scenario_outcomes(base)
     loaded_out = run_scenario_outcomes(base, filler_rate=rate_per_s, filler_window_s=filler_window_s)
     base_e2e = np.array([o.record.end_to_end_ms for o in base_out])

@@ -25,9 +25,7 @@ between 4 (2 + 2m with shares), and a relay chain 2 + 2*depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .. import ass, dp
 from ..codec import decode, decode_sum, encode
@@ -52,6 +50,9 @@ from .config import (
     VIRTUALIZED,
     ScenarioSpec,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DATA_TOPIC = "cabin/sim/{sensor}/value"
 DATA_FILTER = "cabin/sim/+/value"
@@ -321,6 +322,8 @@ def _outcomes_for_range(
     filler_rate: float,
     filler_window_s: float,
 ) -> list[RepOutcome]:
+    import numpy as np
+
     out = []
     for rep in range(start, stop):
         rng = np.random.default_rng(spec.seed + rep)
@@ -351,6 +354,8 @@ def run_scenario_outcomes(
         return _outcomes_for_range(spec, 0, reps, filler_rate, filler_window_s)
     # the pool pulls in multiprocessing, pickle and socket; serial runs skip it
     from concurrent.futures import ProcessPoolExecutor
+
+    import numpy as np
 
     bounds = np.linspace(0, reps, workers + 1).astype(int)
     chunks = [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]

@@ -1,12 +1,14 @@
-"""Start-up cost: the CLI imports scipy.stats and the process pool only
-where they are used, so subcommands that never reach a chi-square test or a
-worker pool do not pay for them. The load test's KS test is computed in
+"""Start-up cost: the CLI imports numpy, scipy.stats and the process pool
+only where they are used, so subcommands that never reach a chi-square test
+or a worker pool do not pay for them, and validate-config, --help, --version
+and config errors never load numpy. The load test's KS test is computed in
 house, so it never imports scipy.stats at all.
 
 Each case runs in a fresh interpreter, because this test session has long
 since imported everything.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -100,3 +102,73 @@ def test_load_test_runs_without_scipy():
     proc = run_python(code, json.dumps({**raw, "repetitions": 2}))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_validate_help_version_and_config_errors_never_load_numpy(tmp_path):
+    configs = sorted(CONFIGS.glob("*.json")) + sorted(FAN_IN_LDP.parent.glob("fan-in-*.json"))
+    assert len(configs) > 9
+    bad = tmp_path / "bad.json"
+    baseline = json.loads((CONFIGS / "baseline.json").read_text())
+    bad.write_text(json.dumps({**baseline, "repetitions": 0}))
+    code = (
+        "import contextlib, io, sys\n"
+        "from petfabric import cli\n"
+        "for kind, path in zip(sys.argv[2::2], sys.argv[3::2]):\n"
+        "    assert cli.main(['validate-config', '--kind', kind, '--config', path]) == 0, path\n"
+        "for flag in ('--help', '--version'):\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            cli.main([flag])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, flag\n"
+        f"assert cli.main(['run-scenario', '--config', sys.argv[1], '--out', {str(tmp_path)!r}]) == 2\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    args = [a for p in configs for a in (KINDS.get(p.name, "scenario"), str(p))]
+    proc = run_python(code, str(bad), *args)
+    assert proc.returncode == 0, proc.stderr
+    assert "repetitions: " in proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def module_level_numpy_imports(tree) -> tuple[int, list[int]]:
+    """(count of numpy imports, lines of those that run at import time):
+    everything outside a function body or an `if TYPE_CHECKING:` block."""
+    deferred = set()
+    for node in ast.walk(tree):
+        lazy = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+            isinstance(node, ast.If)
+            and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING"
+        )
+        if lazy:
+            deferred.update(id(inner) for stmt in node.body for inner in ast.walk(stmt))
+    imports = [node for node in ast.walk(tree) if _imports_numpy(node)]
+    return len(imports), sorted(n.lineno for n in imports if id(n) not in deferred)
+
+
+def test_the_numpy_guard_sees_each_kind_of_import():
+    source = (
+        "import numpy as np\n"  # 1: eager
+        "if TYPE_CHECKING:\n    import numpy\nelse:\n    from numpy import random\n"  # 5: eager
+        "class A:\n    import numpy.linalg\n"  # 7: eager
+        "def f(x=None):\n    import numpy as np\n"
+    )
+    assert module_level_numpy_imports(ast.parse(source)) == (5, [1, 5, 7])
+
+
+def test_numpy_is_never_imported_at_module_level():
+    src = ROOT / "src" / "petfabric"
+    total, eager = 0, []
+    for path in sorted(src.rglob("*.py")):
+        count, lines = module_level_numpy_imports(ast.parse(path.read_text(encoding="utf-8")))
+        total += count
+        eager += [f"{path.relative_to(src).as_posix()}:{line}" for line in lines]
+    assert eager == []
+    assert total > 0  # the walk sees the deferred imports
