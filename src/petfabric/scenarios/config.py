@@ -431,16 +431,28 @@ def read_numbers(raw: dict, key: str, where: str) -> list[float]:
     return numbers
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object_pairs_hook: refuse an object that names a key twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        dup = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ConfigError(f"{dup}: duplicate key")
+    return obj
+
+
 def load_json(path) -> dict:
-    """Read a config file that must hold one JSON object."""
+    """Read a UTF-8 config file that must hold one JSON object."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from None
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return raw

@@ -51,8 +51,12 @@ BENCH = {"latency": "testbed", "repetitions": 5}
 
 
 def write(tmp_path, name, payload):
+    """Write payload as JSON, or as it is when it is already bytes."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -285,6 +289,23 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
             "encoding",
         ),
         ("sweep-epsilon", "sweep", {**SWEEP, "sensitivity": 2**55, "eps_grid": [1.0]}, "sensitivity"),
+        # a duplicate key, at any depth, is refused, not resolved to its last value
+        pytest.param(
+            "run-scenario", "scenario",
+            json.dumps(BASELINE)[:-1].encode() + b', "seed": 43}', "seed",
+            id="duplicate-seed",
+        ),
+        pytest.param(
+            "ass-demo", "ass-demo",
+            json.dumps(ASS_DEMO).replace('"k": 1', '"k": 1, "k": 2').encode(), "k",
+            id="duplicate-encoding.k",
+        ),
+        # a file that is not UTF-8 is named, not reported as a bare codec error
+        pytest.param(
+            "run-scenario", "scenario",
+            b"\xff\xfe" + json.dumps(BASELINE).encode(), "bad.json",
+            id="not-utf-8",
+        ),
     ],
 )
 def test_experiment_config_rejections_name_the_field(
