@@ -275,8 +275,6 @@ class Delivery:
 
 
 class PublishReceipt(NamedTuple):
-    topic: str
-    publish_delay_ms: float
     deliveries: tuple[Delivery, ...]
 
 
@@ -397,7 +395,7 @@ class Broker:
             sub.messages.append(delivery)
             deliveries.append(delivery)
             audit.append(("deliver", subscriber, topic, now))
-        return PublishReceipt(topic, publish_delay, tuple(deliveries))
+        return PublishReceipt(tuple(deliveries))
 
     # -- background traffic ----------------------------------------------------
 

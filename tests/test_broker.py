@@ -265,8 +265,8 @@ def test_two_hop_constant_delay():
     broker.register_client("c")
     broker.subscribe("c", "t/#")
     receipt = broker.publish("p", env_for("t/x"))
-    assert receipt.publish_delay_ms == 2.0
     delivery = receipt.deliveries[0]
+    assert delivery.publish_delay_ms == 2.0
     assert delivery.publish_delay_ms + delivery.delivery_delay_ms == 4.0  # 2 hops x 2 ms
 
 
@@ -283,7 +283,8 @@ def test_relay_chain_totals_twelve_hops():
     legs = []
     receipt = broker.publish("source", env_for("chain/leg0"))
     for i in range(1, 6):
-        legs.extend([receipt.publish_delay_ms, receipt.deliveries[0].delivery_delay_ms])
+        (leg,) = receipt.deliveries
+        legs.extend([leg.publish_delay_ms, leg.delivery_delay_ms])
         inbound = subs[i - 1].messages[0].envelope
         forward = Envelope(
             topic=f"chain/leg{i}",
@@ -294,7 +295,8 @@ def test_relay_chain_totals_twelve_hops():
             timestamp_us=inbound.timestamp_us,
         )
         receipt = broker.publish(f"relay{i}", forward)
-    legs.extend([receipt.publish_delay_ms, receipt.deliveries[0].delivery_delay_ms])
+    (leg,) = receipt.deliveries
+    legs.extend([leg.publish_delay_ms, leg.delivery_delay_ms])
 
     assert len(legs) == 12
     assert sum(legs) == pytest.approx(12 * d)
