@@ -5,8 +5,4 @@ secret sharing, adversary simulations, and a latency-modeled in-process
 pub/sub fabric for reproducing privacy/utility/latency trade-off benchmarks.
 """
 
-from . import adversary, ass, codec, dp, fabric, scenarios
-
-__version__ = "0.1.0"
-
-__all__ = ["adversary", "ass", "codec", "dp", "fabric", "scenarios", "__version__"]
+__version__ = "0.1.0"  # the one version string: --version and manifest.json read it

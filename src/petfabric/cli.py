@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -33,21 +34,18 @@ from typing import Callable, NamedTuple
 
 from . import __version__, adversary, ass
 from .codec import decode_sum, encode
-from .scenarios import (
-    ConfigError,
-    benchmark_suite,
-    run_scenario,
-    weight_sum_experiment,
-)
 from .scenarios.config import (
+    ConfigError,
     adversary_from_dict,
     ass_demo_from_dict,
     bench_from_dict,
+    benchmark_suite,
     load_json,
     scenario_from_dict,
     sweep_from_dict,
 )
-from .scenarios.runner import worker_count
+from .scenarios.experiments import weight_sum_experiment
+from .scenarios.runner import run_scenario, worker_count
 
 log = logging.getLogger("petfabric")
 
@@ -322,6 +320,7 @@ def _validate(args) -> int:
 # Entry point
 # --------------------------------------------------------------------------
 
+@functools.cache  # once per process: parse_args returns a fresh namespace each call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="petfabric",

@@ -1,59 +1,3 @@
 """Broker-centric transport simulation: envelopes, ACLs, latency model."""
 
-from .broker import (
-    AclDeniedError,
-    AclEntry,
-    AclTable,
-    AuditRecord,
-    Broker,
-    Delivery,
-    FabricError,
-    LatencyModel,
-    LoadReport,
-    MalformedTopicError,
-    PublishReceipt,
-    RunRecord,
-    Subscription,
-    UnknownClientError,
-    VirtualClock,
-    LATENCY_PRESETS,
-    PUBLISH,
-    SUBSCRIBE,
-    topic_matches,
-    validate_filter,
-    validate_topic,
-)
-from .cbor import CborDecodeError, CborEncodeError, CborError
-from .envelope import Envelope, EnvelopeError, Scheme, cbor_decode, cbor_encode
-
-__all__ = [
-    "AclDeniedError",
-    "AclEntry",
-    "AclTable",
-    "AuditRecord",
-    "Broker",
-    "CborDecodeError",
-    "CborEncodeError",
-    "CborError",
-    "Delivery",
-    "Envelope",
-    "EnvelopeError",
-    "FabricError",
-    "LatencyModel",
-    "LoadReport",
-    "MalformedTopicError",
-    "PublishReceipt",
-    "RunRecord",
-    "Scheme",
-    "Subscription",
-    "UnknownClientError",
-    "VirtualClock",
-    "LATENCY_PRESETS",
-    "PUBLISH",
-    "SUBSCRIBE",
-    "cbor_decode",
-    "cbor_encode",
-    "topic_matches",
-    "validate_filter",
-    "validate_topic",
-]
+from .broker import Broker  # perfbench/tests/test_perfbench.py imports it from here

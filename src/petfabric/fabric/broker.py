@@ -120,21 +120,18 @@ class AclEntry:
 class AclTable:
     """Deny-by-default topic ACL: no matching entry means refusal.
 
-    Entries are kept in grant order, and also indexed by (permission,
-    client id), so a check looks only at the client's own grants and the "*"
-    grants: a pattern without wildcards in a set of exact topics, any other
-    in a list.
+    Entries are indexed by (permission, client id), so a check looks only
+    at the client's own grants and the "*" grants: a pattern without
+    wildcards in a set of exact topics, any other in a list.
     """
 
     def __init__(self, entries: Iterable[AclEntry] = ()):
-        self._entries: list[AclEntry] = []
         self._exact: dict[tuple[str, str], set[str]] = {}
         self._grants: dict[tuple[str, str], list[str]] = {}
         for entry in entries:
             self._add(entry)
 
     def _add(self, entry: AclEntry) -> None:
-        self._entries.append(entry)
         key, pattern = (entry.permission, entry.client_id), entry.pattern
         if "+" in pattern or "#" in pattern:
             self._grants.setdefault(key, []).append(pattern)

@@ -27,7 +27,7 @@ from typing import Optional, Union
 from ..ass import MAX_FIELD_BOUND
 from ..codec import DomainError, EncodingParams, derive_params
 from ..dp import GDP_MODEL, LDP_MODEL
-from ..fabric import LATENCY_PRESETS, LatencyModel
+from ..fabric.broker import LATENCY_PRESETS, LatencyModel
 
 ON_DEVICE = "on-device"
 VIRTUALIZED = "virtualized"
@@ -431,14 +431,30 @@ def read_numbers(raw: dict, key: str, where: str) -> list[float]:
     return numbers
 
 
-def _unique_keys(pairs: list) -> dict:
-    """json object_pairs_hook: refuse an object that names a key twice."""
+_DUPLICATE = object()  # a key no JSON object has: marks one that names a key twice
+
+
+def _mark_duplicates(pairs: list) -> dict:
+    """json object_pairs_hook. It cannot see the object's parent, so it marks
+    the repeated key for _refuse_duplicates to name by its dotted path."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = [key for key, _ in pairs]
-        dup = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise ConfigError(f"{dup}: duplicate key")
+        obj[_DUPLICATE] = next(key for i, key in enumerate(keys) if key in keys[:i])
     return obj
+
+
+def _refuse_duplicates(value, where: str = "") -> None:
+    """Raise for the first marked object, outermost first."""
+    prefix = f"{where}." if where else ""
+    if isinstance(value, dict):
+        if _DUPLICATE in value:
+            raise ConfigError(f"{prefix}{value[_DUPLICATE]}: duplicate key")
+        for key, item in value.items():
+            _refuse_duplicates(item, prefix + key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _refuse_duplicates(item, f"{where}[{i}]")
 
 
 def load_json(path) -> dict:
@@ -448,7 +464,8 @@ def load_json(path) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from None
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=_mark_duplicates)
+        _refuse_duplicates(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     except ConfigError as exc:

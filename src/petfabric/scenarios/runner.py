@@ -29,17 +29,16 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from .. import ass, dp
 from ..codec import decode, decode_sum, encode
-from ..fabric import (
+from ..fabric.broker import (
     AclTable,
     Broker,
     Delivery,
-    Envelope,
     RunRecord,
-    Scheme,
     VirtualClock,
     PUBLISH,
     SUBSCRIBE,
 )
+from ..fabric.envelope import Envelope, Scheme
 from .config import (
     PET_ASS,
     PET_GDP,

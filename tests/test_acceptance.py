@@ -19,21 +19,12 @@ from scipy import stats
 from petfabric import adversary, ass, dp
 from petfabric.cli import main as cli_main
 from petfabric.codec import decode_sum, derive_params, encode
-from petfabric.fabric import LATENCY_PRESETS, LatencyModel, Scheme, cbor_decode, cbor_encode, Envelope
+from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
 from petfabric.fabric.cbor import CborDecodeError
-from petfabric.fabric.envelope import EnvelopeError
-from petfabric.scenarios import (
-    PetConfig,
-    ScenarioSpec,
-    SensorConfig,
-    Topology,
-    benchmark_suite,
-    generate_weights,
-    load_test,
-    run_scenario,
-    run_scenario_outcomes,
-    weight_sum_experiment,
-)
+from petfabric.fabric.envelope import Envelope, EnvelopeError, Scheme, cbor_decode, cbor_encode
+from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology, benchmark_suite
+from petfabric.scenarios.experiments import generate_weights, load_test, weight_sum_experiment
+from petfabric.scenarios.runner import run_scenario, run_scenario_outcomes
 
 
 @contextmanager

@@ -106,6 +106,17 @@ def test_seed_flag_overrides_env_overrides_config(tmp_path, monkeypatch):
     assert main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_one_parser_per_process_and_no_seed_carries_over(tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    cfg = write(tmp_path, "baseline.json", BASELINE)
+    seeds = []
+    for out, flags in (("flag", ["--seed", "7"]), ("config", [])):
+        assert main(["run-scenario", "--config", cfg, "--out", str(tmp_path / out), *flags]) == 0
+        seeds.append(json.loads((tmp_path / out / "manifest.json").read_text())["seed"])
+    assert seeds == [7, BASELINE["seed"]]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_sweep_epsilon_csv_schema_and_monotone_median(tmp_path):
     cfg = write(tmp_path, "sweep.json", SWEEP)
     out = tmp_path / "out"

@@ -14,6 +14,12 @@ rule, except that a size leaf (`repetitions`, `reps`, `trials`, `n`,
 `sensors.count`) is only validated: an accepted size runs as long as it
 says.
 
+A key-level pass, over the same configs, deletes each key, adds an unknown
+key to each object and names each key twice. Each mutant is only
+validated. A deletion must validate or exit 2 naming the key (or an
+enclosing object); an unknown key must exit 2 naming its object; a
+duplicate must exit 2 naming the repeated key by its dotted path.
+
 Sizes are shrunk first, so one run takes milliseconds.
 """
 
@@ -149,4 +155,80 @@ def test_the_extreme_pass_covers_the_fan_in_configs():
 def test_extreme_magnitudes_run_or_exit_2_naming_the_field(tmp_path, capsys, config):
     source, *case = EXTREME_CASES[config]
     failures = mutation_failures(tmp_path, capsys, source, case, EXTREMES, run_sizes=False)
+    assert not failures, "\n".join(failures)
+
+
+KEY_MUTATIONS = ("delete", "unknown", "duplicate")
+
+#: stands in for a value while its key is written out twice
+TWICE = "@twice@"
+
+
+def objects(node, path=()):
+    """The path of every JSON object in `node`, the root first."""
+    if isinstance(node, dict):
+        yield path
+        for key, value in node.items():
+            yield from objects(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from objects(value, path + (i,))
+
+
+def at(node, path):
+    for part in path:
+        node = node[part]
+    return node
+
+
+def key_mutants(raw, mutation):
+    """(path, JSON text) of each mutant: the path of the key deleted or
+    named twice, or of the object given an unknown key "zz"."""
+    for obj in objects(raw):
+        if mutation == "unknown":
+            yield obj, json.dumps(mutated(raw, obj + ("zz",), 1))
+            continue
+        for key, value in at(raw, obj).items():
+            if mutation == "delete":
+                copy = json.loads(json.dumps(raw))
+                del at(copy, obj)[key]
+                yield obj + (key,), json.dumps(copy)
+            else:
+                twice = f"{json.dumps(value)}, {json.dumps(key)}: {json.dumps(value)}"
+                text = json.dumps(mutated(raw, obj + (key,), TWICE))
+                yield obj + (key,), text.replace(json.dumps(TWICE), twice)
+
+
+def key_mutation_failures(tmp_path, capsys, source, kind, shrink, mutation):
+    """What breaks the rule of `mutation` in the config file `source`, with
+    its sizes shrunk, validated as `kind`."""
+    raw = {**json.loads(source.read_text()), **shrink}
+    path = tmp_path / source.name
+    failures = []
+    for leaf, text in key_mutants(raw, mutation):
+        field = field_name(leaf) or "config"
+        path.write_text(text)
+        capsys.readouterr()
+        code = main(["validate-config", "--kind", kind, "--config", str(path)])
+        err = capsys.readouterr().err
+        subject = err.removeprefix("config error: ")
+        if mutation == "delete":
+            # the key itself or an enclosing object, as the message's subject
+            subjects = tuple(field_name(leaf[:i]) for i in range(len(leaf), 0, -1))
+            subject = subject.removeprefix("config.")
+            ok = code == 0 or (code == 2 and any(names(subject, s) for s in subjects))
+        elif mutation == "unknown":
+            ok = code == 2 and subject.startswith(f"{field}: unknown keys ['zz']")
+        else:
+            ok = code == 2 and subject == f"{path}: {field}: duplicate key\n"
+        if not ok:
+            failures.append(f"{mutation} {field}: exit {code}: {err!r}")
+    return failures
+
+
+@pytest.mark.parametrize("config", sorted(EXTREME_CASES))
+@pytest.mark.parametrize("mutation", KEY_MUTATIONS)
+def test_key_mutations_validate_or_exit_2_naming_the_field(tmp_path, capsys, mutation, config):
+    source, _, kind, shrink = EXTREME_CASES[config]
+    failures = key_mutation_failures(tmp_path, capsys, source, kind, shrink, mutation)
     assert not failures, "\n".join(failures)

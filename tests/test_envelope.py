@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from petfabric.fabric import Envelope, EnvelopeError, Scheme, cbor_decode, cbor_encode
+from petfabric.fabric.envelope import Envelope, EnvelopeError, Scheme, cbor_decode, cbor_encode
 from petfabric.fabric.cbor import CborDecodeError, encode as raw_cbor_encode
 
 

@@ -9,17 +9,14 @@ import pytest
 from scipy.stats import ks_2samp
 
 from petfabric.codec import decode_sum, derive_params, encode
-from petfabric.fabric import LATENCY_PRESETS, LatencyModel
-from petfabric.scenarios import (
-    PetConfig,
-    ScenarioSpec,
-    SensorConfig,
-    Topology,
+from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
+from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology
+from petfabric.scenarios.experiments import (
+    _ks_2samp_equal,
     generate_weights,
     load_test,
     weight_sum_experiment,
 )
-from petfabric.scenarios.experiments import _ks_2samp_equal
 
 
 def test_weight_sum_report_shape():

@@ -10,14 +10,8 @@ import numpy as np
 import pytest
 
 from petfabric.ass import ShareBundle
-from petfabric.fabric import (
-    AclEntry,
-    Envelope,
-    EnvelopeError,
-    MalformedTopicError,
-    Scheme,
-    PUBLISH,
-)
+from petfabric.fabric.broker import PUBLISH, AclEntry, MalformedTopicError
+from petfabric.fabric.envelope import Envelope, EnvelopeError, Scheme
 
 
 def envelope(**overrides):

@@ -15,16 +15,11 @@ import numpy as np
 import pytest
 
 from petfabric.codec import derive_params
-from petfabric.fabric import PUBLISH, Broker, LatencyModel, Scheme, topic_matches
 from petfabric.fabric import broker as broker_module
-from petfabric.scenarios import (
-    PetConfig,
-    ScenarioSpec,
-    SensorConfig,
-    Topology,
-    run_scenario_outcomes,
-)
-from petfabric.scenarios.runner import DATA_FILTER, DATA_TOPIC, _Path
+from petfabric.fabric.broker import PUBLISH, AclEntry, AclTable, Broker, LatencyModel, topic_matches
+from petfabric.fabric.envelope import Scheme
+from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology
+from petfabric.scenarios.runner import DATA_FILTER, DATA_TOPIC, _Path, run_scenario_outcomes
 
 ON_DEVICE = Topology("on-device")
 VIRTUALIZED = Topology("virtualized")
@@ -169,6 +164,14 @@ def test_wire_bytes_are_pinned(name, monkeypatch):
 @pytest.mark.parametrize("rate", FILLER_RATES)
 def test_every_acl_grant_is_used(name, rate, monkeypatch):
     brokers = capture_brokers(monkeypatch)
+    grants = {}  # id(table) -> every AclEntry granted to it, in order
+    allow = AclTable.allow
+
+    def recording_allow(self, client_id, pattern, permission):
+        allow(self, client_id, pattern, permission)
+        grants.setdefault(id(self), []).append(AclEntry(client_id, pattern, permission))
+
+    monkeypatch.setattr(AclTable, "allow", recording_allow)
     spec = flow_spec(name)
     run_scenario_outcomes(spec, filler_rate=rate)
     assert len(brokers) == spec.repetitions
@@ -178,7 +181,7 @@ def test_every_acl_grant_is_used(name, rate, monkeypatch):
             for rec in broker.audit_log
             if rec.event in ("publish", "subscribe")
         }
-        for entry in broker.acl._entries:
+        for entry in grants[id(broker.acl)]:
             event = "publish" if entry.permission == PUBLISH else "subscribe"
             assert any(
                 client == entry.client_id and ev == event and topic_matches(entry.pattern, topic)

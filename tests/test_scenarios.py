@@ -7,8 +7,9 @@ import pytest
 
 from petfabric.cli import main
 from petfabric.codec import derive_params
-from petfabric.fabric import LatencyModel
-from petfabric.scenarios import (
+from petfabric.fabric.broker import LatencyModel
+from petfabric.scenarios.config import (
+    MAX_SHARES,
     ConfigError,
     GeneratorConfig,
     PetConfig,
@@ -16,13 +17,13 @@ from petfabric.scenarios import (
     ScenarioSpec,
     SensorConfig,
     Topology,
+    ass_demo_from_dict,
     benchmark_suite,
+    hop_bound,
     load_scenario,
-    run_scenario,
-    run_scenario_outcomes,
     scenario_from_dict,
 )
-from petfabric.scenarios.config import MAX_SHARES, ass_demo_from_dict, hop_bound
+from petfabric.scenarios.runner import run_scenario, run_scenario_outcomes
 
 PARAMS = derive_params(50, 120, 1)
 

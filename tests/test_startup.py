@@ -93,9 +93,10 @@ def test_load_test_runs_without_scipy():
     raw = json.loads(FAN_IN_LDP.read_text())
     code = BLOCK_SCIPY + (
         "import json\n"
-        "from petfabric import scenarios\n"
-        "spec = scenarios.scenario_from_dict(json.loads(sys.argv[1]))\n"
-        "comparison = scenarios.load_test(spec)\n"
+        "from petfabric.scenarios.config import scenario_from_dict\n"
+        "from petfabric.scenarios.experiments import load_test\n"
+        "spec = scenario_from_dict(json.loads(sys.argv[1]))\n"
+        "comparison = load_test(spec)\n"
         "assert comparison.loaded.n == 2 and comparison.ks_statistic > 0, comparison\n"
         "print('scipy.stats' in sys.modules)\n"
     )
@@ -172,3 +173,25 @@ def test_numpy_is_never_imported_at_module_level():
         eager += [f"{path.relative_to(src).as_posix()}:{line}" for line in lines]
     assert eager == []
     assert total > 0  # the walk sees the deferred imports
+
+
+def test_import_petfabric_loads_no_submodule_and_the_packages_export_only_kept_names():
+    # the names perfbench reads through the packages; all else is imported
+    # from the module that defines it
+    kept = {"petfabric.fabric": ["Broker"], "petfabric.scenarios": ["load_scenario", "load_test"]}
+    code = (
+        "import json, pkgutil, sys\n"
+        "import petfabric\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('petfabric.'))\n"
+        "import petfabric.fabric, petfabric.scenarios\n"
+        "names = {p.__name__: [sorted(n for n in vars(p) if not n.startswith('_')),\n"
+        "                      [m.name for m in pkgutil.iter_modules(p.__path__)]]\n"
+        "         for p in (petfabric.fabric, petfabric.scenarios)}\n"
+        "print(json.dumps([loaded, names]))\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    loaded, names = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == []
+    for package, (public, submodules) in names.items():
+        assert public == sorted(submodules + kept[package]), package
