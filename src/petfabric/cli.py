@@ -51,6 +51,10 @@ log = logging.getLogger("petfabric")
 
 SEED_ENV_VAR = "PET_FABRIC_SEED"
 
+#: Most worker processes `--parallel` may ask for; a process pool starts
+#: them all at its first task.
+MAX_WORKERS = 64
+
 RECORD_COLUMNS = ["scenario", "rep", "compute_ms", "hops", "end_to_end_ms", "seed"]
 UTILITY_COLUMNS = ["epsilon", "mean_abs_err", "median_abs_err", "std_err", "reps"]
 GROUND_TRUTH_COLUMNS = ["index", "weight"]
@@ -92,7 +96,10 @@ def _parse_seed(text: str, source: str) -> int:
     spaces, '_', a '+' and non-ASCII digits."""
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ConfigError(f"{source}: not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # over the interpreter's digit limit
+        raise ConfigError(f"{source}: more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _resolve_seed(flag_seed, config_seed) -> int:
@@ -304,6 +311,10 @@ LOADERS = {command.kind: command.load for command in SUBCOMMANDS.values()}
 def _run(args) -> int:
     if args.parallel < 1:
         raise ConfigError(f"--parallel: must be >= 1, got {args.parallel}")
+    if args.parallel > MAX_WORKERS:
+        raise ConfigError(
+            f"--parallel: at most {MAX_WORKERS} worker processes, got {args.parallel}"
+        )
     command = SUBCOMMANDS[args.subcommand]
     config = command.load(load_json(args.config))
     _write_reports(args, *command.run(args, config))

@@ -121,33 +121,23 @@ class AclTable:
     """Deny-by-default topic ACL: no matching entry means refusal.
 
     Entries are indexed by (permission, client id), so a check looks only
-    at the client's own grants and the "*" grants: a pattern without
-    wildcards in a set of exact topics, any other in a list.
+    at the client's own grants and the "*" grants.
     """
 
     def __init__(self, entries: Iterable[AclEntry] = ()):
-        self._exact: dict[tuple[str, str], set[str]] = {}
         self._grants: dict[tuple[str, str], list[str]] = {}
         for entry in entries:
             self._add(entry)
 
     def _add(self, entry: AclEntry) -> None:
-        key, pattern = (entry.permission, entry.client_id), entry.pattern
-        if "+" in pattern or "#" in pattern:
-            self._grants.setdefault(key, []).append(pattern)
-        else:
-            self._exact.setdefault(key, set()).add(pattern)
+        self._grants.setdefault((entry.permission, entry.client_id), []).append(entry.pattern)
 
     def allow(self, client_id: str, pattern: str, permission: str) -> None:
         self._add(AclEntry(client_id, pattern, permission))
 
     def _permits(self, permission: str, client_id: str, topic: str) -> bool:
-        keys = ((permission, client_id), (permission, "*"))
-        exact, grants = self._exact, self._grants
-        for key in keys:
-            if topic in exact.get(key, ()):
-                return True
-        for key in keys:
+        grants = self._grants
+        for key in ((permission, client_id), (permission, "*")):
             for pattern in grants.get(key, ()):
                 if _matches(pattern, topic):
                     return True
@@ -314,8 +304,6 @@ class Broker:
         self._rng = rng
         self._clients: set[str] = set()
         self._subscriptions: list[Subscription] = []
-        # topic -> its matching subscriptions in subscribe order; subscribe clears it
-        self._routes: dict[str, tuple[Subscription, ...]] = {}
         # (event, client_id, topic, timestamp_us); audit_log builds the records
         self._audit: list[tuple[str, str, str, int]] = []
 
@@ -353,7 +341,6 @@ class Broker:
             raise AclDeniedError(f"{client_id!r} may not subscribe to {pattern!r}")
         sub = Subscription(client_id, pattern)
         self._subscriptions.append(sub)
-        self._routes.clear()
         self._record("subscribe", client_id, pattern)
         return sub
 
@@ -362,24 +349,19 @@ class Broker:
         delay per matched subscriber."""
         topic = env.topic
         self._require_client(client_id)
-        routes = self._routes
-        route = routes.get(topic)
-        if route is None:
-            validate_topic(topic)  # a routed topic was validated before
+        validate_topic(topic)
         acl, audit, now = self.acl, self._audit, self.clock.now_us
         if not acl.permits_publish(client_id, topic):
             self._record("publish-denied", client_id, topic)
             raise AclDeniedError(f"{client_id!r} may not publish to {topic!r}")
-        if route is None:
-            route = routes[topic] = tuple(
-                [sub for sub in self._subscriptions if _matches(sub.pattern, topic)]
-            )
         payload = cbor_encode(env)
         latency, rng = self.latency, self._rng
         publish_delay = latency.sample_hop_ms(rng)
         audit.append(("publish", client_id, topic, now))
         deliveries = []
-        for sub in route:
+        for sub in self._subscriptions:
+            if not _matches(sub.pattern, topic):
+                continue
             subscriber = sub.client_id
             if not acl.permits_subscribe_topic(subscriber, topic):
                 # filter was granted but this concrete topic is not:

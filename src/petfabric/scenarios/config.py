@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
@@ -470,6 +471,12 @@ def load_json(path) -> dict:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except RecursionError:  # from json.loads or the walk above
+        raise ConfigError(f"{path}: nested too deeply") from None
+    except ValueError:  # json's only other one: an int literal over the digit limit
+        raise ConfigError(
+            f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return raw

@@ -145,8 +145,8 @@ def test_scalar_round_trip_property(value):
     assert decode(encode(value)) == value
 
 
-# the map decoder parses scalar values inline; it must accept and refuse
-# exactly what the general item parser does
+# a map value must be accepted and refused exactly as the same item at
+# the top level
 # heads with an argument, followed by bytes that are often small (non-minimal)
 heads = st.sampled_from([0x18, 0x19, 0x1A, 0x1B, 0x1C, 0x38, 0x3B, 0x63, 0xF9, 0xFB])
 tails = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 255)), max_size=9).map(bytes)

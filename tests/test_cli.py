@@ -1,5 +1,6 @@
 """CLI: exit codes, manifests, CSV schemas, seed plumbing, determinism."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -317,6 +318,23 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
             b"\xff\xfe" + json.dumps(BASELINE).encode(), "bad.json",
             id="not-utf-8",
         ),
+        # past the parser's recursion limit or its integer digit limit
+        pytest.param(
+            "run-scenario", "scenario",
+            b'{"name": ' + b"[" * 5000 + b"]" * 5000 + b"}", "bad.json",
+            id="nested-too-deep-arrays",
+        ),
+        pytest.param(
+            "run-scenario", "scenario",
+            b'{"name": ' + b'{"a": ' * 5000 + b"0" + b"}" * 5000 + b"}", "bad.json",
+            id="nested-too-deep-objects",
+        ),
+        pytest.param(
+            "run-scenario", "scenario",
+            json.dumps(BASELINE).replace('"seed": 42', '"seed": ' + "9" * 5000).encode(),
+            "bad.json",
+            id="int-over-4300-digits",
+        ),
     ],
 )
 def test_experiment_config_rejections_name_the_field(
@@ -437,6 +455,42 @@ def test_seed_flag_must_be_ascii_digits(tmp_path, capsys, value):
     out = tmp_path / "o"
     assert main(["ass-demo", "--config", cfg, "--out", str(out), "--seed", value]) == 2
     assert capsys.readouterr().err == f"config error: --seed: not an integer: {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["--seed", SEED_ENV_VAR])
+def test_seed_over_the_digit_limit_exits_2_naming_its_source(
+    tmp_path, capsys, monkeypatch, source
+):
+    seed = "9" * 5000
+    argv = ["ass-demo", "--config", write(tmp_path, "demo.json", ASS_DEMO)]
+    out = tmp_path / "o"
+    if source == "--seed":
+        argv += ["--seed", seed]
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, seed)
+    assert main([*argv, "--out", str(out)]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"config error: {source}: more than {limit} digits\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["run-scenario", "bench-suite"])
+@pytest.mark.parametrize("parallel", ["65", "1000000"])
+def test_parallel_over_max_workers_exits_2_before_any_process(
+    tmp_path, capsys, monkeypatch, subcommand, parallel
+):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfg = write(tmp_path, "cfg.json", CONFIGS[subcommand])
+    out = tmp_path / "o"
+    argv = [subcommand, "--config", cfg, "--out", str(out), "--parallel", parallel]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --parallel: at most 64 worker processes, got {parallel}\n"
+    )
     assert not out.exists()
 
 
