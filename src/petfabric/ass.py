@@ -106,8 +106,7 @@ class FieldParams:
 def choose_modulus(n_max: int, q: int) -> FieldParams:
     """Smallest prime strictly greater than n_max * q.
 
-    Deterministic, so independently configured parties agree on the field;
-    a config may override with any verified prime above the bound.
+    Deterministic, so independently configured parties agree on the field.
     """
     if n_max < 1 or q < 1:
         raise ValueError(f"need n_max >= 1 and q >= 1, got ({n_max}, {q})")

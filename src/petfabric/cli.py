@@ -35,6 +35,7 @@ from typing import Callable, NamedTuple
 from . import __version__, adversary, ass
 from .codec import decode_sum, encode
 from .scenarios.config import (
+    RECORDS_FILE,
     ConfigError,
     adversary_from_dict,
     ass_demo_from_dict,
@@ -158,7 +159,7 @@ def _run_scenario(args, spec):
         [r.scenario, r.message_id, r.compute_ms, r.hop_count, r.end_to_end_ms, seed]
         for r in records
     )
-    return seed, workers, {f"{spec.name}_records.csv": (RECORD_COLUMNS, rows)}
+    return seed, workers, {RECORDS_FILE.format(spec.name): (RECORD_COLUMNS, rows)}
 
 
 def _sweep_epsilon(args, cfg):

@@ -22,7 +22,7 @@ each with its own broker, never as threads sharing one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .envelope import Envelope, Scheme, cbor_decode, cbor_encode
@@ -61,7 +61,7 @@ def validate_topic(topic: str) -> None:
         raise MalformedTopicError(f"publish topic {topic!r} must not contain wildcards")
 
 
-@lru_cache(maxsize=4096)
+@cache
 def validate_filter(pattern: str) -> None:
     """Check a subscription filter: wildcards only as whole levels, '#' last."""
     if not pattern:
@@ -92,9 +92,9 @@ def topic_matches(pattern: str, topic: str) -> bool:
     return len(tlevels) == len(plevels)
 
 
-#: topic_matches for the broker and the ACL table, memoized: every
-#: repetition of a run matches the same (filter, topic) pairs
-_matches = lru_cache(maxsize=4096)(topic_matches)
+#: topic_matches for the broker and the ACL table, memoized without bound: every
+#: repetition of a run matches the same pairs, about two per sensor, and reuses them
+_matches = cache(topic_matches)
 
 
 # --------------------------------------------------------------------------

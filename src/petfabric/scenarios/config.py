@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -82,6 +82,11 @@ MAX_CLOCK_US = 2**63
 #: one draw exceeds mean + 12 sd with probability about 1.8e-33.
 CLOCK_JITTER_SDS = 12
 
+#: `run-scenario` writes RECORDS_FILE.format(name) under --out, and common
+#: file systems take file names of at most NAME_MAX bytes
+RECORDS_FILE = "{}_records.csv"
+NAME_MAX = 255
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
@@ -141,30 +146,8 @@ class PetConfig:
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
-    """Per-sensor data source; bounds default to the encoding domain."""
-
-    kind: str = "uniform"
-    low: Optional[float] = None
-    high: Optional[float] = None
-    value: Optional[float] = None  # constant only
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "constant"):
-            raise ConfigError(f"sensors.generator.kind: unknown kind {self.kind!r}")
-        if self.kind == "constant":
-            if self.value is None:
-                raise ConfigError("sensors.generator.value: constant generator needs a value")
-            if self.low is not None or self.high is not None:
-                raise ConfigError("sensors.generator: constant takes no low/high")
-        elif self.value is not None:
-            raise ConfigError("sensors.generator.value: only valid for constant")
-
-
-@dataclass(frozen=True)
 class SensorConfig:
     count: int = 1
-    generator: GeneratorConfig = field(default_factory=GeneratorConfig)
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -191,6 +174,14 @@ class ScenarioSpec:
         if any(c in self.name for c in "/\\\0"):
             # the name is part of a report file name under --out
             raise ConfigError(f"name: must not contain '/', '\\' or NUL, got {self.name!r}")
+        try:
+            size = len(RECORDS_FILE.format(self.name).encode("utf-8"))
+        except UnicodeEncodeError:  # a lone surrogate, which JSON can escape
+            raise ConfigError(f"name: must be valid Unicode, got {self.name!r}") from None
+        if size > NAME_MAX:
+            raise ConfigError(
+                f"name: the report file name would be {size} bytes in UTF-8; at most {NAME_MAX}"
+            )
         at_least(self.compute_ms, 0, "compute_ms")
         at_least(self.repetitions, 1, "repetitions")
         at_least(self.seed, 0, "seed")
@@ -210,16 +201,6 @@ class ScenarioSpec:
                 raise ConfigError("sensors.count: virtualized ass splits one source value")
             if pet == PET_NONE and self.sensors.count != 1:
                 raise ConfigError("sensors.count: a virtualized relay forwards one source")
-        gen = self.sensors.generator
-        lo, hi = self.generator_range
-        if not (self.encoding.x_lo <= lo <= hi <= self.encoding.x_hi):
-            raise ConfigError(
-                "sensors.generator: bounds must nest inside the encoding domain"
-            )
-        if gen.kind == "constant" and not (
-            self.encoding.x_lo <= gen.value <= self.encoding.x_hi
-        ):
-            raise ConfigError("sensors.generator.value: outside the encoding domain")
         check_elements(self.sensors.count, self.pet.m or 1, "sensors.count")
         check_sum_fits(self.sensors.count, self.encoding, "sensors.count")
         if pet in (PET_LDP, PET_GDP):
@@ -227,16 +208,6 @@ class ScenarioSpec:
             check_noise_fits(self.sensors.count, q, None, self.pet.epsilon, "pet.epsilon")
         hops = hop_bound(self.pet.m, self.topology.depth)
         check_clock_fits(self.repetitions, self.compute_ms, hops, self.latency, "compute_ms")
-
-    @property
-    def generator_range(self) -> tuple[float, float]:
-        """The uniform generator's (low, high); an unset bound is the
-        encoding domain's."""
-        gen, enc = self.sensors.generator, self.encoding
-        return (
-            enc.x_lo if gen.low is None else gen.low,
-            enc.x_hi if gen.high is None else gen.high,
-        )
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
         return replace(self, seed=seed)
@@ -485,13 +456,16 @@ def load_json(path) -> dict:
 def encoding_from_dict(raw: dict, where: str = "encoding") -> EncodingParams:
     check_keys(raw, {"k", "x_lo", "x_hi"}, where)
     try:
-        return derive_params(
+        params = derive_params(
             x_lo=read_number(raw, "x_lo", where),
             x_hi=read_number(raw, "x_hi", where),
             k=read_int(raw, "k", where),
         )
     except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    if params.q < 1:  # the noise sensitivity and the share field need a width
+        raise ConfigError(f"{where}: encoded width q = 0 must be >= 1; raise k or widen it")
+    return params
 
 
 def latency_from_config(raw: Union[str, dict], where: str = "latency") -> LatencyModel:
@@ -549,15 +523,12 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     )
     sensors_raw = raw.get("sensors", {})
     check_keys(sensors_raw, {"count", "generator"}, "sensors")
-    gen_raw = sensors_raw.get("generator", {})
-    check_keys(gen_raw, {"kind", "low", "high", "value"}, "sensors.generator")
-    generator = GeneratorConfig(
-        kind=read_str(gen_raw, "kind", "sensors.generator", "uniform"),
-        low=read_number(gen_raw, "low", "sensors.generator", None),
-        high=read_number(gen_raw, "high", "sensors.generator", None),
-        value=read_number(gen_raw, "value", "sensors.generator", None),
-    )
-    sensors = SensorConfig(count=read_int(sensors_raw, "count", "sensors", 1), generator=generator)
+    if "generator" in sensors_raw:  # readings are uniform; a config may say so
+        check_keys(sensors_raw["generator"], {"kind"}, "sensors.generator")
+        kind = read_str(sensors_raw["generator"], "kind", "sensors.generator")
+        if kind != "uniform":
+            raise ConfigError(f"sensors.generator.kind: unknown kind {kind!r}")
+    sensors = SensorConfig(count=read_int(sensors_raw, "count", "sensors", 1))
     return ScenarioSpec(
         name=read_str(raw, "name", "config"),
         topology=topology,

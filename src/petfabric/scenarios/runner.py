@@ -79,15 +79,6 @@ class RepOutcome:
     injected_drop: Optional[tuple[str, int]] = None
 
 
-def _draw_values(spec: ScenarioSpec, rng: np.random.Generator) -> list[float]:
-    gen = spec.sensors.generator
-    n = spec.sensors.count
-    if gen.kind == "constant":
-        return [float(gen.value)] * n
-    lo, hi = spec.generator_range
-    return rng.uniform(lo, hi, n).tolist()
-
-
 class _Path:
     """One repetition's broker and the critical path its messages take."""
 
@@ -163,8 +154,9 @@ def _run_once(
     path = _Path(spec, rep, rng)
     if filler_rate > 0:
         path.broker.inject_load(filler_rate, filler_window_s)
-    values = _draw_values(spec, rng)
-    encoded = [encode(v, spec.encoding) for v in values]
+    params = spec.encoding
+    values = rng.uniform(params.x_lo, params.x_hi, spec.sensors.count).tolist()
+    encoded = [encode(v, params) for v in values]
     if spec.topology.kind == RELAY_CHAIN:
         flow = _relay_flow
     elif spec.pet.kind == PET_ASS:

@@ -20,6 +20,13 @@ validated. A deletion must validate or exit 2 naming the key (or an
 enclosing object); an unknown key must exit 2 naming its object; a
 duplicate must exit 2 naming the repeated key by its dotted path.
 
+An encoding-edge pass sets the `encoding` of each shipped config that has
+one to a domain of encoded width q = 0 (twice), a one-point domain and a
+domain of negative readings. Each must validate and run, or exit 2 naming
+`encoding`. A generator pass gives `sensors.generator` of each scenario
+config a kind or a key other than `{"kind": "uniform"}`; each must exit 2
+naming it.
+
 Sizes are shrunk first, so one run takes milliseconds.
 """
 
@@ -231,4 +238,62 @@ def key_mutation_failures(tmp_path, capsys, source, kind, shrink, mutation):
 def test_key_mutations_validate_or_exit_2_naming_the_field(tmp_path, capsys, mutation, config):
     source, _, kind, shrink = EXTREME_CASES[config]
     failures = key_mutation_failures(tmp_path, capsys, source, kind, shrink, mutation)
+    assert not failures, "\n".join(failures)
+
+
+#: (k, x_lo, x_hi): two domains of width q = 0, a one-point domain and a
+#: domain of negative readings
+ENCODING_EDGES = ((1, 0.5, 0.7), (1, -0.7, -0.5), (1, 80, 80), (1, -120, -50))
+
+ENCODED = sorted(name for name in SHIPPED if "encoding" in json.loads((CONFIGS / name).read_text()))
+
+
+@pytest.mark.parametrize("config", ENCODED)
+def test_encoding_edges_run_or_exit_2_naming_the_encoding(tmp_path, capsys, config):
+    subcommand, kind, shrink = SHIPPED[config]
+    raw = {**json.loads((CONFIGS / config).read_text()), **shrink}
+    path = tmp_path / config
+    failures = []
+    for k, x_lo, x_hi in ENCODING_EDGES:
+        path.write_text(json.dumps(dict(raw, encoding={"k": k, "x_lo": x_lo, "x_hi": x_hi})))
+        capsys.readouterr()
+        code = main(["validate-config", "--kind", kind, "--config", str(path)])
+        refused = code == 2
+        if code == 0:
+            code = main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if code != 0 and not (refused and names(err.removeprefix("config error: "), "encoding")):
+            failures.append(f"({k}, {x_lo}, {x_hi}): exit {code}: {err!r}")
+    assert not failures, "\n".join(failures)
+
+
+#: sensors.generator objects other than {"kind": "uniform"}, each with the
+#: refusal that names its field
+GENERATOR_REFUSALS = (
+    ({"kind": "constant", "value": 80}, "sensors.generator: unknown keys ['value']"),
+    ({"kind": "uniform", "low": 80}, "sensors.generator: unknown keys ['low']"),
+    ({"kind": "uniform", "value": 80}, "sensors.generator: unknown keys ['value']"),
+    ({"kind": "constant"}, "sensors.generator.kind: unknown kind 'constant'"),
+)
+
+GENERATED = sorted(
+    name
+    for name, (source, *_) in EXTREME_CASES.items()
+    if "generator" in json.loads(source.read_text()).get("sensors", {})
+)
+
+
+@pytest.mark.parametrize("config", GENERATED)
+def test_a_generator_other_than_uniform_exits_2_naming_it(tmp_path, capsys, config):
+    source, _, kind, shrink = EXTREME_CASES[config]
+    raw = {**json.loads(source.read_text()), **shrink}
+    path = tmp_path / source.name
+    failures = []
+    for generator, message in GENERATOR_REFUSALS:
+        path.write_text(json.dumps(mutated(raw, ("sensors", "generator"), generator)))
+        capsys.readouterr()
+        code = main(["validate-config", "--kind", kind, "--config", str(path)])
+        err = capsys.readouterr().err
+        if code != 2 or not err.startswith(f"config error: {message}"):
+            failures.append(f"{generator}: exit {code}: {err!r}")
     assert not failures, "\n".join(failures)

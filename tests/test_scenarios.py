@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from petfabric.cli import main
-from petfabric.codec import derive_params
-from petfabric.fabric.broker import LatencyModel
+from petfabric.codec import decode, derive_params, encode
+from petfabric.fabric.broker import LatencyModel, _matches
 from petfabric.scenarios.config import (
     MAX_SHARES,
     ConfigError,
-    GeneratorConfig,
     PetConfig,
     REFERENCE_COMPUTE_MS,
     ScenarioSpec,
@@ -96,7 +95,10 @@ def test_load_scenario_from_file(tmp_path):
         ),
         (lambda c: c["sensors"].update(count=0), "sensors.count"),
         (lambda c: c["sensors"]["generator"].update(kind="zipf"), "generator.kind"),
-        (lambda c: c["sensors"]["generator"].update(low=10), "nest inside"),
+        (
+            lambda c: c["sensors"]["generator"].update(low=10),
+            r"^sensors.generator: unknown keys \['low'\]",
+        ),
         (lambda c: c["encoding"].update(k=0), "positive integer"),
         (lambda c: c.update(latency="warp-speed"), "unknown preset"),
         (lambda c: c.update(compute_ms=-1), "compute_ms"),
@@ -149,6 +151,10 @@ def test_load_scenario_from_file(tmp_path):
         ),
         (lambda c: c["pet"].update(kind="ass", m=2**62), "^pet.m: at most 1024 shares"),
         (lambda c: c["pet"].update(kind="ass", m=1025), "^pet.m: at most 1024 shares"),
+        (
+            lambda c: c["encoding"].update(x_lo=0.5, x_hi=0.7),
+            "^encoding: encoded width q = 0 must be >= 1",
+        ),
     ],
 )
 def test_config_rejections_name_the_field(mutate, message):
@@ -234,6 +240,23 @@ def test_latency_inline_object():
     cfg = json.loads(json.dumps(GOOD_CONFIG))
     cfg["latency"] = {"per_hop_mean_ms": 1.5, "jitter_std_ms": 0.2, "distribution": "gaussian"}
     assert scenario_from_dict(cfg).latency == LatencyModel(1.5, 0.2, "gaussian")
+
+
+@pytest.mark.parametrize(
+    "name,code",
+    [("n" * 243, 0), ("n" * 244, 2), ("\u00e9" * 122, 2), ("\ud800", 2)],
+    ids=["243-ascii-bytes", "244-ascii-bytes", "244-utf8-bytes", "lone-surrogate"],
+)
+def test_a_name_too_long_for_its_report_file_exits_2(tmp_path, capsys, name, code):
+    # run-scenario writes <name>_records.csv, and a file name takes 255 bytes
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(GOOD_CONFIG, name=name)))
+    out = tmp_path / "out"
+    assert main(["run-scenario", "--config", str(path), "--out", str(out)]) == code
+    if code == 0:
+        assert (out / f"{name}_records.csv").is_file()
+    else:
+        assert capsys.readouterr().err.startswith("config error: name: ")
 
 
 # -- hop structure and calibrated latencies ---------------------------------------
@@ -339,22 +362,13 @@ def test_raw_flow_reproduces_values():
 def test_virtualized_relay_forwards_the_value():
     spec = make_spec(
         topology=Topology("virtualized"),
-        sensors=SensorConfig(count=1, generator=GeneratorConfig(kind="constant", value=93.0)),
+        sensors=SensorConfig(count=1),
         compute_ms=0.0,
         repetitions=3,
     )
     for out in run_scenario_outcomes(spec):
-        assert out.result == 93.0
+        assert out.result == decode(encode(out.truth, PARAMS), PARAMS)
         assert out.record.hop_count == 4 == len(out.record.hop_delays_ms)
-
-
-def test_constant_generator_value():
-    spec = make_spec(
-        sensors=SensorConfig(count=1, generator=GeneratorConfig(kind="constant", value=72.0)),
-        repetitions=2,
-    )
-    outs = run_scenario_outcomes(spec)
-    assert [o.result for o in outs] == [72.0, 72.0]
 
 
 def test_gdp_mean_flow():
@@ -420,6 +434,16 @@ def test_krr_flow_stays_in_domain():
     hi = (PARAMS.q - PARAMS.offset) / PARAMS.k
     for out in run_scenario_outcomes(spec):
         assert lo <= out.result <= hi
+
+
+def test_the_topic_match_memo_keeps_every_pair_of_a_large_run():
+    # each sensor adds a grant and a subscription pair to the memo, so 2,500
+    # sensors hold more pairs than a memo bounded at 4,096 would keep
+    spec = make_spec(sensors=SensorConfig(count=2500), repetitions=2)
+    run_scenario(spec)
+    misses = _matches.cache_info().misses
+    run_scenario(spec)
+    assert _matches.cache_info().misses == misses
 
 
 # -- the six-scenario comparison ---------------------------------------------------
