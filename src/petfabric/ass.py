@@ -151,26 +151,24 @@ class ShareBundle:
         return len(self.shares)
 
 
-def split(
-    secret: int,
-    m: int,
-    fp: FieldParams,
-    rng: np.random.Generator,
-    sensor_id: str = "sensor",
-) -> ShareBundle:
-    """Split an encoded secret into m shares summing to it mod Q."""
+def draw_prefixes(count: int, m: int, fp: FieldParams, rng: np.random.Generator) -> list:
+    """The first m-1 shares of `count` secrets, one row each, uniform on Z_Q."""
     if m < 1:
         raise ValueError(f"share count m must be >= 1, got {m}")
+    # Lemire rejection keeps each share exactly uniform, as secrecy needs; a
+    # block takes the same stream words as `count` rows of scalar draws
+    return rng.integers(0, fp.modulus, size=(count, m - 1)).tolist()
+
+
+def split(
+    secret: int, prefix: Sequence[int], fp: FieldParams, sensor_id: str = "sensor"
+) -> ShareBundle:
+    """Close a drawn prefix with the share that makes all m sum to the secret mod Q."""
     if not 0 <= secret <= fp.width:
         raise ValueError(f"secret {secret} outside encoded domain [0, {fp.width}]")
-    modulus = fp.modulus
-    # Generator.integers draws bounded ints by rejection (Lemire's method),
-    # so shares are exactly uniform; the secrecy argument needs that.
-    # k scalar draws take the same words from the stream as one size-k draw,
-    # and skip its per-call shape check; at large m a sized draw is cheaper.
-    prefix = [int(rng.integers(0, modulus)) for _ in range(m - 1)]
-    last = (secret - sum(prefix)) % modulus
-    return ShareBundle(sensor_id=sensor_id, shares=(*prefix, last), modulus=modulus)
+    # a sum of Python ints: it cannot overflow even with Q near 2^62
+    last = (secret - sum(prefix)) % fp.modulus
+    return ShareBundle(sensor_id=sensor_id, shares=(*prefix, last), modulus=fp.modulus)
 
 
 def draw_lost_share(n: int, m: int, rng: np.random.Generator) -> tuple[int, int]:

@@ -216,7 +216,8 @@ def _ass_demo(args, cfg):
         rng = np.random.default_rng(seed + rep)
         values = rng.uniform(params.x_lo, params.x_hi, n)
         encoded = [encode(v, params) for v in values.tolist()]
-        bundles = [ass.split(x, m, fp, rng, sid) for x, sid in zip(encoded, sensor_ids)]
+        prefixes = ass.draw_prefixes(n, m, fp, rng)
+        bundles = [ass.split(x, p, fp, sid) for x, p, sid in zip(encoded, prefixes, sensor_ids)]
         if cfg["drop_one_share"]:
             victim, channel = ass.draw_lost_share(n, m, rng)
             bundles[victim] = ass.lose_share(bundles[victim], channel)

@@ -257,7 +257,7 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
 
     def shares():
         for splitter, sid, secret in zip(splitters, sensors, secrets):
-            bundle = ass.split(secret, m, fp, rng, sensor_id=sid)
+            bundle = ass.split(secret, ass.draw_prefixes(1, m, fp, rng)[0], fp, sensor_id=sid)
             bundles.append(bundle)
             share = dict(sensor_id=sid, scheme=Scheme.ASS_SHARE)
             yield splitter, [

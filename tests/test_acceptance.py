@@ -61,9 +61,10 @@ def test_02_exact_average_reconstruction():
             for instance in range(1000):
                 rng = np.random.default_rng(202_000 + instance)
                 weights = rng.uniform(50, 120, 500)
+                prefixes = ass.draw_prefixes(500, 3, fp, rng)
                 bundles = [
-                    ass.split(encode(float(w), params), 3, fp, rng, sensor_id=f"s{i}")
-                    for i, w in enumerate(weights)
+                    ass.split(encode(float(w), params), pre, fp, sensor_id=f"s{i}")
+                    for i, (w, pre) in enumerate(zip(weights, prefixes))
                 ]
                 average = ass.reconstruct_average(bundles, fp, params)
                 assert abs(average - weights.mean()) < 1.0 / k
@@ -78,9 +79,9 @@ def test_03_share_secrecy():
         shares = {}
         for secret in secrets:
             rng = np.random.default_rng(20_250_808 + secret)
+            prefixes = ass.draw_prefixes(100_000, 3, fp, rng)
             shares[secret] = np.array(
-                [ass.split(secret, 3, fp, rng).shares for _ in range(100_000)],
-                dtype=np.int64,
+                [ass.split(secret, pre, fp).shares for pre in prefixes], dtype=np.int64
             )
         for secret in secrets:
             for subset in subsets:

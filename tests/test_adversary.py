@@ -120,16 +120,21 @@ def test_grid_deterministic():
 
 # -- eavesdropper -----------------------------------------------------------------
 
+def split(secret, m, fp, rng, sensor_id):
+    """Draw one prefix and close it, as a single sensor's share flow does."""
+    return ass.split(secret, ass.draw_prefixes(1, m, fp, rng)[0], fp, sensor_id)
+
+
 def fresh_bundles(secret, count, fp, seed, m=3):
     rng = np.random.default_rng(seed)
-    return [ass.split(secret, m, fp, rng, sensor_id=f"r{i}") for i in range(count)]
+    return [split(secret, m, fp, rng, sensor_id=f"r{i}") for i in range(count)]
 
 
 def test_full_coverage_reconstructs_exactly():
     fp = ass.choose_modulus(3, 170)
     rng = np.random.default_rng(4)
     bundles = [
-        ass.split(s, 3, fp, rng, sensor_id=f"s{i}") for i, s in enumerate((100, 150, 170))
+        split(s, 3, fp, rng, sensor_id=f"s{i}") for i, s in enumerate((100, 150, 170))
     ]
     coverage = adversary.CoverageSet(frozenset({1, 2, 3}))
     assert adversary.eavesdrop_reconstruct(coverage, bundles, fp) == 420

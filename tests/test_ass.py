@@ -9,6 +9,12 @@ from scipy import stats
 
 from petfabric import ass
 from petfabric.codec import derive_params, encode
+from petfabric.scenarios.config import MAX_SHARES
+
+
+def split(secret, m, fp, rng, sensor_id="sensor"):
+    """Draw one prefix and close it, as a single sensor's share flow does."""
+    return ass.split(secret, ass.draw_prefixes(1, m, fp, rng)[0], fp, sensor_id)
 
 
 def next_prime_bruteforce(n: int) -> int:
@@ -70,7 +76,7 @@ def test_is_prime_against_bruteforce():
 
 def test_split_single_share_is_the_secret():
     fp = ass.choose_modulus(1, 170)
-    bundle = ass.split(122, 1, fp, np.random.default_rng(0))
+    bundle = split(122, 1, fp, np.random.default_rng(0))
     assert bundle.shares == (122,)
 
 
@@ -79,7 +85,7 @@ def test_split_reconstruct_roundtrip_many_seeds():
     assert fp.modulus == 85009
     for seed in range(10_000):
         rng = np.random.default_rng(seed)
-        bundle = ass.split(122, 3, fp, rng)
+        bundle = split(122, 3, fp, rng)
         assert sum(bundle.shares) % fp.modulus == 122
 
 
@@ -91,7 +97,7 @@ def test_split_reconstruct_roundtrip_many_seeds():
 )
 def test_split_reconstruct_property(secret, m, seed):
     fp = ass.choose_modulus(500, 170)
-    bundle = ass.split(secret, m, fp, np.random.default_rng(seed), sensor_id="x")
+    bundle = split(secret, m, fp, np.random.default_rng(seed), sensor_id="x")
     assert bundle.m == m
     assert all(0 <= s < fp.modulus for s in bundle.shares)
     assert sum(bundle.shares) % fp.modulus == secret
@@ -101,22 +107,22 @@ def test_split_validation():
     fp = ass.choose_modulus(3, 170)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        ass.split(-1, 3, fp, rng)
+        split(-1, 3, fp, rng)
     with pytest.raises(ValueError):
-        ass.split(171, 3, fp, rng)
+        split(171, 3, fp, rng)
     with pytest.raises(ValueError):
-        ass.split(5, 0, fp, rng)
+        split(5, 0, fp, rng)
 
 
 def test_reconstruct_sum_examples():
     fp1 = ass.choose_modulus(1, 170)
-    one = ass.split(122, 1, fp1, np.random.default_rng(0))
+    one = split(122, 1, fp1, np.random.default_rng(0))
     assert ass.reconstruct_sum([one], fp1) == 122
 
     fp = ass.choose_modulus(3, 170)
     rng = np.random.default_rng(4)
     bundles = [
-        ass.split(s, 3, fp, rng, sensor_id=f"s{i}") for i, s in enumerate((100, 150, 170))
+        split(s, 3, fp, rng, sensor_id=f"s{i}") for i, s in enumerate((100, 150, 170))
     ]
     assert ass.reconstruct_sum(bundles, fp) == 420
 
@@ -128,7 +134,7 @@ def test_reconstruct_average_within_quantization_bound():
         rng = np.random.default_rng(31 + k)
         weights = rng.uniform(50, 120, 500)
         bundles = [
-            ass.split(encode(float(w), params), 3, fp, rng, sensor_id=f"s{i}")
+            split(encode(float(w), params), 3, fp, rng, sensor_id=f"s{i}")
             for i, w in enumerate(weights)
         ]
         assert ass.reconstruct_sum(bundles, fp) == sum(
@@ -140,7 +146,7 @@ def test_reconstruct_average_within_quantization_bound():
 def test_reconstruct_average_single_exact_value():
     params = derive_params(50, 120, 1)
     fp = ass.choose_modulus(1, params.q)
-    bundle = ass.split(encode(72.0, params), 3, fp, np.random.default_rng(1))
+    bundle = split(encode(72.0, params), 3, fp, np.random.default_rng(1))
     assert ass.reconstruct_average([bundle], fp, params) == 72.0
 
 
@@ -155,7 +161,7 @@ def test_no_wraparound_result_independent_of_modulus():
     secrets = [int(v) for v in rng.integers(0, params.q + 1, size=50)]
     totals = {}
     for fp in (small, big):
-        bundles = [ass.split(s, 4, fp, rng, sensor_id=f"s{i}") for i, s in enumerate(secrets)]
+        bundles = [split(s, 4, fp, rng, sensor_id=f"s{i}") for i, s in enumerate(secrets)]
         totals[fp.modulus] = ass.reconstruct_sum(bundles, fp)
     assert totals[small.modulus] == totals[big.modulus] == sum(secrets)
 
@@ -163,7 +169,7 @@ def test_no_wraparound_result_independent_of_modulus():
 def test_missing_share_error_names_the_pairs():
     fp = ass.choose_modulus(3, 170)
     rng = np.random.default_rng(5)
-    bundles = [ass.split(100, 3, fp, rng, sensor_id=f"s{i}") for i in range(3)]
+    bundles = [split(100, 3, fp, rng, sensor_id=f"s{i}") for i in range(3)]
     damaged = ass.ShareBundle(
         sensor_id="s1",
         shares=(bundles[1].shares[0], None, bundles[1].shares[2]),
@@ -187,12 +193,12 @@ def test_draw_lost_share_takes_victim_then_one_based_channel():
 def test_reconstruct_validation_errors():
     fp = ass.choose_modulus(2, 170)
     rng = np.random.default_rng(6)
-    b1 = ass.split(10, 3, fp, rng, sensor_id="a")
-    b2 = ass.split(20, 2, fp, rng, sensor_id="b")
+    b1 = split(10, 3, fp, rng, sensor_id="a")
+    b2 = split(20, 2, fp, rng, sensor_id="b")
     with pytest.raises(ValueError, match="share-count mismatch"):
         ass.reconstruct_sum([b1, b2], fp)
     other = ass.choose_modulus(3, 170)
-    b3 = ass.split(20, 3, other, rng, sensor_id="c")
+    b3 = split(20, 3, other, rng, sensor_id="c")
     with pytest.raises(ValueError, match="modulus mismatch"):
         ass.reconstruct_sum([b1, b3], fp)
     with pytest.raises(ValueError, match="no bundles"):
@@ -223,10 +229,8 @@ def test_missing_share_error_survives_pickling():
 def test_partial_sum_uniformity_chi_square():
     # any m-1 shares of a fixed secret look uniform on Z_Q
     fp = ass.FieldParams(modulus=101, n_max=1, width=100)
-    rng = np.random.default_rng(77)
-    shares = np.array(
-        [ass.split(59, 3, fp, rng).shares for _ in range(100_000)], dtype=np.int64
-    )
+    prefixes = ass.draw_prefixes(100_000, 3, fp, np.random.default_rng(77))
+    shares = np.array([ass.split(59, pre, fp).shares for pre in prefixes], dtype=np.int64)
     for subset in [(0, 1), (0, 2), (1, 2)]:
         partial = shares[:, list(subset)].sum(axis=1) % 101
         assert stats.chisquare(np.bincount(partial, minlength=101)).pvalue > 0.01
@@ -235,16 +239,30 @@ def test_partial_sum_uniformity_chi_square():
 @pytest.mark.parametrize("modulus", [101, 85_009, 8_500_007, 2**40 + 15, 2**61 - 1])
 @pytest.mark.parametrize("m", range(1, 7))
 def test_split_draws_like_one_sized_prefix_draw(m, modulus):
-    # the shares are one rng.integers(0, Q, size=m - 1) draw plus the closing
-    # share, and the stream is left where that draw leaves it
+    # a (count, m-1) block holds `count` prefixes of m-1 scalar draws each,
+    # split closes each row, and the stream is left where the scalars leave it
     fp = ass.FieldParams(modulus=modulus, n_max=1, width=100)
     rng, twin = np.random.default_rng(m * modulus), np.random.default_rng(m * modulus)
-    for secret in range(0, 101, 4):
-        prefix = twin.integers(0, modulus, size=m - 1).tolist()
-        last = (secret - sum(prefix)) % modulus
-        assert ass.split(secret, m, fp, rng).shares == (*prefix, last)
+    for count in (1, 7, 500):
+        rows = ass.draw_prefixes(count, m, fp, rng)
+        scalar = [[int(twin.integers(0, modulus)) for _ in range(m - 1)] for _ in range(count)]
+        assert rows == scalar
+        for secret, prefix in zip(range(0, 101, 4), rows):
+            last = (secret - sum(prefix)) % modulus
+            assert ass.split(secret, prefix, fp).shares == (*prefix, last)
         assert rng.integers(0, modulus) == twin.integers(0, modulus)
         assert rng.random() == twin.random()
+
+
+def test_shares_stay_in_the_field_at_max_shares_near_2_62():
+    modulus = (1 << 62) - 57  # the largest prime below 2^62
+    fp = ass.FieldParams(modulus=modulus, n_max=1, width=170)
+    rows = ass.draw_prefixes(3, MAX_SHARES, fp, np.random.default_rng(62))
+    for secret, prefix in zip((0, 85, 170), rows):
+        shares = ass.split(secret, prefix, fp).shares
+        assert len(shares) == MAX_SHARES
+        assert all(0 <= s < modulus for s in shares)
+        assert sum(shares) % modulus == secret
 
 
 def _bundles(m, sensors, modulus=101):
