@@ -102,10 +102,10 @@ def empirical_guess_rate(
     import numpy as np
 
     high_truth = rng.integers(0, 2, size=trials).astype(bool)
-    noise = sample_laplace(test.budget.scale, rng, size=trials)
+    z = sample_laplace(test.budget.scale, rng, size=trials)
     if model == LDP_MODEL:
-        noise = np.rint(noise)
-    z = np.where(high_truth, test.high, test.low) + noise
+        np.rint(z, out=z)
+    z += np.where(high_truth, test.high, test.low)  # the release: truth + noise
     guessed_high = z > test.threshold
     return float(np.mean(guessed_high == high_truth))
 

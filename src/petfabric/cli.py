@@ -21,9 +21,7 @@ Exit codes: 0 success, 2 config validation failure, 1 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import hashlib
 import json
 import logging
 import os
@@ -32,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import __version__, adversary, ass
+from . import __version__, ass
 from .codec import decode_sum, encode
 from .scenarios.config import (
     RECORDS_FILE,
@@ -119,6 +117,9 @@ def _resolve_seed(flag_seed, config_seed) -> int:
 def _write_reports(args, seed: int, workers: int, reports: dict) -> None:
     """Write each report CSV into --out, then manifest.json: what ran, on
     what, and with which interpreter and numpy."""
+    import csv
+    import hashlib
+
     import numpy as np
 
     out = Path(args.out)
@@ -187,6 +188,8 @@ def _sweep_epsilon(args, cfg):
 
 
 def _adversary_sim(args, cfg):
+    from . import adversary
+
     seed = _resolve_seed(args.seed, cfg["seed"])
     grid = adversary.guess_rate_grid(
         epsilons=cfg["eps_grid"],
@@ -217,7 +220,8 @@ def _ass_demo(args, cfg):
         values = rng.uniform(params.x_lo, params.x_hi, n)
         encoded = [encode(v, params) for v in values.tolist()]
         prefixes = ass.draw_prefixes(n, m, fp, rng)
-        bundles = [ass.split(x, p, fp, sid) for x, p, sid in zip(encoded, prefixes, sensor_ids)]
+        prefixes.reverse()  # popped in order, each row is freed once its bundle holds it
+        bundles = [ass.split(x, prefixes.pop(), fp, sid) for x, sid in zip(encoded, sensor_ids)]
         if cfg["drop_one_share"]:
             victim, channel = ass.draw_lost_share(n, m, rng)
             bundles[victim] = ass.lose_share(bundles[victim], channel)

@@ -93,13 +93,18 @@ def sample_laplace(scale: float, rng: np.random.Generator, size=None):
     import numpy as np
 
     u = rng.random(size)
-    while True:
+    while not u.all():
         zero = u == 0.0
-        if not zero.any():
-            break
         u[zero] = rng.random(int(zero.sum()))
     u -= 0.5
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    # one scratch array for the log term; -scale * ln(1 - 2|u|) is never
+    # negative, so u's sign copied onto it gives the bits of the formula
+    # above, +0.0 at u == 0 included
+    log_term = np.abs(u, out=np.empty_like(u))  # out= keeps a 0-d result an array
+    log_term *= -2.0
+    np.log1p(log_term, out=log_term)
+    log_term *= -scale
+    return np.copysign(log_term, u, out=u)
 
 
 def ldp_perturb(x: int, budget: PrivacyBudget, rng: np.random.Generator) -> int:
@@ -115,8 +120,11 @@ def ldp_perturb_array(xs, budget: PrivacyBudget, rng: np.random.Generator) -> np
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.int64)
-    noise = np.rint(sample_laplace(budget.scale, rng, size=xs.shape))
-    return xs + noise.astype(np.int64)
+    noise = sample_laplace(budget.scale, rng, size=xs.shape)
+    np.rint(noise, out=noise)
+    out = noise.astype(np.int64)
+    out += xs
+    return out
 
 
 def gdp_aggregate(

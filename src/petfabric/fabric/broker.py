@@ -105,6 +105,13 @@ PUBLISH = "publish"
 SUBSCRIBE = "subscribe"
 
 
+def _check_grant(pattern: str, permission: str) -> None:
+    """The one check of a grant: a known permission, then a valid filter."""
+    if permission not in (PUBLISH, SUBSCRIBE):
+        raise ValueError(f"permission must be publish or subscribe, got {permission!r}")
+    validate_filter(pattern)
+
+
 @dataclass(frozen=True)
 class AclEntry:
     client_id: str  # exact id, or "*" for any client
@@ -112,28 +119,26 @@ class AclEntry:
     permission: str
 
     def __post_init__(self) -> None:
-        if self.permission not in (PUBLISH, SUBSCRIBE):
-            raise ValueError(f"permission must be publish or subscribe, got {self.permission!r}")
-        validate_filter(self.pattern)
+        _check_grant(self.pattern, self.permission)
 
 
 class AclTable:
     """Deny-by-default topic ACL: no matching entry means refusal.
 
-    Entries are indexed by (permission, client id), so a check looks only
-    at the client's own grants and the "*" grants.
+    Grants are indexed by (permission, client id), so a check looks only
+    at the client's own grant patterns and the "*" ones. A client's
+    patterns are a tuple, so a client with one grant holds one small object.
     """
 
     def __init__(self, entries: Iterable[AclEntry] = ()):
-        self._grants: dict[tuple[str, str], list[str]] = {}
+        self._grants: dict[tuple[str, str], tuple[str, ...]] = {}
         for entry in entries:
-            self._add(entry)
-
-    def _add(self, entry: AclEntry) -> None:
-        self._grants.setdefault((entry.permission, entry.client_id), []).append(entry.pattern)
+            self.allow(entry.client_id, entry.pattern, entry.permission)
 
     def allow(self, client_id: str, pattern: str, permission: str) -> None:
-        self._add(AclEntry(client_id, pattern, permission))
+        _check_grant(pattern, permission)
+        key = (permission, client_id)
+        self._grants[key] = self._grants.get(key, ()) + (pattern,)
 
     def _permits(self, permission: str, client_id: str, topic: str) -> bool:
         grants = self._grants

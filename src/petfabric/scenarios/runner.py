@@ -24,7 +24,7 @@ between 4 (2 + 2m with shares), and a relay chain 2 + 2*depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .. import ass, dp
@@ -62,8 +62,8 @@ RELAY_TOPIC = "relay/leg{i}"
 
 SENSOR_SCHEMES = {PET_NONE: Scheme.RAW, PET_LDP: Scheme.LDP, PET_KRR: Scheme.KRR}
 
-#: (sender, the Envelope fields of each message it sends, in order)
-Batch = tuple[str, Iterable[dict]]
+#: (sender, the Envelopes it sends, in order)
+Batch = tuple[str, Iterable[Envelope]]
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,12 @@ class _Path:
         broker.acl.allow(receiver, pattern, SUBSCRIBE)
         broker.subscribe(receiver, pattern)
 
+    def envelope(self, topic, sensor_id, scheme, value, share_index=None, epsilon=None):
+        """A message stamped with the repetition as sequence and the current time."""
+        return Envelope(
+            topic, sensor_id, self.rep, scheme, value, share_index, epsilon, self.clock.now_us
+        )
+
     def cross(
         self, receiver: str, batches: Iterable[Batch], then_ms: float = 0.0
     ) -> list[Delivery]:
@@ -107,33 +113,31 @@ class _Path:
         receiver got, in publish order.
 
         batches is consumed lazily, so whatever randomness builds a sender's
-        messages is drawn just before they are published. Envelopes carry the
-        repetition as sequence and the current time unless a message says
-        otherwise. Each message must reach the receiver, and only it. The
-        slowest sender's legs join the critical path, and the clock advances
-        by their delay plus then_ms, the time the receiver spends before it
-        sends on.
+        messages is drawn just before they are published. Each message must
+        reach the receiver, and only it. The slowest sender's legs join the
+        critical path (the first of equals), and the clock advances by their
+        delay plus then_ms, the time the receiver spends before it sends on.
         """
-        per_sender = []
-        publish, rep, now = self.broker.publish, self.rep, self.clock.now_us
+        received: list[Delivery] = []
+        slowest, slowest_ms = [], -1.0
+        publish = self.broker.publish
         for sender, messages in batches:
-            got = []
-            for fields in messages:
-                env = Envelope(**{"sequence": rep, "timestamp_us": now, **fields})
+            legs, total = [], 0
+            for env in messages:
                 deliveries = publish(sender, env).deliveries
                 if len(deliveries) != 1 or deliveries[0].subscriber != receiver:
                     raise RuntimeError(
                         f"wiring error: no delivery to {receiver!r} on {env.topic!r}"
                     )
-                got.append(deliveries[0])
-            per_sender.append(got)
-        slowest = max(
-            per_sender, key=lambda got: sum(d.publish_delay_ms + d.delivery_delay_ms for d in got)
-        )
-        added = [delay for d in slowest for delay in (d.publish_delay_ms, d.delivery_delay_ms)]
-        self.delays.extend(added)
-        self.clock.advance_ms(sum(added) + then_ms)
-        return [d for got in per_sender for d in got]
+                d = deliveries[0]
+                received.append(d)
+                legs += (d.publish_delay_ms, d.delivery_delay_ms)
+                total += d.publish_delay_ms + d.delivery_delay_ms
+            if total > slowest_ms:
+                slowest, slowest_ms = legs, total
+        self.delays.extend(slowest)
+        self.clock.advance_ms(sum(slowest) + then_ms)
+        return received
 
     def record(self, spec: ScenarioSpec, compute: float) -> RunRecord:
         return RunRecord(
@@ -185,11 +189,11 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
     else:
         path.link(sensors, topics, "consumer", DATA_FILTER)
 
-    def readings(scheme, wire, epsilon=None) -> list[Batch]:
-        return [
-            (sid, [dict(topic=t, sensor_id=sid, scheme=scheme, value=int(x), epsilon=epsilon)])
+    def readings(scheme, wire, epsilon=None) -> Iterable[Batch]:
+        return (
+            (sid, [path.envelope(t, sid, scheme, int(x), epsilon=epsilon)])
             for sid, t, x in zip(sensors, topics, wire)
-        ]
+        )
 
     if pet.kind == PET_GDP:
         if pet.aggregator == "mean":
@@ -201,8 +205,8 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
             collected = [d.envelope.value for d in path.cross(hub, readings(Scheme.RAW, encoded))]
         noisy = round(dp.gdp_aggregate(collected, budget, pet.aggregator, rng).value)
         path.clock.advance_ms(compute)
-        out = dict(topic=OUT_TOPIC, sensor_id=hub, scheme=Scheme.GDP, epsilon=pet.epsilon)
-        received = path.cross("consumer", [(hub, [dict(out, value=noisy)])])
+        out = path.envelope(OUT_TOPIC, hub, Scheme.GDP, noisy, epsilon=pet.epsilon)
+        received = path.cross("consumer", [(hub, [out])])
     else:
         if pet.kind == PET_LDP:
             budget = dp.PrivacyBudget.for_sum(pet.epsilon, params.q)
@@ -219,7 +223,7 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
         if virtualized:
             # the vnode forwards the one source's envelope as it arrived
             (inbound,) = received
-            forward = dict(vars(inbound.envelope), topic=OUT_TOPIC, sensor_id=hub)
+            forward = replace(inbound.envelope, topic=OUT_TOPIC, sensor_id=hub)
             received = path.cross("consumer", [(hub, [forward])])
 
     total = sum(d.envelope.value for d in received)
@@ -247,7 +251,7 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
         # one source publishes raw; a virtual node does the splitting
         topic = DATA_TOPIC.format(sensor="s0")
         path.link(["s0"], [topic], "vnode", DATA_FILTER)
-        raw = dict(topic=topic, sensor_id="s0", scheme=Scheme.RAW, value=encoded[0])
+        raw = path.envelope(topic, "s0", Scheme.RAW, encoded[0])
         secrets = [d.envelope.value for d in path.cross("vnode", [("s0", [raw])], then_ms=compute)]
     else:
         path.clock.advance_ms(compute)
@@ -259,9 +263,8 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
         for splitter, sid, secret in zip(splitters, sensors, secrets):
             bundle = ass.split(secret, ass.draw_prefixes(1, m, fp, rng)[0], fp, sensor_id=sid)
             bundles.append(bundle)
-            share = dict(sensor_id=sid, scheme=Scheme.ASS_SHARE)
             yield splitter, [
-                dict(share, topic=SHARE_TOPIC.format(channel=ch), value=v, share_index=ch)
+                path.envelope(SHARE_TOPIC.format(channel=ch), sid, Scheme.ASS_SHARE, v, ch)
                 for ch, v in enumerate(bundle.shares, start=1)
             ]
 
@@ -297,13 +300,15 @@ def _relay_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
     for sender, receiver, topic in hops:
         path.link([sender], [topic], receiver, topic)
     path.clock.advance_ms(compute)
-    message = dict(sensor_id="source", scheme=Scheme.RAW, value=encoded[0])
+    message = path.envelope(topics[0], "source", Scheme.RAW, encoded[0])
     for sender, receiver, topic in hops:
-        (delivery,) = path.cross(receiver, [(sender, [dict(message, topic=topic)])])
-        # relays add no processing time; they immediately forward
-        message = vars(delivery.envelope)
+        if message.topic != topic:
+            # relays add no processing time; they forward what arrived at once
+            message = replace(message, topic=topic)
+        (delivery,) = path.cross(receiver, [(sender, [message])])
+        message = delivery.envelope
     record = path.record(spec, compute)
-    return RepOutcome(record, decode(message["value"], spec.encoding), values[0])
+    return RepOutcome(record, decode(message.value, spec.encoding), values[0])
 
 
 def _outcomes_for_range(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from petfabric import adversary, ass
-from petfabric.dp import PrivacyBudget
+from petfabric.dp import PrivacyBudget, sample_laplace
 
 
 def make_test(epsilon=1.0, sensitivity=1000, low=0, high=500):
@@ -74,6 +74,24 @@ def test_ldp_variant_matches_analytic_too():
         adversary.empirical_guess_rate(t, 100, np.random.default_rng(0), model="x")
     with pytest.raises(ValueError):
         adversary.empirical_guess_rate(t, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("model", [adversary.GDP_MODEL, adversary.LDP_MODEL])
+@pytest.mark.parametrize("seed", [0, 77, 2**40 + 3])
+def test_empirical_rate_matches_the_release_expression(seed, model):
+    # the candidates are added into the noise; the rate must equal that of
+    # the release built as its own array, z = where(truth, high, low) + noise
+    for low, high in [(0, 1), (0, 500), (-40, 90), (3, 2**40)]:
+        t = make_test(0.5, 1000, low, high)
+        rng = np.random.default_rng(seed)
+        high_truth = rng.integers(0, 2, size=4099).astype(bool)
+        noise = sample_laplace(t.budget.scale, rng, size=4099)
+        if model == adversary.LDP_MODEL:
+            noise = np.rint(noise)
+        z = np.where(high_truth, t.high, t.low) + noise
+        want = float(np.mean((z > t.threshold) == high_truth))
+        got = adversary.empirical_guess_rate(t, 4099, np.random.default_rng(seed), model)
+        assert got == want
 
 
 GRID_EPS = [0.01, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0]

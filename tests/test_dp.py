@@ -6,11 +6,12 @@ sizes, so the frozen seeds are not load-bearing, just reproducible.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from petfabric import dp
+from petfabric import adversary, dp
 from petfabric.codec import derive_params, encode
 
 
@@ -70,6 +71,119 @@ def test_laplace_deterministic_given_seed():
     b = dp.sample_laplace(3.0, np.random.default_rng(9), size=1000)
     assert np.array_equal(a, b)
     assert dp.sample_laplace(3.0, np.random.default_rng(9)) == pytest.approx(float(a[0]))
+
+
+def reference_laplace(scale, rng, size):
+    """The block draw as one expression, with its temporaries."""
+    u = rng.random(size)
+    while True:
+        zero = u == 0.0
+        if not zero.any():
+            break
+        u[zero] = rng.random(int(zero.sum()))
+    u -= 0.5
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+class StubRng:
+    """A seeded generator whose k-th random() call has `values[k]` written
+    over its first draws, so exact zeros and exact halves can be forced."""
+
+    def __init__(self, seed, *values):
+        self._rng = np.random.default_rng(seed)
+        self._values = list(values)
+        self.sizes = []
+
+    def random(self, size=None):
+        out = self._rng.random(size)
+        if self._values:
+            forced = self._values.pop(0)
+            out.flat[: len(forced)] = forced
+        self.sizes.append(size)
+        return out
+
+
+SCALES = (0.5, 2.0, 170.0, 17_000.0)
+
+
+@pytest.mark.parametrize("size", [1, 1000, (40, 500)], ids=["1", "1000", "40x500"])
+@pytest.mark.parametrize("seed", [0, 9, 505, 2**31 + 7])
+def test_block_laplace_matches_the_one_expression_bit_for_bit(seed, size):
+    for scale in SCALES:
+        got = dp.sample_laplace(scale, np.random.default_rng(seed), size=size)
+        want = reference_laplace(scale, np.random.default_rng(seed), size)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [6, (2, 3)], ids=["6", "2x3"])
+def test_block_laplace_redraws_zeros_like_the_one_expression(size):
+    # two rounds of redraw: three zeros in the block, then one in the redraw
+    forced = ([0.0, 0.3, 0.0, 0.7, 0.0], [0.0])
+    stubs = StubRng(3, *forced), StubRng(3, *forced)
+    got = dp.sample_laplace(2.0, stubs[0], size=size)
+    want = reference_laplace(2.0, stubs[1], size)
+    assert stubs[0].sizes == stubs[1].sizes == [size, 3, 1]
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_block_laplace_keeps_the_sign_of_zero_at_the_median():
+    forced = [0.5, 0.25, 0.5, 0.75]
+    got = dp.sample_laplace(3.0, StubRng(4, forced), size=4)
+    want = reference_laplace(3.0, StubRng(4, forced), 4)
+    assert got[0] == got[2] == 0.0 and not np.signbit(got[[0, 2]]).any()
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 510, 987])
+def test_ldp_array_rounds_like_the_one_expression(seed, weights_dataset):
+    budget = dp.PrivacyBudget.for_sum(0.5, 170)
+    xs = np.array(weights_dataset, dtype=np.int64).reshape(20, 25)
+    got = dp.ldp_perturb_array(xs, budget, np.random.default_rng(seed))
+    noise = np.rint(reference_laplace(budget.scale, np.random.default_rng(seed), xs.shape))
+    want = xs + noise.astype(np.int64)
+    assert got.dtype == np.int64 and got.shape == xs.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def peak_beyond_result(fn) -> int:
+    """Bytes fn's call peaks at (tracemalloc) beyond the array it returns."""
+    fn()  # first-call allocations are numpy's, not the kernel's
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - getattr(result, "nbytes", 0)
+
+
+KERNEL_ELEMENTS = 2**18
+BUDGET = dp.PrivacyBudget(1.0, 170)
+KERNELS = {
+    "sample_laplace": lambda: dp.sample_laplace(
+        2.0, np.random.default_rng(6), size=KERNEL_ELEMENTS
+    ),
+    "ldp_perturb_array": lambda xs=np.full(KERNEL_ELEMENTS, 85, dtype=np.int64): (
+        dp.ldp_perturb_array(xs, BUDGET, np.random.default_rng(6))
+    ),
+    "empirical_guess_rate": lambda: adversary.empirical_guess_rate(
+        adversary.HypothesisTest(0, 85, BUDGET), KERNEL_ELEMENTS, np.random.default_rng(6), "ldp"
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_noise_kernels_hold_one_scratch_array(kernel):
+    # one float64 scratch array and the per-trial truth bits, not a chain
+    # of full-size temporaries
+    assert peak_beyond_result(KERNELS[kernel]) <= 2.25 * 8 * KERNEL_ELEMENTS
 
 
 def test_ldp_identity_at_huge_epsilon(weight_params):

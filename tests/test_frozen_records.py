@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from petfabric.ass import ShareBundle
-from petfabric.fabric.broker import PUBLISH, AclEntry, MalformedTopicError
+from petfabric.fabric.broker import PUBLISH, SUBSCRIBE, AclEntry, AclTable, MalformedTopicError
 from petfabric.fabric.envelope import Envelope, EnvelopeError, Scheme
 
 
@@ -184,3 +184,20 @@ def test_acl_entry_checks_permission_before_pattern():
     assert str(excinfo.value) == "permission must be publish or subscribe, got 'read'"
     with pytest.raises(MalformedTopicError, match="wildcard must occupy a whole level"):
         AclEntry("c", "a/b+", PUBLISH)
+
+
+@pytest.mark.parametrize(
+    "pattern,permission",
+    [("a/#/b", "read"), ("a/b", "read"), ("a/b+", PUBLISH), ("#/a", SUBSCRIBE), ("", PUBLISH)],
+)
+def test_acl_allow_refuses_what_acl_entry_refuses(pattern, permission):
+    with pytest.raises((ValueError, MalformedTopicError)) as entry_error:
+        AclEntry("c", pattern, permission)
+    acl = AclTable()
+    with pytest.raises((ValueError, MalformedTopicError)) as allow_error:
+        acl.allow("c", pattern, permission)
+    assert type(allow_error.value) is type(entry_error.value)
+    assert str(allow_error.value) == str(entry_error.value)
+    # nothing was filed
+    assert not acl.permits_publish("c", "a/b")
+    assert not acl.permits_subscribe_filter("c", "a/b")

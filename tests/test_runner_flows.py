@@ -194,7 +194,7 @@ def test_cross_refuses_a_publish_the_receiver_does_not_get():
     path = _Path(spec, 0, np.random.default_rng(0))
     topic = DATA_TOPIC.format(sensor="s0")
     path.link(["s0"], [topic], "vnode", DATA_FILTER)
-    raw = dict(topic=topic, sensor_id="s0", scheme=Scheme.RAW, value=1)
+    raw = path.envelope(topic, "s0", Scheme.RAW, 1)
     with pytest.raises(RuntimeError) as excinfo:
         path.cross("consumer", [("s0", [raw])])
     assert str(excinfo.value) == f"wiring error: no delivery to 'consumer' on {topic!r}"

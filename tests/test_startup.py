@@ -1,7 +1,8 @@
-"""Start-up cost: the CLI imports numpy, scipy.stats and the process pool
-only where they are used, so subcommands that never reach a chi-square test
-or a worker pool do not pay for them, and validate-config, --help, --version
-and config errors never load numpy. The load test's KS test is computed in
+"""Start-up cost: the CLI imports numpy, scipy.stats, the process pool and
+the adversary module only where they are used, so subcommands that never
+reach a chi-square test, a worker pool or a distinguisher do not pay for
+them, and validate-config, --help, --version and config errors never load
+numpy. The load test's KS test is computed in
 house, so it never imports scipy.stats at all.
 
 Each case runs in a fresh interpreter, because this test session has long
@@ -31,6 +32,9 @@ KINDS = {
 
 HEAVY = ("scipy.stats", "concurrent.futures.process", "multiprocessing")
 
+#: loaded only by the subcommands that run them
+RUNNERS_ONLY = ("petfabric.adversary",)
+
 BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
 
 
@@ -55,7 +59,7 @@ def test_validate_config_imports_no_stats_and_no_pool():
         "from petfabric import cli\n"
         "for kind, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
         "    assert cli.main(['validate-config', '--kind', kind, '--config', path]) == 0, path\n"
-        f"print(sorted(m for m in {HEAVY!r} if m in sys.modules))\n"
+        f"print(sorted(m for m in {HEAVY + RUNNERS_ONLY!r} if m in sys.modules))\n"
     )
     args = [a for p in configs for a in (KINDS.get(p.name, "scenario"), str(p))]
     proc = run_python(code, *args)
