@@ -67,15 +67,6 @@ class PrivacyBudget:
         return cls(epsilon=epsilon, sensitivity=math.ceil(width / n))
 
 
-@dataclass(frozen=True)
-class NoisySum:
-    """A privatized aggregate in encoded units, plus the budget that shaped it."""
-
-    value: float
-    n: int
-    budget: PrivacyBudget
-
-
 def sample_laplace(scale: float, rng: np.random.Generator, size=None):
     """Draw from Laplace(0, scale) by inverse CDF.
 
@@ -132,7 +123,7 @@ def gdp_aggregate(
     budget: PrivacyBudget,
     aggregator: str,
     rng: np.random.Generator,
-) -> NoisySum:
+) -> float:
     """Aggregate exactly, then add a single Laplace draw at the trusted node.
 
     The caller chooses budget.sensitivity for the query: the full encoded
@@ -150,8 +141,7 @@ def gdp_aggregate(
         bad = next((v for v in xs if not isinstance(v, int)), exact)
         raise TypeError(f"gdp_aggregate sums Python ints, got {bad!r} ({type(bad).__name__})")
     agg = exact if aggregator == "sum" else exact / len(xs)
-    noisy = agg + sample_laplace(budget.scale, rng)
-    return NoisySum(value=noisy, n=len(xs), budget=budget)
+    return agg + sample_laplace(budget.scale, rng)
 
 
 def krr_perturb(x: int, epsilon: float, p: EncodingParams, rng: np.random.Generator) -> int:

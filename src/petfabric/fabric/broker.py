@@ -10,8 +10,9 @@ composition -- deterministically from a seed.
 Topics follow MQTT grammar: '/'-separated levels, '+' matching exactly one
 level, '#' matching any (possibly empty) trailing remainder. Access control
 is deny-by-default: a client may publish or subscribe only where an ACL
-entry grants it, and every grant, denial and delivery lands in an append-
-only audit log so soundness can be checked after the fact.
+grant allows it, and every subscription, publish, denial and delivery lands
+in an append-only audit log so soundness can be checked after the fact. A
+publish hands its deliveries back in a receipt; the broker keeps none.
 
 The broker is single-threaded: one caller drives it with a seeded
 generator and a manually advanced VirtualClock, so every run is a pure
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .envelope import Envelope, Scheme, cbor_decode, cbor_encode
 
@@ -105,38 +106,22 @@ PUBLISH = "publish"
 SUBSCRIBE = "subscribe"
 
 
-def _check_grant(pattern: str, permission: str) -> None:
-    """The one check of a grant: a known permission, then a valid filter."""
-    if permission not in (PUBLISH, SUBSCRIBE):
-        raise ValueError(f"permission must be publish or subscribe, got {permission!r}")
-    validate_filter(pattern)
-
-
-@dataclass(frozen=True)
-class AclEntry:
-    client_id: str  # exact id, or "*" for any client
-    pattern: str
-    permission: str
-
-    def __post_init__(self) -> None:
-        _check_grant(self.pattern, self.permission)
-
-
 class AclTable:
-    """Deny-by-default topic ACL: no matching entry means refusal.
+    """Deny-by-default topic ACL: no matching grant means refusal.
 
     Grants are indexed by (permission, client id), so a check looks only
     at the client's own grant patterns and the "*" ones. A client's
     patterns are a tuple, so a client with one grant holds one small object.
     """
 
-    def __init__(self, entries: Iterable[AclEntry] = ()):
+    def __init__(self):
         self._grants: dict[tuple[str, str], tuple[str, ...]] = {}
-        for entry in entries:
-            self.allow(entry.client_id, entry.pattern, entry.permission)
 
     def allow(self, client_id: str, pattern: str, permission: str) -> None:
-        _check_grant(pattern, permission)
+        """Grant `permission` on `pattern` to an exact client id, or "*" for any."""
+        if permission not in (PUBLISH, SUBSCRIBE):
+            raise ValueError(f"permission must be publish or subscribe, got {permission!r}")
+        validate_filter(pattern)
         key = (permission, client_id)
         self._grants[key] = self._grants.get(key, ()) + (pattern,)
 
@@ -270,21 +255,10 @@ class PublishReceipt(NamedTuple):
     deliveries: tuple[Delivery, ...]
 
 
-class Subscription:
-    """A client's view of one filter; deliveries arrive in publish order."""
-
-    def __init__(self, client_id: str, pattern: str):
-        self.client_id = client_id
-        self.pattern = pattern
-        self.messages: list[Delivery] = []
-
-
 @dataclass(frozen=True)
 class LoadReport:
     """Outcome of one synthetic background-traffic injection."""
 
-    rate_per_s: float
-    duration_s: float
     published: int
     delivered: int
 
@@ -293,22 +267,14 @@ class Broker:
     """Topic-routing hub: ACL checks, per-hop latency sampling, audit log."""
 
     def __init__(
-        self,
-        acl: Optional[AclTable] = None,
-        latency: Optional[LatencyModel] = None,
-        rng: Optional[np.random.Generator] = None,
-        clock: Optional[VirtualClock] = None,
+        self, acl: AclTable, latency: LatencyModel, rng: np.random.Generator, clock: VirtualClock
     ):
-        self.acl = acl if acl is not None else AclTable()
-        self.latency = latency if latency is not None else LatencyModel()
-        self.clock = clock if clock is not None else VirtualClock()
-        if rng is None:
-            import numpy as np
-
-            rng = np.random.default_rng(0)
+        self.acl = acl
+        self.latency = latency
+        self.clock = clock
         self._rng = rng
         self._clients: set[str] = set()
-        self._subscriptions: list[Subscription] = []
+        self._subscriptions: list[tuple[str, str]] = []  # (pattern, client_id)
         # (event, client_id, topic, timestamp_us); audit_log builds the records
         self._audit: list[tuple[str, str, str, int]] = []
 
@@ -337,17 +303,15 @@ class Broker:
 
     # -- core operations -----------------------------------------------------
 
-    def subscribe(self, client_id: str, pattern: str) -> Subscription:
+    def subscribe(self, client_id: str, pattern: str) -> None:
         """Register a filter; subsequent matching publishes are delivered FIFO."""
         self._require_client(client_id)
         validate_filter(pattern)
         if not self.acl.permits_subscribe_filter(client_id, pattern):
             self._record("subscribe-denied", client_id, pattern)
             raise AclDeniedError(f"{client_id!r} may not subscribe to {pattern!r}")
-        sub = Subscription(client_id, pattern)
-        self._subscriptions.append(sub)
+        self._subscriptions.append((pattern, client_id))
         self._record("subscribe", client_id, pattern)
-        return sub
 
     def publish(self, client_id: str, env: Envelope) -> PublishReceipt:
         """Route one envelope; samples one publish-leg and one delivery-leg
@@ -364,20 +328,17 @@ class Broker:
         publish_delay = latency.sample_hop_ms(rng)
         audit.append(("publish", client_id, topic, now))
         deliveries = []
-        for sub in self._subscriptions:
-            if not _matches(sub.pattern, topic):
+        for pattern, subscriber in self._subscriptions:
+            if not _matches(pattern, topic):
                 continue
-            subscriber = sub.client_id
             if not acl.permits_subscribe_topic(subscriber, topic):
                 # filter was granted but this concrete topic is not:
                 # never deliver what the ACL does not cover
                 audit.append(("deliver-denied", subscriber, topic, now))
                 continue
-            delivery = Delivery(
-                topic, payload, subscriber, publish_delay, latency.sample_hop_ms(rng)
+            deliveries.append(
+                Delivery(topic, payload, subscriber, publish_delay, latency.sample_hop_ms(rng))
             )
-            sub.messages.append(delivery)
-            deliveries.append(delivery)
             audit.append(("deliver", subscriber, topic, now))
         return PublishReceipt(tuple(deliveries))
 
@@ -388,21 +349,22 @@ class Broker:
 
         Deterministic best-effort generator: floor(rate * duration) messages
         from one publisher at evenly spaced virtual timestamps, drained by an
-        internal sink subscriber. Grants itself the needed ACL entries;
-        scenario traffic is unaffected apart from sharing the broker's
-        random stream.
+        internal sink subscriber; `delivered` counts the deliveries their
+        receipts hold. Grants itself the ACL it needs; scenario traffic
+        is unaffected apart from sharing the broker's random stream.
         """
         if rate_per_s < 0 or duration_s < 0:
             raise ValueError("rate and duration must be >= 0")
         total = int(rate_per_s * duration_s)
         if total == 0:
-            return LoadReport(rate_per_s, duration_s, 0, 0)
+            return LoadReport(0, 0)
         sink_id, origin = "bench-sink", "bench-pub-0"
         self.register_client(sink_id)
         self.acl.allow(sink_id, "bench/filler/#", SUBSCRIBE)
-        sink = self.subscribe(sink_id, "bench/filler/#")
+        self.subscribe(sink_id, "bench/filler/#")
         self.register_client(origin)
         self.acl.allow(origin, "bench/filler/#", PUBLISH)
+        delivered = 0
         for i in range(total):
             env = Envelope(
                 topic="bench/filler/0",
@@ -412,8 +374,8 @@ class Broker:
                 value=0,
                 timestamp_us=round(i / rate_per_s * 1_000_000),
             )
-            self.publish(origin, env)
-        return LoadReport(rate_per_s, duration_s, total, len(sink.messages))
+            delivered += len(self.publish(origin, env).deliveries)
+        return LoadReport(total, delivered)
 
 
 @dataclass(frozen=True)

@@ -453,41 +453,41 @@ def load_json(path) -> dict:
     return raw
 
 
-def encoding_from_dict(raw: dict, where: str = "encoding") -> EncodingParams:
-    check_keys(raw, {"k", "x_lo", "x_hi"}, where)
+def encoding_from_dict(raw: dict) -> EncodingParams:
+    check_keys(raw, {"k", "x_lo", "x_hi"}, "encoding")
     try:
         params = derive_params(
-            x_lo=read_number(raw, "x_lo", where),
-            x_hi=read_number(raw, "x_hi", where),
-            k=read_int(raw, "k", where),
+            x_lo=read_number(raw, "x_lo", "encoding"),
+            x_hi=read_number(raw, "x_hi", "encoding"),
+            k=read_int(raw, "k", "encoding"),
         )
     except DomainError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"encoding: {exc}") from None
     if params.q < 1:  # the noise sensitivity and the share field need a width
-        raise ConfigError(f"{where}: encoded width q = 0 must be >= 1; raise k or widen it")
+        raise ConfigError("encoding: encoded width q = 0 must be >= 1; raise k or widen it")
     return params
 
 
-def latency_from_config(raw: Union[str, dict], where: str = "latency") -> LatencyModel:
+def latency_from_config(raw: Union[str, dict]) -> LatencyModel:
     if isinstance(raw, str):
         if raw not in LATENCY_PRESETS:
             raise ConfigError(
-                f"{where}: unknown preset {raw!r}, expected one of {sorted(LATENCY_PRESETS)}"
+                f"latency: unknown preset {raw!r}, expected one of {sorted(LATENCY_PRESETS)}"
             )
         return LATENCY_PRESETS[raw]
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected a preset name or an object")
-    check_keys(raw, {"per_hop_mean_ms", "jitter_std_ms", "distribution"}, where)
-    mean_ms = read_number(raw, "per_hop_mean_ms", where)
-    jitter_ms = read_number(raw, "jitter_std_ms", where, 0.0)
+        raise ConfigError("latency: expected a preset name or an object")
+    check_keys(raw, {"per_hop_mean_ms", "jitter_std_ms", "distribution"}, "latency")
+    mean_ms = read_number(raw, "per_hop_mean_ms", "latency")
+    jitter_ms = read_number(raw, "jitter_std_ms", "latency", 0.0)
     try:
         return LatencyModel(
             per_hop_mean_ms=mean_ms,
             per_hop_jitter_std_ms=jitter_ms,
-            distribution=read_str(raw, "distribution", where, "constant"),
+            distribution=read_str(raw, "distribution", "latency", "constant"),
         )
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"latency: {exc}") from None
 
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:

@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .. import dp
@@ -44,7 +44,8 @@ class UtilityReport:
     query: str
     ground_truth: float
     points: tuple[UtilityPoint, ...]
-    weights: tuple[float, ...]  # the dataset the sweep ran on
+    # the dataset the sweep ran on, read-only; eq and hash leave it out
+    weights: np.ndarray = field(compare=False)
 
 
 def generate_weights(n: int, low: float, high: float, seed: int) -> np.ndarray:
@@ -78,6 +79,7 @@ def weight_sum_experiment(
     low, high = domain
     params = derive_params(low, high, k)
     weights = generate_weights(n, low, high, seed)
+    weights.flags.writeable = False
     encoded = [encode(float(w), params) for w in weights]
     # ldp perturbs an int64 array, converted here once; gdp sums exact ints
     values = np.array(encoded, dtype=np.int64) if model == LDP_MODEL else encoded
@@ -93,7 +95,7 @@ def weight_sum_experiment(
             if model == LDP_MODEL:
                 noisy = int(dp.ldp_perturb_array(values, budget, rng).sum())
             else:
-                noisy = dp.gdp_aggregate(values, budget, "sum", rng).value
+                noisy = dp.gdp_aggregate(values, budget, "sum", rng)
             errors[r] = abs(decode_sum(noisy, n, params) - true_sum)
         points.append(
             UtilityPoint(
@@ -108,7 +110,7 @@ def weight_sum_experiment(
         query=f"weight-sum-{model}",
         ground_truth=true_sum,
         points=tuple(points),
-        weights=tuple(weights.tolist()),
+        weights=weights,
     )
 
 

@@ -203,7 +203,7 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
         collected = encoded
         if virtualized:
             collected = [d.envelope.value for d in path.cross(hub, readings(Scheme.RAW, encoded))]
-        noisy = round(dp.gdp_aggregate(collected, budget, pet.aggregator, rng).value)
+        noisy = round(dp.gdp_aggregate(collected, budget, pet.aggregator, rng))
         path.clock.advance_ms(compute)
         out = path.envelope(OUT_TOPIC, hub, Scheme.GDP, noisy, epsilon=pet.epsilon)
         received = path.cross("consumer", [(hub, [out])])

@@ -125,7 +125,7 @@ def test_05_laplace_moments_and_gdp_error():
         rng = np.random.default_rng(506)
         errors = np.array(
             [
-                abs(dp.gdp_aggregate(encoded, budget, "sum", rng).value - exact)
+                abs(dp.gdp_aggregate(encoded, budget, "sum", rng) - exact)
                 for _ in range(10_000)
             ]
         )

@@ -1,13 +1,13 @@
 """Broker behavior: matching, ACL soundness, latency accounting, load."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from petfabric.fabric.broker import (
     AclDeniedError,
-    AclEntry,
     AclTable,
     Broker,
     Delivery,
@@ -15,6 +15,7 @@ from petfabric.fabric.broker import (
     MalformedTopicError,
     RunRecord,
     UnknownClientError,
+    VirtualClock,
     LATENCY_PRESETS,
     PUBLISH,
     SUBSCRIBE,
@@ -33,7 +34,22 @@ def env_for(topic, value=1, sensor="s1", seq=0):
 
 def open_acl():
     """A table granting every client publish and subscribe on every topic."""
-    return AclTable([AclEntry("*", "#", PUBLISH), AclEntry("*", "#", SUBSCRIBE)])
+    acl = AclTable()
+    acl.allow("*", "#", PUBLISH)
+    acl.allow("*", "#", SUBSCRIBE)
+    return acl
+
+
+def make_broker(acl, hop_ms=1.0):
+    """A broker on `acl` with constant hops, a seeded stream and a clock at 0."""
+    return Broker(acl, LatencyModel(hop_ms), np.random.default_rng(0), VirtualClock())
+
+
+def sequences(receipts, subscriber):
+    """The sequence numbers `subscriber` received, in publish order."""
+    return [
+        d.envelope.sequence for r in receipts for d in r.deliveries if d.subscriber == subscriber
+    ]
 
 
 # -- topic grammar -----------------------------------------------------------
@@ -76,7 +92,7 @@ def test_topic_validation():
 # -- ACL ----------------------------------------------------------------------
 
 def test_acl_deny_by_default():
-    broker = Broker(acl=AclTable(), latency=LatencyModel(1.0))
+    broker = make_broker(AclTable())
     broker.register_client("pub")
     broker.register_client("sub")
     with pytest.raises(AclDeniedError):
@@ -91,13 +107,13 @@ def test_acl_grants_and_wildcard_client():
     acl = AclTable()
     acl.allow("pub", "cabin/data/#", PUBLISH)
     acl.allow("*", "cabin/#", SUBSCRIBE)
-    broker = Broker(acl=acl, latency=LatencyModel(1.0))
+    broker = make_broker(acl)
     for c in ("pub", "anyone"):
         broker.register_client(c)
-    sub = broker.subscribe("anyone", "cabin/data/+")
+    broker.subscribe("anyone", "cabin/data/+")
     receipt = broker.publish("pub", env_for("cabin/data/x"))
     assert [d.subscriber for d in receipt.deliveries] == ["anyone"]
-    assert sub.messages[0].envelope.value == 1
+    assert receipt.deliveries[0].envelope.value == 1
     with pytest.raises(AclDeniedError):
         broker.publish("pub", env_for("galley/data/x"))
 
@@ -142,52 +158,64 @@ def reference_match(pattern, topic):
     return all(a in ("+", b) for a, b in zip(p, t))
 
 
-def reference_permits(entries, permission, client, topic):
+def reference_permits(grants, permission, client, topic):
     return any(
-        e.permission == permission
-        and e.client_id in (client, "*")
-        and reference_match(e.pattern, topic)
-        for e in entries
+        granted == permission and grantee in (client, "*") and reference_match(pattern, topic)
+        for grantee, pattern, granted in grants
     )
 
 
 @pytest.mark.parametrize("built", range(len(ACL_GRANTS) + 1))
 def test_indexed_acl_agrees_with_a_linear_scan(built):
-    # the first `built` grants go to the constructor, the rest to allow();
-    # every check after each grant must agree with a scan of all entries
-    entries = [AclEntry(*grant) for grant in ACL_GRANTS]
-    acl = AclTable(entries[:built])
+    # the first `built` grants are filed before any check, the rest one at a
+    # time; every check after each grant must agree with a scan of all grants
+    acl = AclTable()
+    for grant in ACL_GRANTS[:built]:
+        acl.allow(*grant)
     checks = [
         (acl.permits_publish, PUBLISH, ACL_TOPICS),
         (acl.permits_subscribe_topic, SUBSCRIBE, ACL_TOPICS),
         (acl.permits_subscribe_filter, SUBSCRIBE, ACL_TOPICS + ACL_FILTERS),
     ]
-    for added in range(built, len(entries) + 1):
+    for added in range(built, len(ACL_GRANTS) + 1):
         if added > built:
             acl.allow(*ACL_GRANTS[added - 1])
         for method, permission, topics in checks:
             for client in ACL_CLIENTS:
                 for topic in topics:
-                    expected = reference_permits(entries[:added], permission, client, topic)
+                    expected = reference_permits(ACL_GRANTS[:added], permission, client, topic)
                     assert method(client, topic) is expected, (method.__name__, client, topic)
 
 
 def test_receipts_hash_and_compare_by_value():
-    broker = Broker(acl=open_acl(), latency=LatencyModel(1.0))
+    broker = make_broker(open_acl())
     for c in ("p", "s"):
         broker.register_client(c)
-    sub = broker.subscribe("s", "cabin/#")
+    broker.subscribe("s", "cabin/#")
     receipt = broker.publish("p", env_for("cabin/a", seq=0))
     (delivery,) = receipt.deliveries
     twin = Delivery(delivery.topic, delivery.payload, "s", 1.0, 1.0)
     assert delivery.envelope.sequence == 0  # decoded and kept: still equal
     assert twin == delivery and hash(twin) == hash(delivery)
     assert hash(receipt) == hash(receipt._replace(deliveries=(twin,)))
-    assert sub.messages == [twin]
+    assert receipt.deliveries == (twin,)
+
+
+def test_the_broker_keeps_no_delivery():
+    # a delivery lives only as long as its receipt's holder keeps it
+    broker = make_broker(open_acl())
+    broker.register_client("p")
+    broker.register_client("c")
+    broker.subscribe("c", "#")
+    (delivery,) = broker.publish("p", env_for("t/x")).deliveries
+    freed = weakref.ref(delivery)
+    del delivery
+    assert freed() is None
+    assert [r.event for r in broker.audit_log] == ["subscribe", "publish", "deliver"]
 
 
 def test_unknown_client():
-    broker = Broker(acl=open_acl())
+    broker = make_broker(open_acl())
     with pytest.raises(UnknownClientError):
         broker.publish("ghost", env_for("a/b"))
     with pytest.raises(UnknownClientError):
@@ -198,15 +226,14 @@ def test_delivery_rechecks_acl_per_topic():
     # the subscribe-time grant is necessary but not sufficient: if the table
     # later stops covering a topic, delivery is refused and audited
     acl = open_acl()
-    broker = Broker(acl=acl, latency=LatencyModel(1.0))
+    broker = make_broker(acl)
     broker.register_client("pub")
     broker.register_client("sub")
-    sub = broker.subscribe("sub", "#")
+    broker.subscribe("sub", "#")
     broker.acl = AclTable()  # revoke everything
     broker.acl.allow("pub", "#", PUBLISH)
     receipt = broker.publish("pub", env_for("cabin/x"))
     assert receipt.deliveries == ()
-    assert sub.messages == []
     assert "deliver-denied" in [r.event for r in broker.audit_log]
 
 
@@ -217,19 +244,19 @@ def test_route_table_follows_subscribe_and_rechecks_the_acl_per_publish():
     acl.allow("c2", "cabin/a/#", SUBSCRIBE)
     # covers the filter 'cabin/#' taken literally, but not the topic 'cabin/a/b'
     acl.allow("c3", "cabin/+", SUBSCRIBE)
-    broker = Broker(acl=acl, latency=LatencyModel(1.0))
+    broker = make_broker(acl)
     for c in ("p", "c1", "c2", "c3"):
         broker.register_client(c)
     broker.subscribe("c3", "cabin/#")
-    c1 = broker.subscribe("c1", "cabin/#")
+    broker.subscribe("c1", "cabin/#")
     receipts = [broker.publish("p", env_for("cabin/a/b", seq=0))]
-    c2 = broker.subscribe("c2", "cabin/a/+")
+    broker.subscribe("c2", "cabin/a/+")
     receipts += [broker.publish("p", env_for("cabin/a/b", seq=seq)) for seq in (1, 2)]
     assert [[d.subscriber for d in r.deliveries] for r in receipts] == [
         ["c1"], ["c1", "c2"], ["c1", "c2"]
     ]
-    assert [d.envelope.sequence for d in c1.messages] == [0, 1, 2]
-    assert [d.envelope.sequence for d in c2.messages] == [1, 2]
+    assert sequences(receipts, "c1") == [0, 1, 2]
+    assert sequences(receipts, "c2") == [1, 2]
     events = [(r.event, r.client_id) for r in broker.audit_log if r.event != "subscribe"]
     once = [("publish", "p"), ("deliver-denied", "c3"), ("deliver", "c1")]
     assert events == once + 2 * (once + [("deliver", "c2")])
@@ -240,7 +267,7 @@ def test_audit_soundness_every_delivery_was_permitted():
     acl.allow("p", "cabin/#", PUBLISH)
     acl.allow("c1", "cabin/a/#", SUBSCRIBE)
     acl.allow("c2", "cabin/#", SUBSCRIBE)
-    broker = Broker(acl=acl, latency=LatencyModel(1.0))
+    broker = make_broker(acl)
     for c in ("p", "c1", "c2"):
         broker.register_client(c)
     broker.subscribe("c1", "cabin/a/#")
@@ -258,7 +285,7 @@ def test_audit_soundness_every_delivery_was_permitted():
 # -- latency accounting --------------------------------------------------------
 
 def test_two_hop_constant_delay():
-    broker = Broker(acl=open_acl(), latency=LatencyModel(2.0))
+    broker = make_broker(open_acl(), 2.0)
     broker.register_client("p")
     broker.register_client("c")
     broker.subscribe("c", "t/#")
@@ -271,19 +298,21 @@ def test_two_hop_constant_delay():
 def test_relay_chain_totals_twelve_hops():
     # five relays re-publishing: 1 publish + 5 x (deliver + publish) + 1 deliver
     d = 3.88
-    broker = Broker(acl=open_acl(), latency=LatencyModel(d))
+    broker = make_broker(open_acl(), d)
     names = ["source"] + [f"relay{i}" for i in range(1, 6)] + ["sink"]
     for n in names:
         broker.register_client(n)
-    subs = [broker.subscribe(f"relay{i}", f"chain/leg{i-1}") for i in range(1, 6)]
-    sink = broker.subscribe("sink", "chain/leg5")
+    for i in range(1, 6):
+        broker.subscribe(f"relay{i}", f"chain/leg{i-1}")
+    broker.subscribe("sink", "chain/leg5")
 
     legs = []
     receipt = broker.publish("source", env_for("chain/leg0"))
     for i in range(1, 6):
         (leg,) = receipt.deliveries
         legs.extend([leg.publish_delay_ms, leg.delivery_delay_ms])
-        inbound = subs[i - 1].messages[0].envelope
+        assert leg.subscriber == f"relay{i}"
+        inbound = leg.envelope
         forward = Envelope(
             topic=f"chain/leg{i}",
             sensor_id=inbound.sensor_id,
@@ -298,29 +327,31 @@ def test_relay_chain_totals_twelve_hops():
 
     assert len(legs) == 12
     assert sum(legs) == pytest.approx(12 * d)
-    assert len(sink.messages) == 1
+    assert leg.subscriber == "sink"
 
 
 def test_per_publisher_fifo_order():
-    broker = Broker(acl=open_acl(), latency=LatencyModel(0.5))
+    broker = make_broker(open_acl(), 0.5)
     for c in ("a", "b", "sub"):
         broker.register_client(c)
-    sub = broker.subscribe("sub", "t/#")
+    broker.subscribe("sub", "t/#")
+    receipts = []
     for i in range(20):
-        broker.publish("a", env_for("t/a", sensor="a", seq=i))
-        broker.publish("b", env_for("t/b", sensor="b", seq=i))
+        receipts.append(broker.publish("a", env_for("t/a", sensor="a", seq=i)))
+        receipts.append(broker.publish("b", env_for("t/b", sensor="b", seq=i)))
+    received = [d for r in receipts for d in r.deliveries if d.subscriber == "sub"]
     for sensor in ("a", "b"):
-        seqs = [d.envelope.sequence for d in sub.messages if d.envelope.sensor_id == sensor]
+        seqs = [d.envelope.sequence for d in received if d.envelope.sensor_id == sensor]
         assert seqs == sorted(seqs) == list(range(20))
 
 
 def test_no_delivery_on_non_matching_topic():
-    broker = Broker(acl=open_acl(), latency=LatencyModel(1.0))
+    broker = make_broker(open_acl())
     broker.register_client("p")
     broker.register_client("c")
-    sub = broker.subscribe("c", "cabin/seat/+/weight")
+    broker.subscribe("c", "cabin/seat/+/weight")
     receipt = broker.publish("p", env_for("cabin/galley/oven/temp"))
-    assert receipt.deliveries == () and sub.messages == []
+    assert receipt.deliveries == ()
 
 
 def test_gaussian_hops_never_negative():
@@ -385,7 +416,7 @@ def test_run_record_additivity():
 # -- background load ------------------------------------------------------------
 
 def test_inject_load_counts():
-    broker = Broker(acl=AclTable(), latency=LatencyModel(1.0))
+    broker = make_broker(AclTable())
     report = broker.inject_load(400.0, 10.0)
     assert report.published == 4000
     assert abs(report.delivered - 4000) <= 40  # within 1%
@@ -393,20 +424,20 @@ def test_inject_load_counts():
 
 
 def test_inject_load_zero_rate_is_noop():
-    broker = Broker(acl=AclTable(), latency=LatencyModel(1.0))
+    broker = make_broker(AclTable())
     report = broker.inject_load(0.0, 10.0)
     assert report.published == report.delivered == 0
     assert broker.audit_log == ()
 
 
 def test_inject_load_rejects_negative():
-    broker = Broker(acl=AclTable())
+    broker = make_broker(AclTable())
     with pytest.raises(ValueError):
         broker.inject_load(-1.0, 1.0)
 
 
 def test_audit_log_dump(tmp_path):
-    broker = Broker(acl=open_acl(), latency=LatencyModel(1.0))
+    broker = make_broker(open_acl())
     broker.register_client("p")
     broker.register_client("c")
     broker.subscribe("c", "#")

@@ -223,8 +223,7 @@ def test_gdp_degenerate_noise(weight_params):
     noisy = dp.gdp_aggregate(
         [122], dp.PrivacyBudget.for_sum(1e9, weight_params.q), "sum", np.random.default_rng(2)
     )
-    assert noisy.value == pytest.approx(122, abs=1e-3)
-    assert noisy.n == 1
+    assert noisy == pytest.approx(122, abs=1e-3)
 
 
 def test_gdp_mean_absolute_error_is_the_scale(weights_dataset, weight_params):
@@ -233,7 +232,7 @@ def test_gdp_mean_absolute_error_is_the_scale(weights_dataset, weight_params):
     exact = sum(weights_dataset)
     rng = np.random.default_rng(506)
     errs = [
-        abs(dp.gdp_aggregate(weights_dataset, budget, "sum", rng).value - exact)
+        abs(dp.gdp_aggregate(weights_dataset, budget, "sum", rng) - exact)
         for _ in range(10_000)
     ]
     assert abs(np.mean(errs) - 170.0) <= 0.05 * 170.0
@@ -299,7 +298,7 @@ def test_gdp_sum_is_exact_beyond_float_precision():
     # a float running sum would round 2**53 + 1 back to 2**53, twice
     budget = dp.PrivacyBudget(1e30, 1)
     noisy = dp.gdp_aggregate([2**53, 1, 1], budget, "sum", np.random.default_rng(0))
-    assert noisy.value == 2**53 + 2
+    assert noisy == 2**53 + 2
 
 
 def test_ldp_sum_unbiased(weights_dataset, weight_params):

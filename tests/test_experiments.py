@@ -1,5 +1,6 @@
 """Utility experiments: decay curves, oracle agreement, load neutrality."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -25,7 +26,10 @@ def test_weight_sum_report_shape():
     assert [p.epsilon for p in report.points] == [0.5, 1.0]
     assert all(p.reps == 100 for p in report.points)
     # the report carries the dataset it ran on, as generate_weights draws it
-    assert report.weights == tuple(generate_weights(50, 50, 120, 1).tolist())
+    np.testing.assert_array_equal(report.weights, generate_weights(50, 50, 120, 1), strict=True)
+    assert not report.weights.flags.writeable
+    twin = dataclasses.replace(report, weights=report.weights[::-1])
+    assert twin == report and hash(twin) == hash(report)  # eq and hash skip the array
     assert report.ground_truth == float(np.sum(report.weights))
 
 

@@ -1,7 +1,8 @@
-"""The hot frozen records keep their dataclass behaviour: Envelope, AclEntry
-and ShareBundle stay immutable, compare and hash by value, print and
-re-validate through dataclasses.replace as generated dataclasses do, and
-refuse bad fields with the same messages in the same order."""
+"""The hot frozen records keep their dataclass behaviour: Envelope and
+ShareBundle stay immutable, compare and hash by value, print and re-validate
+through dataclasses.replace as generated dataclasses do, and refuse bad
+fields with the same messages in the same order. AclTable.allow refuses a
+bad grant with the same messages in the same order."""
 
 import dataclasses
 from dataclasses import FrozenInstanceError, replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from petfabric.ass import ShareBundle
-from petfabric.fabric.broker import PUBLISH, SUBSCRIBE, AclEntry, AclTable, MalformedTopicError
+from petfabric.fabric.broker import PUBLISH, SUBSCRIBE, AclTable, MalformedTopicError
 from petfabric.fabric.envelope import Envelope, EnvelopeError, Scheme
 
 
@@ -38,15 +39,11 @@ RECORDS = [
         " value=84, share_index=2, epsilon=None, timestamp_us=1000)",
     ),
     (
-        lambda: AclEntry("client-7", "cabin/+/temp", PUBLISH),
-        "AclEntry(client_id='client-7', pattern='cabin/+/temp', permission='publish')",
-    ),
-    (
         lambda: ShareBundle(sensor_id="s0", shares=(5, None, 100), modulus=101),
         "ShareBundle(sensor_id='s0', shares=(5, None, 100), modulus=101)",
     ),
 ]
-RECORD_IDS = ["envelope", "share-envelope", "acl-entry", "share-bundle"]
+RECORD_IDS = ["envelope", "share-envelope", "share-bundle"]
 
 
 @pytest.mark.parametrize("make,text", RECORDS, ids=RECORD_IDS)
@@ -72,7 +69,6 @@ def test_records_differ_by_any_field():
                    dict(timestamp_us=1_001), dict(scheme=Scheme.GDP)]:
         other = replace(base, **change)
         assert other != base
-    assert AclEntry("c", "a", PUBLISH) != AclEntry("c", "a", "subscribe")
     assert ShareBundle("s", (1, 2), 101) != ShareBundle("s", (1, 2), 103)
 
 
@@ -89,14 +85,6 @@ def test_envelope_defaults_and_scheme_tag_conversion():
     [
         (envelope, dict(sequence=-1), EnvelopeError, "sequence must be >= 0, got -1"),
         (share_envelope, dict(share_index=0), EnvelopeError, "share_index must be >= 1, got 0"),
-        (
-            lambda: AclEntry("c", "a/+", PUBLISH), dict(permission="read"), ValueError,
-            "permission must be publish or subscribe, got 'read'",
-        ),
-        (
-            lambda: AclEntry("c", "a/+", PUBLISH), dict(pattern="a/#/b"), MalformedTopicError,
-            "'#' must be the last level in 'a/#/b'",
-        ),
         (
             lambda: ShareBundle("s", (1, 2), 101), dict(shares=()), ValueError,
             "a bundle needs at least one share",
@@ -179,25 +167,30 @@ def test_envelope_refusals_keep_their_messages(change, message):
 
 def test_acl_entry_checks_permission_before_pattern():
     with pytest.raises(ValueError) as excinfo:
-        AclEntry("c", "a/#/b", "read")
+        AclTable().allow("c", "a/#/b", "read")
     assert type(excinfo.value) is ValueError
     assert str(excinfo.value) == "permission must be publish or subscribe, got 'read'"
     with pytest.raises(MalformedTopicError, match="wildcard must occupy a whole level"):
-        AclEntry("c", "a/b+", PUBLISH)
+        AclTable().allow("c", "a/b+", PUBLISH)
 
 
 @pytest.mark.parametrize(
-    "pattern,permission",
-    [("a/#/b", "read"), ("a/b", "read"), ("a/b+", PUBLISH), ("#/a", SUBSCRIBE), ("", PUBLISH)],
+    "pattern,permission,error,message",
+    [
+        ("a/#/b", "read", ValueError, "permission must be publish or subscribe, got 'read'"),
+        ("a/b", "read", ValueError, "permission must be publish or subscribe, got 'read'"),
+        ("a/b+", PUBLISH, MalformedTopicError, "wildcard must occupy a whole level in 'a/b+'"),
+        ("#/a", SUBSCRIBE, MalformedTopicError, "'#' must be the last level in '#/a'"),
+        ("", PUBLISH, MalformedTopicError, "filter must not be empty"),
+    ],
+    ids=["a/#/b-read", "a/b-read", "a/b+-publish", "#/a-subscribe", "-publish"],
 )
-def test_acl_allow_refuses_what_acl_entry_refuses(pattern, permission):
-    with pytest.raises((ValueError, MalformedTopicError)) as entry_error:
-        AclEntry("c", pattern, permission)
+def test_acl_allow_refuses_what_acl_entry_refuses(pattern, permission, error, message):
     acl = AclTable()
     with pytest.raises((ValueError, MalformedTopicError)) as allow_error:
         acl.allow("c", pattern, permission)
-    assert type(allow_error.value) is type(entry_error.value)
-    assert str(allow_error.value) == str(entry_error.value)
+    assert type(allow_error.value) is error
+    assert str(allow_error.value) == message
     # nothing was filed
     assert not acl.permits_publish("c", "a/b")
     assert not acl.permits_subscribe_filter("c", "a/b")

@@ -16,7 +16,7 @@ import pytest
 
 from petfabric.codec import derive_params
 from petfabric.fabric import broker as broker_module
-from petfabric.fabric.broker import PUBLISH, AclEntry, AclTable, Broker, LatencyModel, topic_matches
+from petfabric.fabric.broker import PUBLISH, AclTable, Broker, LatencyModel, topic_matches
 from petfabric.fabric.envelope import Scheme
 from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology
 from petfabric.scenarios.runner import DATA_FILTER, DATA_TOPIC, _Path, run_scenario_outcomes
@@ -164,12 +164,12 @@ def test_wire_bytes_are_pinned(name, monkeypatch):
 @pytest.mark.parametrize("rate", FILLER_RATES)
 def test_every_acl_grant_is_used(name, rate, monkeypatch):
     brokers = capture_brokers(monkeypatch)
-    grants = {}  # id(table) -> every AclEntry granted to it, in order
+    grants = {}  # id(table) -> every (client, pattern, permission) granted to it, in order
     allow = AclTable.allow
 
     def recording_allow(self, client_id, pattern, permission):
         allow(self, client_id, pattern, permission)
-        grants.setdefault(id(self), []).append(AclEntry(client_id, pattern, permission))
+        grants.setdefault(id(self), []).append((client_id, pattern, permission))
 
     monkeypatch.setattr(AclTable, "allow", recording_allow)
     spec = flow_spec(name)
@@ -181,12 +181,12 @@ def test_every_acl_grant_is_used(name, rate, monkeypatch):
             for rec in broker.audit_log
             if rec.event in ("publish", "subscribe")
         }
-        for entry in grants[id(broker.acl)]:
-            event = "publish" if entry.permission == PUBLISH else "subscribe"
+        for grantee, pattern, permission in grants[id(broker.acl)]:
+            event = "publish" if permission == PUBLISH else "subscribe"
             assert any(
-                client == entry.client_id and ev == event and topic_matches(entry.pattern, topic)
+                client == grantee and ev == event and topic_matches(pattern, topic)
                 for client, ev, topic in used
-            ), f"unused grant {entry}"
+            ), f"unused grant {(grantee, pattern, permission)}"
 
 
 def test_cross_refuses_a_publish_the_receiver_does_not_get():
