@@ -38,7 +38,6 @@ from .scenarios.config import (
     adversary_from_dict,
     ass_demo_from_dict,
     bench_from_dict,
-    benchmark_suite,
     load_json,
     scenario_from_dict,
     sweep_from_dict,
@@ -165,11 +164,9 @@ def _run_scenario(args, spec):
 
 def _sweep_epsilon(args, cfg):
     seed = _resolve_seed(args.seed, cfg["seed"])
-    params = cfg["encoding"]
     report = weight_sum_experiment(
         n=cfg["n"],
-        domain=(params.x_lo, params.x_hi),
-        k=params.k,
+        encoding=cfg["encoding"],
         model=cfg["model"],
         eps_grid=cfg["eps_grid"],
         reps=cfg["reps"],
@@ -249,21 +246,14 @@ def _ass_demo(args, cfg):
     return seed, 1, {"ass_demo.csv": (ASS_DEMO_COLUMNS, rows)}
 
 
-def _bench_suite(args, cfg):
+def _bench_suite(args, specs):
     import numpy as np
 
-    seed = _resolve_seed(args.seed, cfg["seed"])
-    specs = benchmark_suite(
-        latency=cfg["latency"],
-        repetitions=cfg["repetitions"],
-        seed=seed,
-        m=cfg["m"],
-        epsilon=cfg["epsilon"],
-        compute_ms=cfg["compute_ms"],
-    )
-    workers = worker_count(args.parallel, cfg["repetitions"])
+    seed = _resolve_seed(args.seed, specs[0].seed)
+    workers = worker_count(args.parallel, specs[0].repetitions)
     rows = []
     for spec in specs:
+        spec = spec.with_seed(seed)
         records = run_scenario(spec, workers=workers)
         e2e = np.array([r.end_to_end_ms for r in records])
         rows.append(

@@ -69,11 +69,6 @@ class EncodingParams:
         return self.offset + _floor_scaled(self.x_hi, self.k)
 
 
-def derive_params(x_lo: float, x_hi: float, k: int) -> EncodingParams:
-    """Build EncodingParams for the closed domain [x_lo, x_hi] at precision k."""
-    return EncodingParams(k=k, x_lo=x_lo, x_hi=x_hi)
-
-
 def encode(x: float, p: EncodingParams) -> int:
     """Encode a reading as offset + floor(x * k).
 

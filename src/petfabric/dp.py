@@ -55,11 +55,6 @@ class PrivacyBudget:
         return self.sensitivity / self.epsilon
 
     @classmethod
-    def for_sum(cls, epsilon: float, width: int) -> "PrivacyBudget":
-        """Budget for a sum query: one record moves the sum by at most q."""
-        return cls(epsilon=epsilon, sensitivity=width)
-
-    @classmethod
     def for_mean(cls, epsilon: float, width: int, n: int) -> "PrivacyBudget":
         """Budget for a mean over n records: sensitivity ceil(q / n)."""
         if n < 1:
@@ -127,10 +122,10 @@ def gdp_aggregate(
     """Aggregate exactly, then add a single Laplace draw at the trusted node.
 
     The caller chooses budget.sensitivity for the query: the full encoded
-    width q for a sum, ceil(q/n) for a mean (see PrivacyBudget.for_sum /
-    for_mean). The aggregate is computed in exact integer arithmetic before
-    the one noise draw is added, so every value must be a Python int: a
-    float or numpy scalar raises TypeError rather than being truncated.
+    width q for a sum, ceil(q/n) for a mean (see PrivacyBudget.for_mean).
+    The aggregate is computed in exact integer arithmetic before the one
+    noise draw is added, so every value must be a Python int: a float or
+    numpy scalar raises TypeError rather than being truncated.
     """
     if len(xs) == 0:
         raise ValueError("gdp_aggregate needs at least one value")

@@ -118,12 +118,15 @@ class AclTable:
         self._grants: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def allow(self, client_id: str, pattern: str, permission: str) -> None:
-        """Grant `permission` on `pattern` to an exact client id, or "*" for any."""
+        """Grant `permission` on `pattern` to an exact client id, or "*" for
+        any; a grant the client already holds adds nothing."""
         if permission not in (PUBLISH, SUBSCRIBE):
             raise ValueError(f"permission must be publish or subscribe, got {permission!r}")
         validate_filter(pattern)
         key = (permission, client_id)
-        self._grants[key] = self._grants.get(key, ()) + (pattern,)
+        patterns = self._grants.get(key, ())
+        if pattern not in patterns:
+            self._grants[key] = patterns + (pattern,)
 
     def _permits(self, permission: str, client_id: str, topic: str) -> bool:
         grants = self._grants
@@ -304,13 +307,16 @@ class Broker:
     # -- core operations -----------------------------------------------------
 
     def subscribe(self, client_id: str, pattern: str) -> None:
-        """Register a filter; subsequent matching publishes are delivered FIFO."""
+        """Register a filter; subsequent matching publishes are delivered FIFO.
+        A filter the client already holds replaces its subscription, as MQTT
+        3.1.1 section 3.8.4 requires; the audit log records every request."""
         self._require_client(client_id)
         validate_filter(pattern)
         if not self.acl.permits_subscribe_filter(client_id, pattern):
             self._record("subscribe-denied", client_id, pattern)
             raise AclDeniedError(f"{client_id!r} may not subscribe to {pattern!r}")
-        self._subscriptions.append((pattern, client_id))
+        if (pattern, client_id) not in self._subscriptions:
+            self._subscriptions.append((pattern, client_id))
         self._record("subscribe", client_id, pattern)
 
     def publish(self, client_id: str, env: Envelope) -> PublishReceipt:

@@ -1,8 +1,9 @@
 """Config schemas: the typed scenario spec, the strict loader of every
 config file the CLI reads, and the six-placement benchmark suite.
 
-Scenario configs mirror the ScenarioSpec fields one-to-one; the sweep,
-adversary, ass-demo and bench configs load into plain dicts. Loading is
+Scenario configs mirror the ScenarioSpec fields one-to-one, and a bench
+config loads into the six ScenarioSpecs it runs; the sweep, adversary and
+ass-demo configs load into plain dicts. Loading is
 strict: unknown keys anywhere in the document are rejected, fields are read
 by typed readers that coerce nothing (`read_int`, `read_number`,
 `read_str`), every range a run relies on is checked here, so a config that
@@ -12,8 +13,7 @@ Encoding parameters are stored as {k, x_lo, x_hi} only; the derived
 quantities are always recomputed.
 
 The suite's placement table (`PLACEMENTS`) lives here too, next to the
-bench loader that checks against it and `benchmark_suite`, which builds
-the six comparison scenarios from it.
+bench loader that builds the six comparison scenarios from it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..ass import MAX_FIELD_BOUND
-from ..codec import DomainError, EncodingParams, derive_params
+from ..codec import DomainError, EncodingParams
 from ..dp import GDP_MODEL, LDP_MODEL
 from ..fabric.broker import LATENCY_PRESETS, LatencyModel
 
@@ -41,7 +41,7 @@ PET_ASS = "ass"
 PET_KRR = "krr"
 
 #: The one encoding every suite placement uses: weights on [50, 120] kg, k = 1.
-SUITE_ENCODING = derive_params(50.0, 120.0, 1)
+SUITE_ENCODING = EncodingParams(k=1, x_lo=50.0, x_hi=120.0)
 
 #: The benchmark suite's six placements, cheapest first: (name, topology,
 #: pet, sensors, compute_ms key, reference compute ms). The compute times
@@ -456,10 +456,10 @@ def load_json(path) -> dict:
 def encoding_from_dict(raw: dict) -> EncodingParams:
     check_keys(raw, {"k", "x_lo", "x_hi"}, "encoding")
     try:
-        params = derive_params(
+        params = EncodingParams(
+            k=read_int(raw, "k", "encoding"),
             x_lo=read_number(raw, "x_lo", "encoding"),
             x_hi=read_number(raw, "x_hi", "encoding"),
-            k=read_int(raw, "k", "encoding"),
         )
     except DomainError as exc:
         raise ConfigError(f"encoding: {exc}") from None
@@ -653,16 +653,20 @@ def ass_demo_from_dict(raw: dict) -> dict:
     }
 
 
-def bench_from_dict(raw: dict) -> dict:
-    """The `bench-suite` config: the six-placement comparison."""
+def bench_from_dict(raw: dict) -> list[ScenarioSpec]:
+    """The `bench-suite` config: the six comparison scenarios, cheapest
+    placement first, each with the config's seed (0 when it has none)."""
     check_keys(raw, {"latency", "repetitions", "m", "epsilon", "compute_ms", "seed"}, "config")
+    # checked here, before the specs are built, so that each error names the
+    # bench config's own field; the specs' checks would name pet.epsilon and
+    # compute_ms
     compute = raw.get("compute_ms")
-    if compute is not None:
-        check_keys(compute, set(REFERENCE_COMPUTE_MS), "compute_ms")
-        compute = {
-            k: at_least(read_number(compute, k, "compute_ms"), 0, f"compute_ms.{k}")
-            for k in compute
-        }
+    if compute is None:  # null reads as absent
+        compute = {}
+    check_keys(compute, set(REFERENCE_COMPUTE_MS), "compute_ms")
+    compute = {
+        k: at_least(read_number(compute, k, "compute_ms"), 0, f"compute_ms.{k}") for k in compute
+    }
     epsilon = _positive(read_number(raw, "epsilon", "config", 1.0), "epsilon")
     count = max(n for _, _, pet, n, *_ in PLACEMENTS if pet in (PET_LDP, PET_GDP))
     check_noise_fits(count, SUITE_ENCODING.q, None, epsilon, "epsilon")
@@ -671,32 +675,9 @@ def bench_from_dict(raw: dict) -> dict:
     m = check_shares(at_least(read_int(raw, "m", "config", 3), 2, "m"), "m")
     for _, _, pet, _, key, reference_ms in PLACEMENTS:
         hops = hop_bound(m if pet == PET_ASS else None, 0)
-        compute_ms = (compute or {}).get(key, reference_ms)
+        compute_ms = compute.get(key, reference_ms)
         check_clock_fits(repetitions, compute_ms, hops, latency, f"compute_ms.{key}")
-    return {
-        "latency": latency,
-        "repetitions": repetitions,
-        "m": m,
-        "epsilon": epsilon,
-        "compute_ms": compute,
-        "seed": _seed(raw),
-    }
-
-
-def benchmark_suite(
-    latency: Optional[LatencyModel] = None,
-    repetitions: int = 100,
-    seed: int = 0,
-    m: int = 3,
-    epsilon: float = 1.0,
-    compute_ms: Optional[dict[str, float]] = None,
-) -> list[ScenarioSpec]:
-    """Build the six comparison scenarios, cheapest placement first.
-
-    compute_ms overrides the reference compute time of the keys it names.
-    """
-    latency = latency if latency is not None else LATENCY_PRESETS["testbed"]
-    compute = compute_ms or {}
+    seed = _seed(raw) or 0
     pets = {
         PET_NONE: PetConfig(PET_NONE),
         PET_LDP: PetConfig(PET_LDP, epsilon=epsilon),

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .. import dp
 # decode is unused here, but perfbench/tracing.py wraps experiments.decode
-from ..codec import decode, decode_sum, derive_params, encode
+from ..codec import EncodingParams, decode, decode_sum, encode
 from ..dp import LDP_MODEL
 from .config import ScenarioSpec
 from .runner import run_scenario_outcomes
@@ -57,8 +57,7 @@ def generate_weights(n: int, low: float, high: float, seed: int) -> np.ndarray:
 
 def weight_sum_experiment(
     n: int,
-    domain: tuple[float, float],
-    k: int,
+    encoding: EncodingParams,
     model: str,
     eps_grid: Sequence[float],
     reps: int,
@@ -76,15 +75,13 @@ def weight_sum_experiment(
     """
     import numpy as np
 
-    low, high = domain
-    params = derive_params(low, high, k)
-    weights = generate_weights(n, low, high, seed)
+    weights = generate_weights(n, encoding.x_lo, encoding.x_hi, seed)
     weights.flags.writeable = False
-    encoded = [encode(float(w), params) for w in weights]
+    encoded = [encode(float(w), encoding) for w in weights]
     # ldp perturbs an int64 array, converted here once; gdp sums exact ints
     values = np.array(encoded, dtype=np.int64) if model == LDP_MODEL else encoded
     true_sum = float(weights.sum())
-    sens = sensitivity if sensitivity is not None else params.q
+    sens = sensitivity if sensitivity is not None else encoding.q
 
     points = []
     for i, eps in enumerate(eps_grid):
@@ -96,7 +93,7 @@ def weight_sum_experiment(
                 noisy = int(dp.ldp_perturb_array(values, budget, rng).sum())
             else:
                 noisy = dp.gdp_aggregate(values, budget, "sum", rng)
-            errors[r] = abs(decode_sum(noisy, n, params) - true_sum)
+            errors[r] = abs(decode_sum(noisy, n, encoding) - true_sum)
         points.append(
             UtilityPoint(
                 epsilon=float(eps),

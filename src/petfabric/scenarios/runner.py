@@ -199,7 +199,7 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
         if pet.aggregator == "mean":
             budget = dp.PrivacyBudget.for_mean(pet.epsilon, params.q, n)
         else:
-            budget = dp.PrivacyBudget.for_sum(pet.epsilon, params.q)
+            budget = dp.PrivacyBudget(pet.epsilon, params.q)
         collected = encoded
         if virtualized:
             collected = [d.envelope.value for d in path.cross(hub, readings(Scheme.RAW, encoded))]
@@ -209,7 +209,7 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
         received = path.cross("consumer", [(hub, [out])])
     else:
         if pet.kind == PET_LDP:
-            budget = dp.PrivacyBudget.for_sum(pet.epsilon, params.q)
+            budget = dp.PrivacyBudget(pet.epsilon, params.q)
             wire = [dp.ldp_perturb(x, budget, rng) for x in encoded]
         elif pet.kind == PET_KRR:
             wire = [dp.krr_perturb(x, pet.epsilon, params, rng) for x in encoded]

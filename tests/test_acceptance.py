@@ -18,11 +18,11 @@ from scipy import stats
 
 from petfabric import adversary, ass, dp
 from petfabric.cli import main as cli_main
-from petfabric.codec import decode_sum, derive_params, encode
+from petfabric.codec import EncodingParams, decode_sum, encode
 from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
 from petfabric.fabric.cbor import CborDecodeError
 from petfabric.fabric.envelope import Envelope, EnvelopeError, Scheme, cbor_decode, cbor_encode
-from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology, benchmark_suite
+from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology, bench_from_dict
 from petfabric.scenarios.experiments import generate_weights, load_test, weight_sum_experiment
 from petfabric.scenarios.runner import run_scenario, run_scenario_outcomes
 
@@ -42,7 +42,7 @@ def test_01_codec_roundtrip_bound():
     with criterion(1, "codec round-trip bound", 5.0):
         rng = np.random.default_rng(101)
         for lo, hi, k in [(50.0, 120.0, 1), (-10.0, 20.0, 7), (-273.15, 1000.0, 100)]:
-            params = derive_params(lo, hi, k)
+            params = EncodingParams(k, lo, hi)
             offset = params.offset
             for x in rng.uniform(lo, hi, 100_000):
                 x = float(x)
@@ -56,7 +56,7 @@ def test_02_exact_average_reconstruction():
     """Shared-then-reconstructed averages stay within 1/k on 1000 seeded instances."""
     with criterion(2, "exact average via secret shares", 30.0):
         for k in (1, 100):
-            params = derive_params(50, 120, k)
+            params = EncodingParams(k, 50, 120)
             fp = ass.choose_modulus(500, params.q)
             for instance in range(1000):
                 rng = np.random.default_rng(202_000 + instance)
@@ -117,11 +117,11 @@ def test_05_laplace_moments_and_gdp_error():
         draws = dp.sample_laplace(2.0, np.random.default_rng(505), size=1_000_000)
         assert abs(draws.var(ddof=1) - 8.0) <= 0.02 * 8.0
 
-        params = derive_params(50, 120, 1)
+        params = EncodingParams(1, 50, 120)
         weights = np.random.default_rng(42).uniform(50, 120, 500)
         encoded = [encode(float(w), params) for w in weights]
         exact = sum(encoded)
-        budget = dp.PrivacyBudget.for_sum(1.0, params.q)
+        budget = dp.PrivacyBudget(1.0, params.q)
         rng = np.random.default_rng(506)
         errors = np.array(
             [
@@ -138,13 +138,15 @@ def test_06_utility_decay_against_oracle():
     with criterion(6, "privacy-utility decay", 120.0):
         seed, n, k = 606, 500, 1
         grid = [0.05, 0.1, 0.3, 0.5, 1.0]
-        report = weight_sum_experiment(n, (50, 120), k, "ldp", grid, reps=1000, seed=seed)
+        report = weight_sum_experiment(
+            n, EncodingParams(k, 50, 120), "ldp", grid, reps=1000, seed=seed
+        )
         medians = [p.median_abs_err for p in report.points]
         assert all(a > b for a, b in zip(medians, medians[1:]))
 
         # oracle: re-derive the dataset, then push numpy's own Laplace
         # sampler through the same decode pipeline
-        params = derive_params(50, 120, k)
+        params = EncodingParams(k, 50, 120)
         weights = generate_weights(n, 50, 120, seed)
         encoded = np.array([encode(float(w), params) for w in weights])
         quant_gap = float(weights.sum()) - decode_sum(int(encoded.sum()), n, params)
@@ -164,7 +166,7 @@ def test_07_relay_chain_hop_structure():
             topology=Topology("relay-chain", depth=5),
             pet=PetConfig("none"),
             sensors=SensorConfig(),
-            encoding=derive_params(50, 120, 1),
+            encoding=EncodingParams(1, 50, 120),
             latency=LatencyModel(3.88),
             compute_ms=0.0,
             repetitions=100,
@@ -180,7 +182,7 @@ def test_08_placement_ordering():
     """Six-configuration suite keeps the measured latency ordering."""
     with criterion(8, "placement latency ordering", 30.0):
         means = []
-        for spec in benchmark_suite(repetitions=50, seed=8):
+        for spec in bench_from_dict({"repetitions": 50, "seed": 8}):
             records = run_scenario(spec)
             means.append(float(np.mean([r.end_to_end_ms for r in records])))
         baseline, ldp, gdp_dev, gdp_virt, ass_dev, ass_virt = means
@@ -195,7 +197,7 @@ def test_09_load_neutrality():
             topology=Topology("on-device"),
             pet=PetConfig("ldp", epsilon=0.01),
             sensors=SensorConfig(),
-            encoding=derive_params(50, 120, 1),
+            encoding=EncodingParams(1, 50, 120),
             latency=LATENCY_PRESETS["wifi-no-powersave"],
             compute_ms=0.488,
             repetitions=400,
@@ -211,7 +213,7 @@ def test_10_share_loss_fragility():
         common = dict(
             topology=Topology("on-device"),
             sensors=SensorConfig(count=5),
-            encoding=derive_params(50, 120, 1),
+            encoding=EncodingParams(1, 50, 120),
             latency=LatencyModel(2.494),
             compute_ms=0.591,
             repetitions=100,

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from petfabric import ass
-from petfabric.codec import derive_params, encode
+from petfabric.codec import EncodingParams, encode
 from petfabric.scenarios.config import MAX_SHARES
 
 
@@ -129,7 +129,7 @@ def test_reconstruct_sum_examples():
 
 def test_reconstruct_average_within_quantization_bound():
     for k in (1, 100):
-        params = derive_params(50, 120, k)
+        params = EncodingParams(k, 50, 120)
         fp = ass.choose_modulus(500, params.q)
         rng = np.random.default_rng(31 + k)
         weights = rng.uniform(50, 120, 500)
@@ -144,7 +144,7 @@ def test_reconstruct_average_within_quantization_bound():
 
 
 def test_reconstruct_average_single_exact_value():
-    params = derive_params(50, 120, 1)
+    params = EncodingParams(1, 50, 120)
     fp = ass.choose_modulus(1, params.q)
     bundle = split(encode(72.0, params), 3, fp, np.random.default_rng(1))
     assert ass.reconstruct_average([bundle], fp, params) == 72.0
@@ -154,7 +154,7 @@ def test_no_wraparound_result_independent_of_modulus():
     # with Q > n*q the reconstruction never depends on which valid prime was
     # chosen: sharing the same secrets under a much larger field gives the
     # identical aggregate
-    params = derive_params(50, 120, 1)
+    params = EncodingParams(1, 50, 120)
     small = ass.choose_modulus(50, params.q)
     big = ass.choose_modulus(5_000_000, params.q)
     rng = np.random.default_rng(8)

@@ -423,6 +423,16 @@ def test_inject_load_counts():
     assert report.delivered == 4000  # the simulated broker loses nothing
 
 
+def test_repeated_subscription_replaces_the_first():
+    broker = make_broker(AclTable())
+    assert [broker.inject_load(100.0, 1.0).delivered for _ in range(2)] == [100, 100]
+    broker.subscribe("bench-sink", "bench/filler/#")
+    receipt = broker.publish("bench-pub-0", env_for("bench/filler/0", sensor="bench-pub-0"))
+    assert [d.subscriber for d in receipt.deliveries] == ["bench-sink"]
+    subscribes = [r for r in broker.audit_log if r.event == "subscribe"]
+    assert [r.client_id for r in subscribes] == ["bench-sink"] * 3
+
+
 def test_inject_load_zero_rate_is_noop():
     broker = make_broker(AclTable())
     report = broker.inject_load(0.0, 10.0)

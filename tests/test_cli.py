@@ -12,6 +12,7 @@ import pytest
 
 from petfabric import cli
 from petfabric.cli import SEED_ENV_VAR, main
+from petfabric.scenarios.config import PLACEMENTS
 
 BASELINE = {
     "name": "baseline-on-device",
@@ -77,7 +78,7 @@ def test_run_scenario_outputs_and_manifest(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "run-scenario"
     assert manifest["seed"] == 42
-    assert manifest["config_sha256"] == hashlib.sha256(open(cfg, "rb").read()).hexdigest()
+    assert manifest["config_sha256"] == hashlib.sha256(Path(cfg).read_bytes()).hexdigest()
     assert manifest["python"] == ".".join(map(str, sys.version_info[:3]))
     assert manifest["numpy"] == np.__version__
     assert manifest["workers"] == 1
@@ -205,6 +206,28 @@ def test_bench_suite_ordering(tmp_path):
     means = [float(r[5]) for r in rows[1:]]
     assert means[0] < means[1] <= means[2] < means[3] < means[4] < means[5]
     assert [int(r[3]) for r in rows[1:]] == [2, 2, 2, 4, 6, 8]
+
+
+def test_bench_suite_seed_flag_and_compute_override_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    # a jittered preset: under the constant testbed one no row depends on the seed
+    config = {"latency": "eth", "repetitions": 3, "compute_ms": {"gdp-virtualized": 2.5}}
+
+    def run(name, config_seed, *flags):
+        cfg = write(tmp_path, f"{name}.json", {**config, "seed": config_seed})
+        out = tmp_path / name
+        assert main(["bench-suite", "--config", cfg, "--out", str(out), *flags]) == 0
+        return (out / "bench_suite.csv").read_bytes()
+
+    pinned = run("flag", 3, "--seed", "11")
+    assert hashlib.sha256(pinned).hexdigest() == (
+        "e9d28d3f0383429ed63f33bd26b31a7f8c9de1a792934aa7c9daf2b3b64ca17a"
+    )
+    rows = list(csv.reader(pinned.decode().splitlines()))[1:]
+    reference = {name: ms for name, *_, ms in PLACEMENTS}
+    assert {r[0]: float(r[4]) for r in rows} == {**reference, "gdp-virtualized": 2.5}
+    assert pinned == run("config-11", 11)
+    assert pinned != run("config-3", 3)
 
 
 def test_validate_config_exit_codes(tmp_path, capsys):

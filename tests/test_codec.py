@@ -13,7 +13,6 @@ from petfabric.codec import (
     EncodingParams,
     decode,
     decode_sum,
-    derive_params,
     encode,
 )
 
@@ -26,30 +25,30 @@ from petfabric.codec import (
         (0.0, 1.0, 100, 0, 100),
     ],
 )
-def test_derive_params_examples(lo, hi, k, q_min, q):
-    p = derive_params(lo, hi, k)
+def test_encoding_params_examples(lo, hi, k, q_min, q):
+    p = EncodingParams(k, lo, hi)
     assert p.q_min == q_min
     assert p.q == q
     assert p.offset == abs(q_min)
 
 
 def test_encode_examples():
-    p = derive_params(50, 120, 1)
+    p = EncodingParams(1, 50, 120)
     assert encode(72.4, p) == 122  # 50 + floor(72.4)
     assert encode(50, p) == 100
     assert encode(120, p) == 170
-    p2 = derive_params(-10, 20, 1)
+    p2 = EncodingParams(1, -10, 20)
     assert encode(-10, p2) == 0  # lower domain edge
     assert encode(20, p2) == 30
 
 
 def test_decode_examples():
-    assert decode(122, derive_params(50, 120, 1)) == 72.0
-    assert decode(0, derive_params(-10, 20, 1)) == -10.0
+    assert decode(122, EncodingParams(1, 50, 120)) == 72.0
+    assert decode(0, EncodingParams(1, -10, 20)) == -10.0
 
 
 def test_decode_accepts_out_of_range_values():
-    p = derive_params(50, 120, 1)
+    p = EncodingParams(1, 50, 120)
     # noise pushes encoded values outside [0, q]; decode must not clamp
     assert decode(-20, p) == -70.0
     assert decode(p.q + 100, p) == 220.0
@@ -61,11 +60,11 @@ def test_derived_fields_are_not_stored():
 
 
 def test_cached_derived_values_keep_identity_semantics():
-    warm = derive_params(50, 120, 1)
+    warm = EncodingParams(1, 50, 120)
     assert (warm.q_min, warm.offset, warm.q) == (50, 50, 170)  # fills the cache
-    cold = derive_params(50, 120, 1)
+    cold = EncodingParams(1, 50, 120)
     assert warm == cold and hash(warm) == hash(cold)
-    assert warm != derive_params(50, 120, 2)
+    assert warm != EncodingParams(2, 50, 120)
     assert {warm: "a"}[cold] == "a"
 
     for p in (warm, cold):
@@ -83,12 +82,12 @@ def test_cached_derived_values_keep_identity_semantics():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        derive_params(120, 50, 1)
+        EncodingParams(1, 120, 50)
     with pytest.raises(DomainError):
-        derive_params(0, 1, 0)
+        EncodingParams(0, 0, 1)
     with pytest.raises(DomainError):
-        derive_params(float("nan"), 1.0, 1)
-    p = derive_params(50, 120, 1)
+        EncodingParams(1, float("nan"), 1.0)
+    p = EncodingParams(1, 50, 120)
     with pytest.raises(DomainError):
         encode(49.999, p)
     with pytest.raises(DomainError):
@@ -109,7 +108,7 @@ def test_roundtrip_bound_random_sweep():
     # checked in exact rational arithmetic
     rng = np.random.default_rng(7)
     for lo, hi, k in [(50, 120, 1), (-10, 20, 7), (-3.5, 2.25, 100)]:
-        p = derive_params(lo, hi, k)
+        p = EncodingParams(k, lo, hi)
         bound = Fraction(1, k)
         for x in rng.uniform(lo, hi, 10_000):
             err = _exact_roundtrip_error(float(x), p)
@@ -129,14 +128,14 @@ def domain_and_point(draw):
 @given(domain_and_point())
 def test_roundtrip_bound_property(case):
     lo, hi, k, x = case
-    p = derive_params(lo, hi, k)
+    p = EncodingParams(k, lo, hi)
     assert 0 <= _exact_roundtrip_error(x, p) < Fraction(1, k)
 
 
 @given(domain_and_point(), st.floats(0, 1, allow_nan=False))
 def test_encode_monotone_and_in_range(case, frac):
     lo, hi, k, x = case
-    p = derive_params(lo, hi, k)
+    p = EncodingParams(k, lo, hi)
     y = lo + (hi - lo) * frac
     a, b = sorted((x, y))
     ea, eb = encode(a, p), encode(b, p)
@@ -145,7 +144,7 @@ def test_encode_monotone_and_in_range(case, frac):
 
 
 def test_decode_sum_matches_elementwise_decoding():
-    p = derive_params(-10, 20, 7)
+    p = EncodingParams(7, -10, 20)
     xs = [-10, -3.2, 0.0, 11.5, 19.99]
     encoded = [encode(x, p) for x in xs]
     assert decode_sum(sum(encoded), len(xs), p) == pytest.approx(

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from petfabric import adversary, dp
-from petfabric.codec import derive_params, encode
+from petfabric.codec import EncodingParams, encode
 
 
 @pytest.fixture(scope="module")
 def weight_params():
-    return derive_params(50, 120, 1)
+    return EncodingParams(1, 50, 120)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         dp.PrivacyBudget(1.0, 0)
     assert dp.PrivacyBudget(0.5, 170).scale == 340.0
-    assert dp.PrivacyBudget.for_sum(1.0, 170).sensitivity == 170
+    assert dp.PrivacyBudget(1.0, 170).sensitivity == 170
     assert dp.PrivacyBudget.for_mean(1.0, 170, 500).sensitivity == 1  # ceil(170/500)
     assert dp.PrivacyBudget.for_mean(1.0, 170, 3).sensitivity == 57
 
@@ -138,7 +138,7 @@ def test_block_laplace_keeps_the_sign_of_zero_at_the_median():
 
 @pytest.mark.parametrize("seed", [1, 510, 987])
 def test_ldp_array_rounds_like_the_one_expression(seed, weights_dataset):
-    budget = dp.PrivacyBudget.for_sum(0.5, 170)
+    budget = dp.PrivacyBudget(0.5, 170)
     xs = np.array(weights_dataset, dtype=np.int64).reshape(20, 25)
     got = dp.ldp_perturb_array(xs, budget, np.random.default_rng(seed))
     noise = np.rint(reference_laplace(budget.scale, np.random.default_rng(seed), xs.shape))
@@ -188,7 +188,7 @@ def test_noise_kernels_hold_one_scratch_array(kernel):
 
 def test_ldp_identity_at_huge_epsilon(weight_params):
     rng = np.random.default_rng(1)
-    budget = dp.PrivacyBudget.for_sum(1e6, weight_params.q)
+    budget = dp.PrivacyBudget(1e6, weight_params.q)
     assert all(dp.ldp_perturb(122, budget, rng) == 122 for _ in range(1000))
 
 
@@ -205,7 +205,7 @@ def test_ldp_noise_std_matches_closed_form():
 def test_ldp_sum_error_matches_monte_carlo_oracle(weights_dataset, weight_params):
     # mean absolute error of a 500-record perturbed sum vs. an independent
     # oracle that sums raw numpy Laplace draws
-    budget = dp.PrivacyBudget.for_sum(0.5, weight_params.q)
+    budget = dp.PrivacyBudget(0.5, weight_params.q)
     reps, n = 10_000, len(weights_dataset)
     exact = sum(weights_dataset)
     rng = np.random.default_rng(510)
@@ -221,14 +221,14 @@ def test_ldp_sum_error_matches_monte_carlo_oracle(weights_dataset, weight_params
 
 def test_gdp_degenerate_noise(weight_params):
     noisy = dp.gdp_aggregate(
-        [122], dp.PrivacyBudget.for_sum(1e9, weight_params.q), "sum", np.random.default_rng(2)
+        [122], dp.PrivacyBudget(1e9, weight_params.q), "sum", np.random.default_rng(2)
     )
     assert noisy == pytest.approx(122, abs=1e-3)
 
 
 def test_gdp_mean_absolute_error_is_the_scale(weights_dataset, weight_params):
     # E|Lap(b)| = b: at eps=1 and sensitivity 170 the MAE converges to 170
-    budget = dp.PrivacyBudget.for_sum(1.0, weight_params.q)
+    budget = dp.PrivacyBudget(1.0, weight_params.q)
     exact = sum(weights_dataset)
     rng = np.random.default_rng(506)
     errs = [
@@ -242,7 +242,7 @@ def test_gdp_error_flat_in_n_while_ldp_grows_sqrt_n(weight_params):
     # local noise accumulates per record (~sqrt(n) MAE growth); global noise
     # is one draw regardless of n
     rng = np.random.default_rng(508)
-    budget = dp.PrivacyBudget.for_sum(0.5, weight_params.q)
+    budget = dp.PrivacyBudget(0.5, weight_params.q)
     reps = 3000
     ldp_mae, gdp_mae = {}, {}
     for n in (10, 100, 500):
@@ -258,7 +258,7 @@ def test_gdp_variance_advantage_is_factor_n(weight_params):
     # same epsilon, same query: Var(ldp sum) / Var(gdp) ~ n
     rng = np.random.default_rng(509)
     n, reps = 100, 5000
-    budget = dp.PrivacyBudget.for_sum(0.5, weight_params.q)
+    budget = dp.PrivacyBudget(0.5, weight_params.q)
     ldp_sums = np.rint(dp.sample_laplace(budget.scale, rng, size=(reps, n))).sum(axis=1)
     gdp_draws = dp.sample_laplace(budget.scale, rng, size=reps)
     ratio = ldp_sums.var(ddof=1) / gdp_draws.var(ddof=1)
@@ -302,7 +302,7 @@ def test_gdp_sum_is_exact_beyond_float_precision():
 
 
 def test_ldp_sum_unbiased(weights_dataset, weight_params):
-    budget = dp.PrivacyBudget.for_sum(0.5, weight_params.q)
+    budget = dp.PrivacyBudget(0.5, weight_params.q)
     rng = np.random.default_rng(511)
     n = len(weights_dataset)
     reps = 4000
@@ -325,7 +325,7 @@ def test_krr_identity_at_huge_epsilon(weight_params):
 
 def test_krr_binary_domain_keep_probability():
     # q = 1, eps = ln 3: keep with probability 3/4
-    p = derive_params(0.0, 1.0, 1)
+    p = EncodingParams(1, 0.0, 1.0)
     assert p.q == 1
     rng = np.random.default_rng(711)
     trials = 100_000
@@ -335,7 +335,7 @@ def test_krr_binary_domain_keep_probability():
 
 def test_krr_transition_matrix():
     # q = 4, eps = 1: P[keep] = e/(e+4), each other value 1/(e+4)
-    p = derive_params(0.0, 4.0, 1)
+    p = EncodingParams(1, 0.0, 4.0)
     assert p.q == 4
     keep = math.e / (math.e + 4.0)
     off = 1.0 / (math.e + 4.0)

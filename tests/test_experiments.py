@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from petfabric.codec import decode_sum, derive_params, encode
+from petfabric.codec import EncodingParams, decode_sum, encode
 from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
 from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology
 from petfabric.scenarios.experiments import (
@@ -21,7 +21,9 @@ from petfabric.scenarios.experiments import (
 
 
 def test_weight_sum_report_shape():
-    report = weight_sum_experiment(50, (50, 120), 1, "ldp", [0.5, 1.0], reps=100, seed=1)
+    report = weight_sum_experiment(
+        50, EncodingParams(1, 50, 120), "ldp", [0.5, 1.0], reps=100, seed=1
+    )
     assert report.query == "weight-sum-ldp"
     assert [p.epsilon for p in report.points] == [0.5, 1.0]
     assert all(p.reps == 100 for p in report.points)
@@ -35,12 +37,16 @@ def test_weight_sum_report_shape():
 
 def test_ground_truth_sum_plausibility():
     # 500 uniform weights on [50, 120] concentrate near 42,500
-    report = weight_sum_experiment(500, (50, 120), 1, "ldp", [1.0], reps=100, seed=606)
+    report = weight_sum_experiment(
+        500, EncodingParams(1, 50, 120), "ldp", [1.0], reps=100, seed=606
+    )
     assert 41_100 < report.ground_truth < 43_900
 
 
 def test_error_decreases_with_epsilon():
-    report = weight_sum_experiment(200, (50, 120), 1, "ldp", [0.05, 0.5], reps=200, seed=5)
+    report = weight_sum_experiment(
+        200, EncodingParams(1, 50, 120), "ldp", [0.05, 0.5], reps=200, seed=5
+    )
     assert report.points[0].median_abs_err > report.points[1].median_abs_err
 
 
@@ -49,10 +55,10 @@ def test_gdp_mean_abs_error_matches_closed_form():
     # absolute deviation is the scale itself; measured against the true (not
     # quantized) sum the error also carries the dataset's fixed floor gap c,
     # so the closed form is E|Lap(b) - c| = |c| + b * exp(-|c|/b)
+    params = EncodingParams(1, 50, 120)
     report = weight_sum_experiment(
-        500, (50, 120), 1, "gdp", [1.0], reps=10_000, seed=17, sensitivity=120
+        500, params, "gdp", [1.0], reps=10_000, seed=17, sensitivity=120
     )
-    params = derive_params(50, 120, 1)
     weights = generate_weights(500, 50, 120, 17)
     quant_gap = float(weights.sum()) - decode_sum(
         sum(encode(float(w), params) for w in weights), 500, params
@@ -69,8 +75,8 @@ def test_gdp_mean_abs_error_matches_closed_form():
 def test_ldp_medians_match_independent_oracle():
     seed, n, k = 606, 300, 1
     grid = [0.1, 1.0]
-    report = weight_sum_experiment(n, (50, 120), k, "ldp", grid, reps=400, seed=seed)
-    params = derive_params(50, 120, k)
+    params = EncodingParams(k, 50, 120)
+    report = weight_sum_experiment(n, params, "ldp", grid, reps=400, seed=seed)
     weights = generate_weights(n, 50, 120, seed)
     encoded = np.array([encode(float(w), params) for w in weights])
     quant_gap = float(weights.sum()) - decode_sum(int(encoded.sum()), n, params)
@@ -90,7 +96,7 @@ def ldp_load_spec(reps=200, seed=909):
         topology=Topology("on-device"),
         pet=PetConfig("ldp", epsilon=0.01),
         sensors=SensorConfig(),
-        encoding=derive_params(50, 120, 1),
+        encoding=EncodingParams(1, 50, 120),
         latency=LATENCY_PRESETS["wifi-no-powersave"],
         compute_ms=0.488,
         repetitions=reps,
@@ -127,7 +133,7 @@ def test_load_test_constant_latency_is_trivially_neutral():
         topology=Topology("on-device"),
         pet=PetConfig("none"),
         sensors=SensorConfig(),
-        encoding=derive_params(50, 120, 1),
+        encoding=EncodingParams(1, 50, 120),
         latency=LatencyModel(2.494),
         compute_ms=0.307,
         repetitions=30,

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from petfabric.codec import derive_params
+from petfabric.codec import EncodingParams
 from petfabric.fabric import broker as broker_module
 from petfabric.fabric.broker import PUBLISH, AclTable, Broker, LatencyModel, topic_matches
 from petfabric.fabric.envelope import Scheme
@@ -87,7 +87,7 @@ def flow_spec(name: str) -> ScenarioSpec:
         topology=topology,
         pet=pet,
         sensors=SensorConfig(count=n),
-        encoding=derive_params(50, 120, 1),
+        encoding=EncodingParams(1, 50, 120),
         latency=LatencyModel(2.0, 0.5, "gaussian"),
         compute_ms=0.307,
         repetitions=4,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from petfabric.cli import main
-from petfabric.codec import decode, derive_params, encode
+from petfabric.codec import EncodingParams, decode, encode
 from petfabric.fabric.broker import LatencyModel, _matches
 from petfabric.scenarios.config import (
     MAX_SHARES,
@@ -17,14 +17,14 @@ from petfabric.scenarios.config import (
     SensorConfig,
     Topology,
     ass_demo_from_dict,
-    benchmark_suite,
+    bench_from_dict,
     hop_bound,
     load_scenario,
     scenario_from_dict,
 )
 from petfabric.scenarios.runner import run_scenario, run_scenario_outcomes
 
-PARAMS = derive_params(50, 120, 1)
+PARAMS = EncodingParams(1, 50, 120)
 
 
 def make_spec(**overrides):
@@ -448,8 +448,8 @@ def test_the_topic_match_memo_keeps_every_pair_of_a_large_run():
 
 # -- the six-scenario comparison ---------------------------------------------------
 
-def test_benchmark_suite_structural_ordering():
-    suite = benchmark_suite(repetitions=10, seed=1)
+def test_bench_from_dict_structural_ordering():
+    suite = bench_from_dict({"repetitions": 10, "seed": 1})
     assert [s.name for s in suite] == [
         "baseline-on-device",
         "ldp-on-device",
