@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import re
 import sys
@@ -42,10 +41,8 @@ from .scenarios.config import (
     scenario_from_dict,
     sweep_from_dict,
 )
-from .scenarios.experiments import weight_sum_experiment
+from .scenarios.experiments import median, weight_sum_experiment
 from .scenarios.runner import run_scenario, worker_count
-
-log = logging.getLogger("petfabric")
 
 SEED_ENV_VAR = "PET_FABRIC_SEED"
 
@@ -89,6 +86,12 @@ BENCH_COLUMNS = [
 ]
 
 
+def _say(args, message: str) -> None:
+    """With -v, one line of progress on stderr."""
+    if args.verbose:
+        print(f"petfabric: {message}", file=sys.stderr)
+
+
 def _parse_seed(text: str, source: str) -> int:
     """ASCII digits with an optional leading '-'; int() alone would also take
     spaces, '_', a '+' and non-ASCII digits."""
@@ -128,7 +131,7 @@ def _write_reports(args, seed: int, workers: int, reports: dict) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
-        log.info("wrote %s", out / name)
+        _say(args, f"wrote {out / name}")
     manifest = {
         "subcommand": args.subcommand,
         "config": str(args.config),
@@ -173,7 +176,7 @@ def _sweep_epsilon(args, cfg):
         seed=seed,
         sensitivity=cfg["sensitivity"],
     )
-    log.info("true sum %.3f", report.ground_truth)
+    _say(args, f"true sum {report.ground_truth:.3f}")
     utility = (
         [p.epsilon, p.mean_abs_err, p.median_abs_err, p.std_err, p.reps] for p in report.points
     )
@@ -264,7 +267,7 @@ def _bench_suite(args, specs):
                 records[0].hop_count,
                 spec.compute_ms,
                 float(e2e.mean()),
-                float(np.median(e2e)),
+                float(median(e2e)),
                 len(records),
             ]
         )
@@ -366,8 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(name)s: %(message)s")
     try:
         return (_run if args.subcommand in SUBCOMMANDS else _validate)(args)
     except ConfigError as exc:
@@ -375,7 +376,10 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:  # runtime failure: report, do not traceback-bomb
         if args.verbose:
-            log.exception("runtime error")
+            import traceback
+
+            _say(args, "runtime error")
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -660,9 +660,7 @@ def bench_from_dict(raw: dict) -> list[ScenarioSpec]:
     # checked here, before the specs are built, so that each error names the
     # bench config's own field; the specs' checks would name pet.epsilon and
     # compute_ms
-    compute = raw.get("compute_ms")
-    if compute is None:  # null reads as absent
-        compute = {}
+    compute = raw.get("compute_ms", {})
     check_keys(compute, set(REFERENCE_COMPUTE_MS), "compute_ms")
     compute = {
         k: at_least(read_number(compute, k, "compute_ms"), 0, f"compute_ms.{k}") for k in compute

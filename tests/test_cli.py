@@ -4,6 +4,8 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +52,9 @@ ASS_DEMO = {
 }
 
 BENCH = {"latency": "testbed", "repetitions": 5}
+
+#: validates, but injected share loss aborts the strict runner at run time
+ASS_DROP = {**BASELINE, "name": "ass-drop", "pet": {"kind": "ass", "m": 3, "drop_one_share": True}}
 
 
 def write(tmp_path, name, payload):
@@ -358,6 +363,11 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
             "bad.json",
             id="int-over-4300-digits",
         ),
+        # null is refused, as for latency, m and epsilon, not read as absent
+        pytest.param(
+            "bench-suite", "bench", {**BENCH, "compute_ms": None}, "compute_ms",
+            id="null-compute_ms",
+        ),
     ],
 )
 def test_experiment_config_rejections_name_the_field(
@@ -560,17 +570,39 @@ def test_parallel_flag_gives_identical_csv(tmp_path):
 def test_runtime_error_exit_code(tmp_path):
     # a validated config can still fail at run time: injected share loss
     # aborts the strict runner with a missing-share error
-    cfg = write(
-        tmp_path,
-        "drop.json",
-        {
-            **BASELINE,
-            "name": "ass-drop",
-            "pet": {"kind": "ass", "m": 3, "drop_one_share": True},
-        },
-    )
+    cfg = write(tmp_path, "drop.json", ASS_DROP)
     assert main(["validate-config", "--config", cfg]) == 0
     assert main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_verbose_runtime_error_prints_its_traceback(tmp_path, capsys):
+    cfg = write(tmp_path, "drop.json", ASS_DROP)
+    assert main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "o"), "-v"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("petfabric: runtime error\nTraceback (most recent call last):\n"), err
+    assert "\npetfabric.ass.MissingShareError: cannot reconstruct" in err, err
+    assert err.endswith("\nerror: cannot reconstruct, missing shares: (s0, channel 2)\n"), err
+
+
+def test_verbose_works_on_every_call_in_one_process(tmp_path):
+    # a fresh interpreter, so that the first main() call is the process's first
+    cfg = write(tmp_path, "demo.json", {**ASS_DEMO, "n": 5, "repetitions": 2})
+    out = tmp_path / "out"
+    code = (
+        "import sys\n"
+        "from petfabric.cli import main\n"
+        "assert main(['validate-config', '--kind', 'ass-demo', '--config', sys.argv[1]]) == 0\n"
+        "sys.exit(main(['ass-demo', '--config', sys.argv[1], '--out', sys.argv[2], '-v']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, cfg, str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"petfabric: wrote {out / 'ass_demo.csv'}\n" in proc.stderr, proc.stderr
 
 
 def test_readme_csv_schemas_match_the_writers():

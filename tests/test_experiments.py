@@ -16,6 +16,7 @@ from petfabric.scenarios.experiments import (
     _ks_2samp_equal,
     generate_weights,
     load_test,
+    median,
     weight_sum_experiment,
 )
 
@@ -33,6 +34,31 @@ def test_weight_sum_report_shape():
     twin = dataclasses.replace(report, weights=report.weights[::-1])
     assert twin == report and hash(twin) == hash(report)  # eq and hash skip the array
     assert report.ground_truth == float(np.sum(report.weights))
+
+
+#: array kind -> draw of n values, for the median bit check
+MEDIAN_ARRAYS = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    "signed-zeros": lambda rng, n: rng.choice([-1.0, -0.0, 0.0, 1.0], n),
+    "only-zeros": lambda rng, n: rng.choice([-0.0, 0.0], n),
+    "only-negative-zeros": lambda rng, n: np.full(n, -0.0),
+    "repeated": lambda rng, n: rng.integers(0, 3, n).astype(float),
+    "infinities": lambda rng, n: rng.choice([-np.inf, -1.0, 0.0, 2.0, np.inf], n),
+    "nan": lambda rng, n: np.where(rng.random(n) < 0.1, np.nan, rng.normal(size=n)),
+    "signed-nan": lambda rng, n: rng.choice([np.nan, -np.nan, 1.0, -0.0], n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MEDIAN_ARRAYS))
+def test_median_gives_the_bits_of_np_median(kind):
+    rng = np.random.default_rng(20251)
+    for n in [*range(1, 65), 349, 350, 1000, 1001]:
+        for _ in range(5):
+            values = MEDIAN_ARRAYS[kind](rng, n)
+            values.flags.writeable = False
+            with np.errstate(invalid="ignore"):  # -inf + inf in the middle pair
+                want, got = np.median(values), median(values)
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), (n, values)
 
 
 def test_ground_truth_sum_plausibility():

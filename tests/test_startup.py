@@ -3,7 +3,9 @@ the adversary module only where they are used, so subcommands that never
 reach a chi-square test, a worker pool or a distinguisher do not pay for
 them, and validate-config, --help, --version and config errors never load
 numpy. The load test's KS test is computed in
-house, so it never imports scipy.stats at all.
+house, so it never imports scipy.stats at all. No run loads numpy.ma (the
+medians avoid np.median, whose NaN check imports it) or logging (-v prints
+its lines itself).
 
 Each case runs in a fresh interpreter, because this test session has long
 since imported everything.
@@ -37,6 +39,18 @@ RUNNERS_ONLY = ("petfabric.adversary",)
 
 BLOCK_SCIPY = 'import sys\nsys.modules["scipy"] = None\n'
 
+#: never loaded by a run, unless the interpreter had them before petfabric
+UNUSED = ("numpy.ma", "logging")
+
+#: (subcommand, shipped config, keys that shrink it to a quick run)
+SHRUNK_RUNS = [
+    ("run-scenario", "baseline.json", {"repetitions": 5}),
+    ("bench-suite", "bench-suite.json", {"repetitions": 3}),
+    ("sweep-epsilon", "sweep-epsilon.json", {"n": 50, "eps_grid": [0.5, 1.0], "reps": 100}),
+    ("adversary-sim", "adversary-grid.json", {"eps_grid": [1.0], "trials": 1000}),
+    ("ass-demo", "ass-demo.json", {"n": 20, "repetitions": 2}),
+]
+
 
 def run_python(code, *args):
     env = dict(os.environ)
@@ -67,16 +81,7 @@ def test_validate_config_imports_no_stats_and_no_pool():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize(
-    "subcommand,config,shrink",
-    [
-        ("run-scenario", "baseline.json", {"repetitions": 5}),
-        ("bench-suite", "bench-suite.json", {"repetitions": 3}),
-        ("sweep-epsilon", "sweep-epsilon.json", {"n": 50, "eps_grid": [0.5, 1.0], "reps": 100}),
-        ("adversary-sim", "adversary-grid.json", {"eps_grid": [1.0], "trials": 1000}),
-        ("ass-demo", "ass-demo.json", {"n": 20, "repetitions": 2}),
-    ],
-)
+@pytest.mark.parametrize("subcommand,config,shrink", SHRUNK_RUNS)
 def test_subcommand_runs_without_scipy(tmp_path, subcommand, config, shrink):
     raw = json.loads((CONFIGS / config).read_text())
     assert set(shrink) <= set(raw)
@@ -107,6 +112,40 @@ def test_load_test_runs_without_scipy():
     proc = run_python(code, json.dumps({**raw, "repetitions": 2}))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def newly_loaded_unused_modules(run_code, *args) -> list[str]:
+    """The UNUSED modules that `run_code` loaded in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "preloaded = set(sys.modules)\n"
+        + run_code
+        + f"print(sorted(m for m in {UNUSED!r} if m in sys.modules and m not in preloaded))\n"
+    )
+    proc = run_python(code, *args)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("subcommand,config,shrink", SHRUNK_RUNS)
+def test_no_run_loads_numpy_ma_or_logging(tmp_path, subcommand, config, shrink):
+    path = tmp_path / config
+    path.write_text(json.dumps({**json.loads((CONFIGS / config).read_text()), **shrink}))
+    run = "from petfabric import cli\nassert cli.main(sys.argv[1:]) == 0\n"
+    args = (subcommand, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert newly_loaded_unused_modules(run, *args) == []
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_load_test_loads_neither_numpy_ma_nor_logging():
+    raw = json.loads(FAN_IN_LDP.read_text())
+    run = (
+        "import json\n"
+        "from petfabric.scenarios.config import scenario_from_dict\n"
+        "from petfabric.scenarios.experiments import load_test\n"
+        "assert load_test(scenario_from_dict(json.loads(sys.argv[1]))).loaded.n == 2\n"
+    )
+    assert newly_loaded_unused_modules(run, json.dumps({**raw, "repetitions": 2})) == []
 
 
 def test_validate_help_version_and_config_errors_never_load_numpy(tmp_path):
