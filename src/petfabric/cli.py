@@ -166,16 +166,8 @@ def _run_scenario(args, spec):
 
 
 def _sweep_epsilon(args, cfg):
-    seed = _resolve_seed(args.seed, cfg["seed"])
-    report = weight_sum_experiment(
-        n=cfg["n"],
-        encoding=cfg["encoding"],
-        model=cfg["model"],
-        eps_grid=cfg["eps_grid"],
-        reps=cfg["reps"],
-        seed=seed,
-        sensitivity=cfg["sensitivity"],
-    )
+    seed = _resolve_seed(args.seed, cfg.pop("seed"))
+    report = weight_sum_experiment(**cfg, seed=seed)
     _say(args, f"true sum {report.ground_truth:.3f}")
     utility = (
         [p.epsilon, p.mean_abs_err, p.median_abs_err, p.std_err, p.reps] for p in report.points
@@ -190,15 +182,8 @@ def _sweep_epsilon(args, cfg):
 def _adversary_sim(args, cfg):
     from . import adversary
 
-    seed = _resolve_seed(args.seed, cfg["seed"])
-    grid = adversary.guess_rate_grid(
-        epsilons=cfg["eps_grid"],
-        gap_ratios=cfg["gap_ratios"],
-        sensitivity=cfg["sensitivity"],
-        trials=cfg["trials"],
-        seed=seed,
-        model=cfg["model"],
-    )
+    seed = _resolve_seed(args.seed, cfg.pop("seed"))
+    grid = adversary.guess_rate_grid(**cfg, seed=seed)
     rows = (
         [r.epsilon, r.gap_ratio, r.analytic_pg, r.empirical_pg, r.trials, r.ci_halfwidth]
         for r in grid

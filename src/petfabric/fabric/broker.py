@@ -78,8 +78,11 @@ def validate_filter(pattern: str) -> None:
             raise MalformedTopicError(f"wildcard must occupy a whole level in {pattern!r}")
 
 
+@cache
 def topic_matches(pattern: str, topic: str) -> bool:
-    """MQTT matching; '#' also matches the parent level itself."""
+    """MQTT matching; '#' also matches the parent level itself. Memoized
+    without bound: every repetition of a run matches the same pairs, about
+    two per sensor, and reuses them."""
     plevels, tlevels = pattern.split("/"), topic.split("/")
     for i, level in enumerate(plevels):
         if level == "#":
@@ -91,11 +94,6 @@ def topic_matches(pattern: str, topic: str) -> bool:
         if level != tlevels[i]:
             return False
     return len(tlevels) == len(plevels)
-
-
-#: topic_matches for the broker and the ACL table, memoized without bound: every
-#: repetition of a run matches the same pairs, about two per sensor, and reuses them
-_matches = cache(topic_matches)
 
 
 # --------------------------------------------------------------------------
@@ -132,7 +130,7 @@ class AclTable:
         grants = self._grants
         for key in ((permission, client_id), (permission, "*")):
             for pattern in grants.get(key, ()):
-                if _matches(pattern, topic):
+                if topic_matches(pattern, topic):
                     return True
         return False
 
@@ -158,30 +156,22 @@ class AclTable:
 # Latency model and clock
 # --------------------------------------------------------------------------
 
-CONSTANT = "constant"
-GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class LatencyModel:
-    """Per-hop delay distribution; a sampled hop delay is never negative."""
+    """Per-hop delay: the mean without jitter, else a Gaussian draw around
+    it; a sampled hop delay is never negative."""
 
     per_hop_mean_ms: float = 3.88
     per_hop_jitter_std_ms: float = 0.0
-    distribution: str = CONSTANT
 
     def __post_init__(self) -> None:
         if self.per_hop_mean_ms < 0:
             raise ValueError(f"per-hop mean must be >= 0, got {self.per_hop_mean_ms}")
         if self.per_hop_jitter_std_ms < 0:
             raise ValueError(f"jitter std must be >= 0, got {self.per_hop_jitter_std_ms}")
-        if self.distribution not in (CONSTANT, GAUSSIAN):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == CONSTANT and self.per_hop_jitter_std_ms != 0.0:
-            raise ValueError("constant distribution cannot carry jitter")
 
     def sample_hop_ms(self, rng: np.random.Generator) -> float:
-        if self.distribution == CONSTANT:
+        if not self.per_hop_jitter_std_ms:  # no jitter: no draw
             return self.per_hop_mean_ms
         # negative draws are clamped: a hop cannot complete before it starts.
         # numpy computes normal(loc, scale) as loc + scale * standard_normal,
@@ -198,8 +188,8 @@ class LatencyModel:
 LATENCY_PRESETS: dict[str, LatencyModel] = {
     "default": LatencyModel(3.88),
     "testbed": LatencyModel(2.494),
-    "wifi-no-powersave": LatencyModel(4.0, 1.0, GAUSSIAN),
-    "eth": LatencyModel(0.45, 0.05, GAUSSIAN),
+    "wifi-no-powersave": LatencyModel(4.0, 1.0),
+    "eth": LatencyModel(0.45, 0.05),
 }
 
 
@@ -335,7 +325,7 @@ class Broker:
         audit.append(("publish", client_id, topic, now))
         deliveries = []
         for pattern, subscriber in self._subscriptions:
-            if not _matches(pattern, topic):
+            if not topic_matches(pattern, topic):
                 continue
             if not acl.permits_subscribe_topic(subscriber, topic):
                 # filter was granted but this concrete topic is not:

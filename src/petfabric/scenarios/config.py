@@ -2,13 +2,14 @@
 config file the CLI reads, and the six-placement benchmark suite.
 
 Scenario configs mirror the ScenarioSpec fields one-to-one, and a bench
-config loads into the six ScenarioSpecs it runs; the sweep, adversary and
-ass-demo configs load into plain dicts. Loading is
-strict: unknown keys anywhere in the document are rejected, fields are read
-by typed readers that coerce nothing (`read_int`, `read_number`,
-`read_str`), every range a run relies on is checked here, so a config that
-validates also runs, and every validation message names the offending
-field, so a typo cannot silently change what a benchmark measures.
+config loads into the six ScenarioSpecs it runs; the sweep and adversary
+configs load into the keyword arguments of their runners, and the ass-demo
+config into a plain dict. Loading is strict: unknown keys anywhere in the
+document are rejected, fields are read by typed readers that coerce nothing
+(`read_int`, `read_number`, `read_str`) and refuse null, which never stands
+in for an absent key; every range a run relies on is checked here, so a
+config that validates also runs, and every validation message names the
+offending field, so a typo cannot silently change what a benchmark measures.
 Encoding parameters are stored as {k, x_lo, x_hi} only; the derived
 quantities are always recomputed.
 
@@ -235,10 +236,6 @@ def require_key(raw: dict, key: str, where: str):
     return raw[key]
 
 
-def _value(raw: dict, key: str, where: str, default):
-    return require_key(raw, key, where) if default is _REQUIRED else raw.get(key, default)
-
-
 def optional_bool(raw: dict, key: str, where: str) -> bool:
     """A flag that is absent (false) or a JSON boolean; nothing is coerced."""
     value = raw.get(key, False)
@@ -346,9 +343,9 @@ def at_least(value, low, field: str):
 def read_str(raw: dict, key: str, where: str, default=_REQUIRED) -> Optional[str]:
     """A JSON string; a number, a bool and null are refused, not converted.
     Defaults as in `read_int`."""
-    value = _value(raw, key, where, default)
-    if value is None and default is None:
-        return None
+    if key not in raw and default is not _REQUIRED:
+        return default
+    value = require_key(raw, key, where)
     if not isinstance(value, str):
         raise ConfigError(f"{where}.{key}: expected a string, got {value!r}")
     return value
@@ -357,11 +354,12 @@ def read_str(raw: dict, key: str, where: str, default=_REQUIRED) -> Optional[str
 def read_int(raw: dict, key: str, where: str, default=_REQUIRED) -> Optional[int]:
     """A JSON integer; a bool, a float such as 3.0 and a string are refused.
 
-    Without a default the key is required; with default None, null reads as absent.
+    Without a default the key is required; with one, an absent key gives the
+    default and a present one must have the type, so null is refused too.
     """
-    value = _value(raw, key, where, default)
-    if value is None and default is None:
-        return None
+    if key not in raw and default is not _REQUIRED:
+        return default
+    value = require_key(raw, key, where)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
     return value
@@ -380,9 +378,9 @@ def _finite(value) -> Optional[float]:
 def read_number(raw: dict, key: str, where: str, default=_REQUIRED) -> Optional[float]:
     """A finite JSON number as a float; a bool, a string, NaN and +-Infinity
     (which ``json.loads`` accepts) are refused. Defaults as in `read_int`."""
-    value = _value(raw, key, where, default)
-    if value is None and default is None:
-        return None
+    if key not in raw and default is not _REQUIRED:
+        return default
+    value = require_key(raw, key, where)
     number = _finite(value)
     if number is None:
         raise ConfigError(f"{where}.{key}: expected a finite number, got {value!r}")
@@ -477,15 +475,11 @@ def latency_from_config(raw: Union[str, dict]) -> LatencyModel:
         return LATENCY_PRESETS[raw]
     if not isinstance(raw, dict):
         raise ConfigError("latency: expected a preset name or an object")
-    check_keys(raw, {"per_hop_mean_ms", "jitter_std_ms", "distribution"}, "latency")
+    check_keys(raw, {"per_hop_mean_ms", "jitter_std_ms"}, "latency")
     mean_ms = read_number(raw, "per_hop_mean_ms", "latency")
     jitter_ms = read_number(raw, "jitter_std_ms", "latency", 0.0)
     try:
-        return LatencyModel(
-            per_hop_mean_ms=mean_ms,
-            per_hop_jitter_std_ms=jitter_ms,
-            distribution=read_str(raw, "distribution", "latency", "constant"),
-        )
+        return LatencyModel(mean_ms, jitter_ms)
     except ValueError as exc:
         raise ConfigError(f"latency: {exc}") from None
 
@@ -578,7 +572,8 @@ def _sensitivity(raw: dict, default=_REQUIRED) -> Optional[int]:
 
 
 def sweep_from_dict(raw: dict) -> dict:
-    """The `sweep-epsilon` config: the weight-sum query over an epsilon grid."""
+    """The `sweep-epsilon` config: the weight-sum query over an epsilon grid,
+    as the keyword arguments of `experiments.weight_sum_experiment`."""
     check_keys(raw, {"n", "encoding", "model", "eps_grid", "reps", "sensitivity", "seed"}, "config")
     sensitivity = _sensitivity(raw, None)  # None: the encoded width q
     model = read_str(raw, "model", "config", LDP_MODEL)
@@ -605,7 +600,8 @@ def sweep_from_dict(raw: dict) -> dict:
 
 
 def adversary_from_dict(raw: dict) -> dict:
-    """The `adversary-sim` config: the distinguisher over (epsilon, gap) pairs."""
+    """The `adversary-sim` config: the distinguisher over (epsilon, gap) pairs,
+    as the keyword arguments of `adversary.guess_rate_grid`."""
     check_keys(raw, {"eps_grid", "gap_ratios", "sensitivity", "trials", "model", "seed"}, "config")
     sensitivity = _sensitivity(raw)
     gap_ratios = read_numbers(raw, "gap_ratios", "config")
@@ -626,7 +622,7 @@ def adversary_from_dict(raw: dict) -> dict:
     trials = at_least(read_int(raw, "trials", "config", 100_000), 1, "trials")
     check_elements(trials, 1, "trials")
     return {
-        "eps_grid": eps_grid,
+        "epsilons": eps_grid,
         "gap_ratios": gap_ratios,
         "sensitivity": sensitivity,
         "trials": trials,

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from petfabric.fabric import broker as broker_module
 from petfabric.fabric.broker import (
     AclDeniedError,
     AclTable,
@@ -74,6 +75,26 @@ def sequences(receipts, subscriber):
 )
 def test_topic_matching(pattern, topic, expected):
     assert topic_matches(pattern, topic) is expected
+
+
+def test_the_broker_and_the_acl_match_through_topic_matches(monkeypatch):
+    # a wrapper on the module's one matcher sees every match a publish makes
+    seen = []
+
+    def counting(pattern, topic):
+        seen.append((pattern, topic))
+        return topic_matches(pattern, topic)
+
+    monkeypatch.setattr(broker_module, "topic_matches", counting)
+    broker = make_broker(open_acl())
+    broker.register_client("p")
+    broker.register_client("c")
+    broker.subscribe("c", "cabin/#")
+    seen.clear()
+    topic = "cabin/seat/1A/weight"
+    broker.publish("p", env_for(topic))
+    # the publish grant, the subscription, the concrete topic's subscribe grant
+    assert seen == [("#", topic), ("cabin/#", topic), ("#", topic)]
 
 
 def test_topic_validation():
@@ -355,14 +376,14 @@ def test_no_delivery_on_non_matching_topic():
 
 
 def test_gaussian_hops_never_negative():
-    model = LatencyModel(0.1, 5.0, "gaussian")  # mostly negative raw draws
+    model = LatencyModel(0.1, 5.0)  # mostly negative raw draws
     rng = np.random.default_rng(11)
     draws = [model.sample_hop_ms(rng) for _ in range(2000)]
     assert min(draws) >= 0.0
 
 
 def test_hop_clamp_returns_what_max_returns():
-    model = LatencyModel(0.0, 1.0, "gaussian")
+    model = LatencyModel(0.0, 1.0)
     rng, twin = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(10_000):
         got, want = model.sample_hop_ms(rng), max(0.0, twin.normal(0.0, 1.0))
@@ -373,22 +394,23 @@ def test_hop_clamp_returns_what_max_returns():
 GAUSSIAN_HOP_CASES = [
     LATENCY_PRESETS["wifi-no-powersave"],
     LATENCY_PRESETS["eth"],
-    LatencyModel(0.1, 5.0, "gaussian"),  # most raw draws negative
-    LatencyModel(1234.5678, 0.0123, "gaussian"),
-    LatencyModel(7.25, 0.0, "gaussian"),  # no jitter, still one draw per hop
+    LatencyModel(0.1, 5.0),  # most raw draws negative
+    LatencyModel(1234.5678, 0.0123),
+    LatencyModel(7.25, 0.0),  # no jitter: the mean, and no draw
 ]
 
 
 @pytest.mark.parametrize("model", GAUSSIAN_HOP_CASES, ids=repr)
 def test_gaussian_hop_is_the_clamped_normal_draw(model):
-    # each hop is exactly one rng.normal(mean, sd), clamped at 0, and leaves
-    # the stream where that draw leaves it
+    # with jitter, each hop is exactly one rng.normal(mean, sd), clamped at 0,
+    # and leaves the stream where that draw leaves it; without, each hop is
+    # the mean and leaves the stream untouched
     seed = round(model.per_hop_mean_ms * 1000 + model.per_hop_jitter_std_ms * 10)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     mean, sd = model.per_hop_mean_ms, model.per_hop_jitter_std_ms
     for _ in range(100_000):
         got = model.sample_hop_ms(rng)
-        raw = twin.normal(mean, sd)
+        raw = twin.normal(mean, sd) if sd else mean
         want = raw if raw > 0.0 else 0.0
         if got != want or type(got) is not type(want):
             pytest.fail(f"hop drew {got!r}, rng.normal gives {want!r}")
@@ -399,11 +421,7 @@ def test_latency_model_validation():
     with pytest.raises(ValueError):
         LatencyModel(-1.0)
     with pytest.raises(ValueError):
-        LatencyModel(1.0, -0.5, "gaussian")
-    with pytest.raises(ValueError):
-        LatencyModel(1.0, 0.5, "constant")  # constant cannot carry jitter
-    with pytest.raises(ValueError):
-        LatencyModel(1.0, 0.0, "pareto")
+        LatencyModel(1.0, -0.5)
     assert set(LATENCY_PRESETS) == {"default", "testbed", "wifi-no-powersave", "eth"}
     assert LATENCY_PRESETS["default"].per_hop_mean_ms == 3.88
 

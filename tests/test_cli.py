@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from petfabric import cli
+from petfabric.adversary import guess_rate_grid
 from petfabric.cli import SEED_ENV_VAR, main
-from petfabric.scenarios.config import PLACEMENTS
+from petfabric.scenarios.config import PLACEMENTS, adversary_from_dict, sweep_from_dict
+from petfabric.scenarios.experiments import weight_sum_experiment
 
 BASELINE = {
     "name": "baseline-on-device",
@@ -368,6 +371,36 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
             "bench-suite", "bench", {**BENCH, "compute_ms": None}, "compute_ms",
             id="null-compute_ms",
         ),
+        pytest.param(
+            "run-scenario", "scenario",
+            {**BASELINE, "pet": {"kind": "gdp", "epsilon": 1.0, "aggregator": None}},
+            "pet.aggregator",
+            id="null-pet.aggregator",
+        ),
+        pytest.param(
+            "run-scenario", "scenario", {**BASELINE, "pet": {"kind": "none", "epsilon": None}},
+            "pet.epsilon",
+            id="null-pet.epsilon",
+        ),
+        pytest.param(
+            "run-scenario", "scenario", {**BASELINE, "pet": {"kind": "none", "m": None}}, "pet.m",
+            id="null-pet.m",
+        ),
+        pytest.param(
+            "sweep-epsilon", "sweep", {**SWEEP, "sensitivity": None}, "sensitivity",
+            id="null-sweep-sensitivity",
+        ),
+        pytest.param(
+            "sweep-epsilon", "sweep", {**SWEEP, "seed": None}, "seed", id="null-sweep-seed"
+        ),
+        pytest.param(
+            "adversary-sim", "adversary", {**ADVERSARY, "seed": None}, "seed",
+            id="null-adversary-seed",
+        ),
+        pytest.param(
+            "ass-demo", "ass-demo", {**ASS_DEMO, "seed": None}, "seed", id="null-ass-demo-seed"
+        ),
+        pytest.param("bench-suite", "bench", {**BENCH, "seed": None}, "seed", id="null-bench-seed"),
     ],
 )
 def test_experiment_config_rejections_name_the_field(
@@ -378,6 +411,19 @@ def test_experiment_config_rejections_name_the_field(
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count(f"{field}: ") == 2, err
+
+
+@pytest.mark.parametrize(
+    "load,config,runner",
+    [
+        (sweep_from_dict, SWEEP, weight_sum_experiment),
+        (adversary_from_dict, ADVERSARY, guess_rate_grid),
+    ],
+    ids=["sweep", "adversary"],
+)
+def test_experiment_loaders_return_their_runners_arguments(load, config, runner):
+    # the CLI passes the loaded config to the runner as **kwargs
+    assert set(load(config)) == set(inspect.signature(runner).parameters)
 
 
 def _sensors(count):

@@ -88,7 +88,7 @@ def flow_spec(name: str) -> ScenarioSpec:
         pet=pet,
         sensors=SensorConfig(count=n),
         encoding=EncodingParams(1, 50, 120),
-        latency=LatencyModel(2.0, 0.5, "gaussian"),
+        latency=LatencyModel(2.0, 0.5),
         compute_ms=0.307,
         repetitions=4,
         seed=11,

@@ -7,7 +7,7 @@ import pytest
 
 from petfabric.cli import main
 from petfabric.codec import EncodingParams, decode, encode
-from petfabric.fabric.broker import LatencyModel, _matches
+from petfabric.fabric.broker import LatencyModel, topic_matches
 from petfabric.scenarios.config import (
     MAX_SHARES,
     ConfigError,
@@ -155,6 +155,21 @@ def test_load_scenario_from_file(tmp_path):
             lambda c: c["encoding"].update(x_lo=0.5, x_hi=0.7),
             "^encoding: encoded width q = 0 must be >= 1",
         ),
+        # the jitter decides the hop distribution; there is no key for it
+        (
+            lambda c: c.update(latency={"per_hop_mean_ms": 1.5, "distribution": "gaussian"}),
+            r"^latency: unknown keys \['distribution'\]",
+        ),
+        # null is refused, not read as the absent key's default
+        (
+            lambda c: c["pet"].update(kind="gdp", epsilon=1.0, aggregator=None),
+            "^pet.aggregator: expected a string, got None$",
+        ),
+        (
+            lambda c: c["pet"].update(epsilon=None),
+            "^pet.epsilon: expected a finite number, got None$",
+        ),
+        (lambda c: c["pet"].update(m=None), "^pet.m: expected an integer, got None$"),
     ],
 )
 def test_config_rejections_name_the_field(mutate, message):
@@ -238,8 +253,8 @@ def test_virtualized_constraints():
 
 def test_latency_inline_object():
     cfg = json.loads(json.dumps(GOOD_CONFIG))
-    cfg["latency"] = {"per_hop_mean_ms": 1.5, "jitter_std_ms": 0.2, "distribution": "gaussian"}
-    assert scenario_from_dict(cfg).latency == LatencyModel(1.5, 0.2, "gaussian")
+    cfg["latency"] = {"per_hop_mean_ms": 1.5, "jitter_std_ms": 0.2}
+    assert scenario_from_dict(cfg).latency == LatencyModel(1.5, 0.2)
 
 
 @pytest.mark.parametrize(
@@ -319,7 +334,7 @@ def test_hop_count_dominance_with_jitter():
     d, jitter, runs = 3.0, 0.4, 400
     spec = make_spec(
         topology=Topology("relay-chain", depth=5),
-        latency=LatencyModel(d, jitter, "gaussian"),
+        latency=LatencyModel(d, jitter),
         compute_ms=0.0,
         repetitions=runs,
         seed=77,
@@ -331,19 +346,19 @@ def test_hop_count_dominance_with_jitter():
 
 
 def test_records_are_additive_with_jitter():
-    spec = make_spec(latency=LatencyModel(2.0, 0.5, "gaussian"), repetitions=10)
+    spec = make_spec(latency=LatencyModel(2.0, 0.5), repetitions=10)
     for rec in run_scenario(spec):
         assert rec.end_to_end_ms == rec.compute_ms + sum(rec.hop_delays_ms)
 
 
 def test_determinism_same_seed_same_records():
-    spec = make_spec(latency=LatencyModel(2.0, 0.5, "gaussian"), repetitions=8)
+    spec = make_spec(latency=LatencyModel(2.0, 0.5), repetitions=8)
     assert run_scenario(spec) == run_scenario(spec)
     assert run_scenario(spec) != run_scenario(spec.with_seed(43))
 
 
 def test_parallel_workers_match_serial():
-    spec = make_spec(latency=LatencyModel(2.0, 0.5, "gaussian"), repetitions=6)
+    spec = make_spec(latency=LatencyModel(2.0, 0.5), repetitions=6)
     assert run_scenario(spec, workers=1) == run_scenario(spec, workers=3)
 
 
@@ -441,9 +456,9 @@ def test_the_topic_match_memo_keeps_every_pair_of_a_large_run():
     # sensors hold more pairs than a memo bounded at 4,096 would keep
     spec = make_spec(sensors=SensorConfig(count=2500), repetitions=2)
     run_scenario(spec)
-    misses = _matches.cache_info().misses
+    misses = topic_matches.cache_info().misses
     run_scenario(spec)
-    assert _matches.cache_info().misses == misses
+    assert topic_matches.cache_info().misses == misses
 
 
 # -- the six-scenario comparison ---------------------------------------------------
