@@ -6,6 +6,8 @@ Two attackers are modeled:
   every record except the target's, which it knows is one of two candidate
   values, and it thresholds the noisy release at the midpoint between the
   two induced sums -- the Neyman-Pearson-optimal rule for Laplace noise.
+  The known records shift the release and the threshold alike, so they
+  cancel out of the decision: the game is played between 0 and the gap.
   Its success probability has the closed form
 
       Pr[correct] = 1 - exp(-eps * gap / (2 * sensitivity)) / 2,
@@ -41,60 +43,28 @@ class CoverageError(ValueError):
     """Observed channels are inconsistent with the published channel set."""
 
 
-@dataclass(frozen=True)
-class HypothesisTest:
-    """Distinguishing game setup: the two candidate values of the target.
-
-    The records the adversary already knows shift the release and the
-    threshold alike, so they cancel out of the decision and are not modeled.
-    """
-
-    low: int
-    high: int
-    budget: PrivacyBudget
-
-    def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise ValueError(f"candidates must satisfy low < high, got {self.low}, {self.high}")
-
-    @property
-    def gap(self) -> int:
-        return self.high - self.low
-
-    @property
-    def threshold(self) -> float:
-        """Midpoint decision threshold over the released sum."""
-        return (self.low + self.high) / 2
-
-
-def guess(test: HypothesisTest, z: float) -> int:
-    """Optimal decision for a released value z: high iff z > threshold.
-
-    Ties (measure zero) resolve to the low candidate.
-    """
-    return test.high if z > test.threshold else test.low
-
-
-def analytic_guess_rate(test: HypothesisTest) -> float:
+def analytic_guess_rate(gap: int, budget: PrivacyBudget) -> float:
     """Closed-form success probability of the midpoint rule."""
-    b = test.budget
-    return 1.0 - 0.5 * math.exp(-b.epsilon * test.gap / (2.0 * b.sensitivity))
+    return 1.0 - 0.5 * math.exp(-budget.epsilon * gap / (2.0 * budget.sensitivity))
 
 
 def empirical_guess_rate(
-    test: HypothesisTest,
+    gap: int,
     trials: int,
+    budget: PrivacyBudget,
     rng: np.random.Generator,
     model: str = GDP_MODEL,
 ) -> float:
     """Monte Carlo of the full release-and-attack pipeline.
 
-    Per trial: draw the truth uniformly from {low, high}, release
-    z = truth + noise, and score the midpoint rule. Under the
-    global model the noise is one real-valued Laplace draw at the query
+    Per trial: draw the truth uniformly from {0, gap}, release
+    z = truth + noise, and guess high iff z > gap / 2 (ties go low). Under
+    the global model the noise is one real-valued Laplace draw at the query
     scale; under the local model it is the integer-rounded draw the sensor
     actually publishes.
     """
+    if gap < 1:
+        raise ValueError(f"gap must be >= 1, got {gap}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if model not in (GDP_MODEL, LDP_MODEL):
@@ -102,11 +72,11 @@ def empirical_guess_rate(
     import numpy as np
 
     high_truth = rng.integers(0, 2, size=trials).astype(bool)
-    z = sample_laplace(test.budget.scale, rng, size=trials)
+    z = sample_laplace(budget.scale, rng, size=trials)
     if model == LDP_MODEL:
         np.rint(z, out=z)
-    z += np.where(high_truth, test.high, test.low)  # the release: truth + noise
-    guessed_high = z > test.threshold
+    z += np.where(high_truth, gap, 0)  # the release: truth + noise
+    guessed_high = z > gap / 2
     return float(np.mean(guessed_high == high_truth))
 
 
@@ -140,15 +110,12 @@ def guess_rate_grid(
     index = 0
     for eps in epsilons:
         for ratio in gap_ratios:
-            test = HypothesisTest(
-                low=0,
-                high=round(ratio * sensitivity),
-                budget=PrivacyBudget(epsilon=eps, sensitivity=sensitivity),
-            )
+            gap = round(ratio * sensitivity)
+            budget = PrivacyBudget(epsilon=eps, sensitivity=sensitivity)
             rng = np.random.default_rng(seed + index)
             index += 1
-            analytic = analytic_guess_rate(test)
-            empirical = empirical_guess_rate(test, trials, rng, model=model)
+            analytic = analytic_guess_rate(gap, budget)
+            empirical = empirical_guess_rate(gap, trials, budget, rng, model=model)
             halfwidth = 3.0 * math.sqrt(analytic * (1.0 - analytic) / trials)
             rows.append(
                 GuessRateRow(

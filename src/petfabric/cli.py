@@ -26,6 +26,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -104,13 +105,13 @@ def _parse_seed(text: str, source: str) -> int:
 
 
 def _resolve_seed(flag_seed, config_seed) -> int:
-    """Flag beats environment beats config beats zero; a seed is >= 0."""
+    """Flag beats environment beats config (0 when it has none); a seed is >= 0."""
     if flag_seed is not None:
         seed, source = _parse_seed(flag_seed, "--seed"), "--seed"
     elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
         seed, source = _parse_seed(env, SEED_ENV_VAR), SEED_ENV_VAR
     else:
-        seed, source = config_seed or 0, "seed"
+        seed, source = config_seed, "seed"
     if seed < 0:
         raise ConfigError(f"{source}: must be >= 0, got {seed}")
     return seed
@@ -155,7 +156,7 @@ def _write_reports(args, seed: int, workers: int, reports: dict) -> None:
 
 def _run_scenario(args, spec):
     seed = _resolve_seed(args.seed, spec.seed)
-    spec = spec.with_seed(seed)
+    spec = replace(spec, seed=seed)
     workers = worker_count(args.parallel, spec.repetitions)
     records = run_scenario(spec, workers=workers)
     rows = (
@@ -241,7 +242,7 @@ def _bench_suite(args, specs):
     workers = worker_count(args.parallel, specs[0].repetitions)
     rows = []
     for spec in specs:
-        spec = spec.with_seed(seed)
+        spec = replace(spec, seed=seed)
         records = run_scenario(spec, workers=workers)
         e2e = np.array([r.end_to_end_ms for r in records])
         rows.append(
@@ -299,6 +300,10 @@ def _run(args) -> int:
         raise ConfigError(
             f"--parallel: at most {MAX_WORKERS} worker processes, got {args.parallel}"
         )
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"--out: {existing} is not a directory")
     command = SUBCOMMANDS[args.subcommand]
     config = command.load(load_json(args.config))
     _write_reports(args, *command.run(args, config))

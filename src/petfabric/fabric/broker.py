@@ -161,7 +161,7 @@ class LatencyModel:
     """Per-hop delay: the mean without jitter, else a Gaussian draw around
     it; a sampled hop delay is never negative."""
 
-    per_hop_mean_ms: float = 3.88
+    per_hop_mean_ms: float
     per_hop_jitter_std_ms: float = 0.0
 
     def __post_init__(self) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -209,9 +209,6 @@ class ScenarioSpec:
             check_noise_fits(self.sensors.count, q, None, self.pet.epsilon, "pet.epsilon")
         hops = hop_bound(self.pet.m, self.topology.depth)
         check_clock_fits(self.repetitions, self.compute_ms, hops, self.latency, "compute_ms")
-
-    def with_seed(self, seed: int) -> "ScenarioSpec":
-        return replace(self, seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -545,9 +542,8 @@ def load_scenario(path) -> ScenarioSpec:
 # Experiment configs: one loader per CLI subcommand beyond run-scenario
 # --------------------------------------------------------------------------
 
-def _seed(raw: dict) -> Optional[int]:
-    seed = read_int(raw, "seed", "config", None)
-    return None if seed is None else at_least(seed, 0, "seed")
+def _seed(raw: dict) -> int:
+    return at_least(read_int(raw, "seed", "config", 0), 0, "seed")
 
 
 def _positive(value: float, field: str) -> float:
@@ -671,7 +667,7 @@ def bench_from_dict(raw: dict) -> list[ScenarioSpec]:
         hops = hop_bound(m if pet == PET_ASS else None, 0)
         compute_ms = compute.get(key, reference_ms)
         check_clock_fits(repetitions, compute_ms, hops, latency, f"compute_ms.{key}")
-    seed = _seed(raw) or 0
+    seed = _seed(raw)
     pets = {
         PET_NONE: PetConfig(PET_NONE),
         PET_LDP: PetConfig(PET_LDP, epsilon=epsilon),

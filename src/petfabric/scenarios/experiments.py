@@ -41,7 +41,6 @@ class UtilityPoint:
 class UtilityReport:
     """Privacy-utility sweep for one query over a fixed dataset."""
 
-    query: str
     ground_truth: float
     points: tuple[UtilityPoint, ...]
     # the dataset the sweep ran on, read-only; eq and hash leave it out
@@ -124,7 +123,6 @@ def weight_sum_experiment(
             )
         )
     return UtilityReport(
-        query=f"weight-sum-{model}",
         ground_truth=true_sum,
         points=tuple(points),
         weights=weights,

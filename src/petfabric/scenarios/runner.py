@@ -139,11 +139,11 @@ class _Path:
         self.clock.advance_ms(sum(slowest) + then_ms)
         return received
 
-    def record(self, spec: ScenarioSpec, compute: float) -> RunRecord:
+    def record(self, spec: ScenarioSpec) -> RunRecord:
         return RunRecord(
             scenario=spec.name,
             message_id=self.rep,
-            compute_ms=compute,
+            compute_ms=spec.compute_ms,
             hop_delays_ms=tuple(self.delays),
         )
 
@@ -167,10 +167,10 @@ def _run_once(
         flow = _share_flow
     else:
         flow = _value_flow
-    return flow(spec, path, rng, values, encoded, spec.compute_ms)
+    return flow(spec, path, rng, values, encoded)
 
 
-def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
+def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
     """raw, ldp, krr or gdp values, on-device or through a vnode or aggregator.
 
     Sensor-side schemes privatize before the sensors publish; gdp privatizes
@@ -204,7 +204,7 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
         if virtualized:
             collected = [d.envelope.value for d in path.cross(hub, readings(Scheme.RAW, encoded))]
         noisy = round(dp.gdp_aggregate(collected, budget, pet.aggregator, rng))
-        path.clock.advance_ms(compute)
+        path.clock.advance_ms(spec.compute_ms)
         out = path.envelope(OUT_TOPIC, hub, Scheme.GDP, noisy, epsilon=pet.epsilon)
         received = path.cross("consumer", [(hub, [out])])
     else:
@@ -215,7 +215,7 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
             wire = [dp.krr_perturb(x, pet.epsilon, params, rng) for x in encoded]
         else:
             wire = encoded
-        path.clock.advance_ms(compute)
+        path.clock.advance_ms(spec.compute_ms)
         scheme = SENSOR_SCHEMES[pet.kind]
         received = path.cross(
             hub if virtualized else "consumer", readings(scheme, wire, pet.epsilon)
@@ -227,13 +227,13 @@ def _value_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
             received = path.cross("consumer", [(hub, [forward])])
 
     total = sum(d.envelope.value for d in received)
-    record = path.record(spec, compute)
+    record = path.record(spec)
     if pet.aggregator == "mean":
         return RepOutcome(record, decode(total, params), float(sum(values)) / n)
     return RepOutcome(record, decode_sum(total, n, params), float(sum(values)))
 
 
-def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
+def _share_flow(spec, path, rng, values, encoded) -> RepOutcome:
     """ass: each sensor, or a vnode on behalf of one source, sends m shares."""
     params, n, m = spec.encoding, len(values), spec.pet.m
     fp = ass.choose_modulus(n, params.q)
@@ -252,9 +252,10 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
         topic = DATA_TOPIC.format(sensor="s0")
         path.link(["s0"], [topic], "vnode", DATA_FILTER)
         raw = path.envelope(topic, "s0", Scheme.RAW, encoded[0])
-        secrets = [d.envelope.value for d in path.cross("vnode", [("s0", [raw])], then_ms=compute)]
+        received = path.cross("vnode", [("s0", [raw])], then_ms=spec.compute_ms)
+        secrets = [d.envelope.value for d in received]
     else:
-        path.clock.advance_ms(compute)
+        path.clock.advance_ms(spec.compute_ms)
         secrets = encoded
 
     bundles = []
@@ -273,7 +274,7 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
     path.cross("consumer", shares())
     if drop is not None:
         bundles[victim] = ass.lose_share(bundles[victim], channel)
-    record = path.record(spec, compute)
+    record = path.record(spec)
     encoded_truth = sum(encoded)
     try:
         total = ass.reconstruct_sum(bundles, fp)
@@ -291,7 +292,7 @@ def _share_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
     )
 
 
-def _relay_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
+def _relay_flow(spec, path, rng, values, encoded) -> RepOutcome:
     """One source's raw value, forwarded unchanged through depth relays."""
     depth = spec.topology.depth
     chain = ["source", *(f"relay{i}" for i in range(1, depth + 1)), "consumer"]
@@ -299,7 +300,7 @@ def _relay_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
     hops = list(zip(chain, chain[1:], topics))
     for sender, receiver, topic in hops:
         path.link([sender], [topic], receiver, topic)
-    path.clock.advance_ms(compute)
+    path.clock.advance_ms(spec.compute_ms)
     message = path.envelope(topics[0], "source", Scheme.RAW, encoded[0])
     for sender, receiver, topic in hops:
         if message.topic != topic:
@@ -307,7 +308,7 @@ def _relay_flow(spec, path, rng, values, encoded, compute) -> RepOutcome:
             message = replace(message, topic=topic)
         (delivery,) = path.cross(receiver, [(sender, [message])])
         message = delivery.envelope
-    record = path.record(spec, compute)
+    record = path.record(spec)
     return RepOutcome(record, decode(message.value, spec.encoding), values[0])
 
 

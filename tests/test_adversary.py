@@ -9,88 +9,68 @@ from petfabric import adversary, ass
 from petfabric.dp import PrivacyBudget, sample_laplace
 
 
-def make_test(epsilon=1.0, sensitivity=1000, low=0, high=500):
-    return adversary.HypothesisTest(
-        low=low,
-        high=high,
-        budget=PrivacyBudget(epsilon=epsilon, sensitivity=sensitivity),
-    )
-
-
-def test_threshold_is_the_midpoint():
-    assert make_test(low=0, high=10).threshold == 5.0
-    assert make_test(low=3, high=10).threshold == 6.5
-
-
-def test_guess_thresholding():
-    t = make_test(low=0, high=10)
-    assert adversary.guess(t, t.threshold + 1) == 10
-    assert adversary.guess(t, t.threshold - 1) == 0
-    assert adversary.guess(t, 7) == 10  # midpoint 5
-    assert adversary.guess(t, t.threshold) == 0  # ties go low
-
-
-def test_candidates_must_be_ordered():
-    with pytest.raises(ValueError):
-        make_test(low=10, high=10)
+def budget(epsilon=1.0, sensitivity=1000):
+    return PrivacyBudget(epsilon=epsilon, sensitivity=sensitivity)
 
 
 def test_analytic_guess_rate_values():
     # exponent eps*gap/(2*sens): 0.5 -> 0.6967, 5 -> 0.9966
-    assert adversary.analytic_guess_rate(make_test(1.0, 1000, 0, 1000)) == pytest.approx(
+    assert adversary.analytic_guess_rate(1000, budget(1.0)) == pytest.approx(
         1 - 0.5 * math.exp(-0.5)
     )
-    assert adversary.analytic_guess_rate(make_test(10.0, 1000, 0, 1000)) == pytest.approx(
-        0.9966, abs=1e-4
-    )
+    assert adversary.analytic_guess_rate(1000, budget(10.0)) == pytest.approx(0.9966, abs=1e-4)
 
 
 def test_empirical_rate_at_half_exponent():
-    t = make_test(1.0, 1000, 0, 1000)  # exponent 0.5 -> 0.6967
-    rate = adversary.empirical_guess_rate(t, 100_000, np.random.default_rng(77))
+    # exponent 0.5 -> 0.6967
+    rate = adversary.empirical_guess_rate(1000, 100_000, budget(1.0), np.random.default_rng(77))
     assert rate == pytest.approx(1 - 0.5 * math.exp(-0.5), abs=0.01)
 
 
 def test_empirical_rate_tiny_epsilon_is_coin_flip():
-    t = make_test(1e-6, 1000, 0, 100)
-    rate = adversary.empirical_guess_rate(t, 100_000, np.random.default_rng(78))
+    rate = adversary.empirical_guess_rate(100, 100_000, budget(1e-6), np.random.default_rng(78))
     assert rate == pytest.approx(0.5, abs=0.01)
 
 
 def test_empirical_rate_huge_exponent_is_near_certain():
-    t = make_test(10.0, 1000, 0, 1000)
-    rate = adversary.empirical_guess_rate(t, 100_000, np.random.default_rng(79))
+    rate = adversary.empirical_guess_rate(1000, 100_000, budget(10.0), np.random.default_rng(79))
     assert rate == pytest.approx(0.9966, abs=0.01)
 
 
 def test_ldp_variant_matches_analytic_too():
     # integer-rounded noise barely moves the rate at these scales
-    t = make_test(1.0, 1000, 0, 1000)
+    b = budget(1.0)
     rate = adversary.empirical_guess_rate(
-        t, 100_000, np.random.default_rng(81), model=adversary.LDP_MODEL
+        1000, 100_000, b, np.random.default_rng(81), model=adversary.LDP_MODEL
     )
-    assert rate == pytest.approx(adversary.analytic_guess_rate(t), abs=0.01)
+    assert rate == pytest.approx(adversary.analytic_guess_rate(1000, b), abs=0.01)
     with pytest.raises(ValueError):
-        adversary.empirical_guess_rate(t, 100, np.random.default_rng(0), model="x")
+        adversary.empirical_guess_rate(1000, 100, b, np.random.default_rng(0), model="x")
     with pytest.raises(ValueError):
-        adversary.empirical_guess_rate(t, 0, np.random.default_rng(0))
+        adversary.empirical_guess_rate(1000, 0, b, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("gap", [0, -10])
+def test_empirical_rate_refuses_a_gap_below_one(gap):
+    with pytest.raises(ValueError, match=f"gap must be >= 1, got {gap}"):
+        adversary.empirical_guess_rate(gap, 100, budget(), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("model", [adversary.GDP_MODEL, adversary.LDP_MODEL])
 @pytest.mark.parametrize("seed", [0, 77, 2**40 + 3])
 def test_empirical_rate_matches_the_release_expression(seed, model):
-    # the candidates are added into the noise; the rate must equal that of
-    # the release built as its own array, z = where(truth, high, low) + noise
-    for low, high in [(0, 1), (0, 500), (-40, 90), (3, 2**40)]:
-        t = make_test(0.5, 1000, low, high)
+    # the gap is added into the noise; the rate must equal that of the
+    # release built as its own array, z = where(truth, gap, 0) + noise
+    b = budget(0.5)
+    for gap in [1, 500, 130, 2**40 - 3]:
         rng = np.random.default_rng(seed)
         high_truth = rng.integers(0, 2, size=4099).astype(bool)
-        noise = sample_laplace(t.budget.scale, rng, size=4099)
+        noise = sample_laplace(b.scale, rng, size=4099)
         if model == adversary.LDP_MODEL:
             noise = np.rint(noise)
-        z = np.where(high_truth, t.high, t.low) + noise
-        want = float(np.mean((z > t.threshold) == high_truth))
-        got = adversary.empirical_guess_rate(t, 4099, np.random.default_rng(seed), model)
+        z = np.where(high_truth, gap, 0) + noise
+        want = float(np.mean((z > gap / 2) == high_truth))
+        got = adversary.empirical_guess_rate(gap, 4099, b, np.random.default_rng(seed), model)
         assert got == want
 
 

@@ -573,6 +573,23 @@ def test_parallel_over_max_workers_exits_2_before_any_process(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+@pytest.mark.parametrize("blocker", ["file", "path-under-file", "dangling-link"])
+def test_out_that_is_not_a_directory_exits_2_before_the_run(
+    tmp_path, capsys, subcommand, blocker
+):
+    cfg = write(tmp_path, "cfg.json", CONFIGS[subcommand])
+    taken = tmp_path / "taken"
+    if blocker == "dangling-link":
+        taken.symlink_to(tmp_path / "nowhere")
+    else:
+        taken.write_text("kept\n")
+    out = taken / "o" if blocker == "path-under-file" else taken
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: --out: {taken} is not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json", taken]
+
+
 @pytest.mark.parametrize(
     "flag", [["--seed", "5"], ["--seed", "-5"], ["--parallel", "2"], ["--parallel", "-3"]]
 )

@@ -174,7 +174,7 @@ KERNELS = {
         dp.ldp_perturb_array(xs, BUDGET, np.random.default_rng(6))
     ),
     "empirical_guess_rate": lambda: adversary.empirical_guess_rate(
-        adversary.HypothesisTest(0, 85, BUDGET), KERNEL_ELEMENTS, np.random.default_rng(6), "ldp"
+        85, KERNEL_ELEMENTS, BUDGET, np.random.default_rng(6), "ldp"
     ),
 }
 

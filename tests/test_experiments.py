@@ -25,7 +25,6 @@ def test_weight_sum_report_shape():
     report = weight_sum_experiment(
         50, EncodingParams(1, 50, 120), "ldp", [0.5, 1.0], reps=100, seed=1
     )
-    assert report.query == "weight-sum-ldp"
     assert [p.epsilon for p in report.points] == [0.5, 1.0]
     assert all(p.reps == 100 for p in report.points)
     # the report carries the dataset it ran on, as generate_weights draws it

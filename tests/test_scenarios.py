@@ -1,6 +1,7 @@
 """Scenario engine: config strictness, flow wiring, calibrated latencies."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ def test_records_are_additive_with_jitter():
 def test_determinism_same_seed_same_records():
     spec = make_spec(latency=LatencyModel(2.0, 0.5), repetitions=8)
     assert run_scenario(spec) == run_scenario(spec)
-    assert run_scenario(spec) != run_scenario(spec.with_seed(43))
+    assert run_scenario(spec) != run_scenario(replace(spec, seed=43))
 
 
 def test_parallel_workers_match_serial():
