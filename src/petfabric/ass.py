@@ -21,8 +21,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .codec import EncodingParams
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -223,14 +221,3 @@ def reconstruct_sum(bundles: Sequence[ShareBundle], fp: FieldParams) -> int:
         total += sum(b.shares)
     return total % fp.modulus
 
-
-def reconstruct_average(
-    bundles: Sequence[ShareBundle], fp: FieldParams, p: EncodingParams
-) -> float:
-    """Exact encoded sum, divided by n, then decoded.
-
-    The result differs from the true average of the raw readings by less
-    than 1/k (pure quantization; the share arithmetic is exact).
-    """
-    total = reconstruct_sum(bundles, fp)
-    return (total / len(bundles) - p.offset) / p.k

@@ -45,8 +45,6 @@ from .scenarios.config import (
 from .scenarios.experiments import median, weight_sum_experiment
 from .scenarios.runner import run_scenario, worker_count
 
-SEED_ENV_VAR = "PET_FABRIC_SEED"
-
 #: Most worker processes `--parallel` may ask for; a process pool starts
 #: them all at its first task.
 MAX_WORKERS = 64
@@ -93,28 +91,23 @@ def _say(args, message: str) -> None:
         print(f"petfabric: {message}", file=sys.stderr)
 
 
-def _parse_seed(text: str, source: str) -> int:
-    """ASCII digits with an optional leading '-'; int() alone would also take
-    spaces, '_', a '+' and non-ASCII digits."""
+def _parse_seed(text: str) -> int:
+    """--seed: ASCII digits with an optional leading '-'; int() alone would
+    also take spaces, '_', a '+' and non-ASCII digits. A seed is >= 0."""
     if not re.fullmatch(r"-?[0-9]+", text):
-        raise ConfigError(f"{source}: not an integer: {text!r}")
+        raise ConfigError(f"--seed: not an integer: {text!r}")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:  # over the interpreter's digit limit
-        raise ConfigError(f"{source}: more than {sys.get_int_max_str_digits()} digits") from None
+        raise ConfigError(f"--seed: more than {sys.get_int_max_str_digits()} digits") from None
+    if seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {seed}")
+    return seed
 
 
 def _resolve_seed(flag_seed, config_seed) -> int:
-    """Flag beats environment beats config (0 when it has none); a seed is >= 0."""
-    if flag_seed is not None:
-        seed, source = _parse_seed(flag_seed, "--seed"), "--seed"
-    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
-        seed, source = _parse_seed(env, SEED_ENV_VAR), SEED_ENV_VAR
-    else:
-        seed, source = config_seed, "seed"
-    if seed < 0:
-        raise ConfigError(f"{source}: must be >= 0, got {seed}")
-    return seed
+    """--seed beats the config's seed, which its loader has checked."""
+    return config_seed if flag_seed is None else _parse_seed(flag_seed)
 
 
 def _write_reports(args, seed: int, workers: int, reports: dict) -> None:
@@ -300,6 +293,8 @@ def _run(args) -> int:
         raise ConfigError(
             f"--parallel: at most {MAX_WORKERS} worker processes, got {args.parallel}"
         )
+    if not args.out:  # Path("") is the working directory
+        raise ConfigError("--out: must not be empty")
     out = Path(args.out)
     existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not existing.is_dir():
@@ -338,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--seed",
                 default=None,
-                help=f"master seed, ASCII digits; overrides ${SEED_ENV_VAR} and the config",
+                help="master seed, ASCII digits; overrides the config's seed",
             )
             p.add_argument(
                 "--parallel",

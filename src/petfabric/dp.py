@@ -54,13 +54,6 @@ class PrivacyBudget:
         """Laplace scale b = sensitivity / epsilon."""
         return self.sensitivity / self.epsilon
 
-    @classmethod
-    def for_mean(cls, epsilon: float, width: int, n: int) -> "PrivacyBudget":
-        """Budget for a mean over n records: sensitivity ceil(q / n)."""
-        if n < 1:
-            raise ValueError(f"mean needs at least one record, got n={n}")
-        return cls(epsilon=epsilon, sensitivity=math.ceil(width / n))
-
 
 def sample_laplace(scale: float, rng: np.random.Generator, size=None):
     """Draw from Laplace(0, scale) by inverse CDF.
@@ -113,30 +106,20 @@ def ldp_perturb_array(xs, budget: PrivacyBudget, rng: np.random.Generator) -> np
     return out
 
 
-def gdp_aggregate(
-    xs: Sequence[int],
-    budget: PrivacyBudget,
-    aggregator: str,
-    rng: np.random.Generator,
-) -> float:
-    """Aggregate exactly, then add a single Laplace draw at the trusted node.
+def gdp_aggregate(xs: Sequence[int], budget: PrivacyBudget, rng: np.random.Generator) -> float:
+    """Sum exactly, then add a single Laplace draw at the trusted node.
 
-    The caller chooses budget.sensitivity for the query: the full encoded
-    width q for a sum, ceil(q/n) for a mean (see PrivacyBudget.for_mean).
-    The aggregate is computed in exact integer arithmetic before the one
-    noise draw is added, so every value must be a Python int: a float or
-    numpy scalar raises TypeError rather than being truncated.
+    The sum is computed in exact integer arithmetic before the one noise
+    draw is added, so every value must be a Python int: a float or numpy
+    scalar raises TypeError rather than being truncated.
     """
     if len(xs) == 0:
         raise ValueError("gdp_aggregate needs at least one value")
-    if aggregator not in ("sum", "mean"):
-        raise ValueError(f"unknown aggregator {aggregator!r}, expected 'sum' or 'mean'")
     exact = sum(xs)  # a float or numpy scalar anywhere makes the total one too
     if type(exact) is not int:
         bad = next((v for v in xs if not isinstance(v, int)), exact)
         raise TypeError(f"gdp_aggregate sums Python ints, got {bad!r} ({type(bad).__name__})")
-    agg = exact if aggregator == "sum" else exact / len(xs)
-    return agg + sample_laplace(budget.scale, rng)
+    return exact + sample_laplace(budget.scale, rng)
 
 
 def krr_perturb(x: int, epsilon: float, p: EncodingParams, rng: np.random.Generator) -> int:

@@ -113,7 +113,6 @@ class Topology:
 class PetConfig:
     kind: str
     epsilon: Optional[float] = None
-    aggregator: Optional[str] = None  # gdp only
     m: Optional[int] = None  # ass only
     drop_one_share: bool = False  # ass only: inject loss of one random share
 
@@ -126,13 +125,6 @@ class PetConfig:
                 raise ConfigError(f"pet.epsilon: {self.kind} needs a positive epsilon")
         elif self.epsilon is not None:
             raise ConfigError(f"pet.epsilon: not valid for {self.kind}")
-        if self.kind == PET_GDP:
-            agg = self.aggregator if self.aggregator is not None else "sum"
-            if agg not in ("sum", "mean"):
-                raise ConfigError(f"pet.aggregator: expected sum or mean, got {agg!r}")
-            object.__setattr__(self, "aggregator", agg)
-        elif self.aggregator is not None:
-            raise ConfigError("pet.aggregator: only valid for gdp")
         if self.kind == PET_ASS:
             if self.m is None or self.m < 2:
                 raise ConfigError(
@@ -508,10 +500,15 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     pet = PetConfig(
         kind=read_str(pet_raw, "kind", "pet"),
         epsilon=read_number(pet_raw, "epsilon", "pet", None),
-        aggregator=read_str(pet_raw, "aggregator", "pet", None),
         m=read_int(pet_raw, "m", "pet", None),
         drop_one_share=optional_bool(pet_raw, "drop_one_share", "pet"),
     )
+    if "aggregator" in pet_raw:  # gdp releases a sum; a config may say so
+        aggregator = read_str(pet_raw, "aggregator", "pet")
+        if pet.kind != PET_GDP:
+            raise ConfigError("pet.aggregator: only valid for gdp")
+        if aggregator != "sum":
+            raise ConfigError(f"pet.aggregator: expected sum, got {aggregator!r}")
     sensors_raw = raw.get("sensors", {})
     check_keys(sensors_raw, {"count", "generator"}, "sensors")
     if "generator" in sensors_raw:  # readings are uniform; a config may say so

@@ -111,7 +111,7 @@ def weight_sum_experiment(
             if model == LDP_MODEL:
                 noisy = int(dp.ldp_perturb_array(values, budget, rng).sum())
             else:
-                noisy = dp.gdp_aggregate(values, budget, "sum", rng)
+                noisy = dp.gdp_aggregate(values, budget, rng)
             errors[r] = abs(decode_sum(noisy, n, encoding) - true_sum)
         points.append(
             UtilityPoint(

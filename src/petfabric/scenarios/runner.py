@@ -196,14 +196,11 @@ def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
         )
 
     if pet.kind == PET_GDP:
-        if pet.aggregator == "mean":
-            budget = dp.PrivacyBudget.for_mean(pet.epsilon, params.q, n)
-        else:
-            budget = dp.PrivacyBudget(pet.epsilon, params.q)
+        budget = dp.PrivacyBudget(pet.epsilon, params.q)
         collected = encoded
         if virtualized:
             collected = [d.envelope.value for d in path.cross(hub, readings(Scheme.RAW, encoded))]
-        noisy = round(dp.gdp_aggregate(collected, budget, pet.aggregator, rng))
+        noisy = round(dp.gdp_aggregate(collected, budget, rng))
         path.clock.advance_ms(spec.compute_ms)
         out = path.envelope(OUT_TOPIC, hub, Scheme.GDP, noisy, epsilon=pet.epsilon)
         received = path.cross("consumer", [(hub, [out])])
@@ -228,8 +225,6 @@ def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
 
     total = sum(d.envelope.value for d in received)
     record = path.record(spec)
-    if pet.aggregator == "mean":
-        return RepOutcome(record, decode(total, params), float(sum(values)) / n)
     return RepOutcome(record, decode_sum(total, n, params), float(sum(values)))
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from petfabric.cli import SEED_ENV_VAR, main
+from petfabric.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -115,8 +115,7 @@ PINS = {
 
 
 @pytest.mark.parametrize("case", sorted(PINS))
-def test_csv_bytes_are_pinned(tmp_path, monkeypatch, case):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_csv_bytes_are_pinned(tmp_path, case):
     subcommand, config, overrides, pins = PINS[case]
     raw = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
     path = tmp_path / config

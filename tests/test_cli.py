@@ -15,7 +15,7 @@ import pytest
 
 from petfabric import cli
 from petfabric.adversary import guess_rate_grid
-from petfabric.cli import SEED_ENV_VAR, main
+from petfabric.cli import main
 from petfabric.scenarios.config import PLACEMENTS, adversary_from_dict, sweep_from_dict
 from petfabric.scenarios.experiments import weight_sum_experiment
 
@@ -103,21 +103,18 @@ def test_run_scenario_determinism_byte_identical(tmp_path):
     assert a == b
 
 
-def test_seed_flag_overrides_env_overrides_config(tmp_path, monkeypatch):
+def test_seed_flag_overrides_config_and_env_is_not_read(tmp_path, monkeypatch):
     cfg = write(tmp_path, "baseline.json", BASELINE)
     out1 = tmp_path / "env"
-    monkeypatch.setenv(SEED_ENV_VAR, "1234")
+    monkeypatch.setenv("PET_FABRIC_SEED", "1234")
     assert main(["run-scenario", "--config", cfg, "--out", str(out1)]) == 0
-    assert json.loads((out1 / "manifest.json").read_text())["seed"] == 1234
+    assert json.loads((out1 / "manifest.json").read_text())["seed"] == BASELINE["seed"] == 42
     out2 = tmp_path / "flag"
     assert main(["run-scenario", "--config", cfg, "--out", str(out2), "--seed", "9"]) == 0
     assert json.loads((out2 / "manifest.json").read_text())["seed"] == 9
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    assert main(["run-scenario", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
-def test_one_parser_per_process_and_no_seed_carries_over(tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_one_parser_per_process_and_no_seed_carries_over(tmp_path):
     cfg = write(tmp_path, "baseline.json", BASELINE)
     seeds = []
     for out, flags in (("flag", ["--seed", "7"]), ("config", [])):
@@ -216,8 +213,7 @@ def test_bench_suite_ordering(tmp_path):
     assert [int(r[3]) for r in rows[1:]] == [2, 2, 2, 4, 6, 8]
 
 
-def test_bench_suite_seed_flag_and_compute_override_are_pinned(tmp_path, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+def test_bench_suite_seed_flag_and_compute_override_are_pinned(tmp_path):
     # a jittered preset: under the constant testbed one no row depends on the seed
     config = {"latency": "eth", "repetitions": 3, "compute_ms": {"gdp-virtualized": 2.5}}
 
@@ -489,16 +485,12 @@ CONFIGS = {
 
 
 @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
-@pytest.mark.parametrize("source", ["--seed", SEED_ENV_VAR, "seed"])
-def test_negative_seed_exits_2_naming_its_source(
-    tmp_path, capsys, monkeypatch, subcommand, source
-):
+@pytest.mark.parametrize("source", ["--seed", "seed"])
+def test_negative_seed_exits_2_naming_its_source(tmp_path, capsys, subcommand, source):
     config = CONFIGS[subcommand]
     argv = [subcommand, "--out", str(tmp_path / "o")]
     if source == "--seed":
         argv += ["--seed", "-1"]
-    elif source == SEED_ENV_VAR:
-        monkeypatch.setenv(SEED_ENV_VAR, "-1")
     else:
         config = {**config, "seed": -1}
     argv += ["--config", write(tmp_path, "cfg.json", config)]
@@ -518,16 +510,6 @@ def test_parallel_below_one_exits_2(tmp_path, capsys, subcommand, parallel):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", [" 1_0 ", "1_0", " 7", "7\n", "+7", "\uff17", "0x7", ""])
-def test_seed_env_var_must_be_ascii_digits(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv(SEED_ENV_VAR, value)
-    cfg = write(tmp_path, "demo.json", ASS_DEMO)
-    out = tmp_path / "o"
-    assert main(["ass-demo", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {SEED_ENV_VAR}: not an integer: {value!r}\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("value", [" 1_0 ", "1_0", "+7", "\uff11\uff12", ""])
 def test_seed_flag_must_be_ascii_digits(tmp_path, capsys, value):
     cfg = write(tmp_path, "demo.json", ASS_DEMO)
@@ -537,17 +519,11 @@ def test_seed_flag_must_be_ascii_digits(tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["--seed", SEED_ENV_VAR])
-def test_seed_over_the_digit_limit_exits_2_naming_its_source(
-    tmp_path, capsys, monkeypatch, source
-):
+@pytest.mark.parametrize("source", ["--seed"])
+def test_seed_over_the_digit_limit_exits_2_naming_its_source(tmp_path, capsys, source):
     seed = "9" * 5000
-    argv = ["ass-demo", "--config", write(tmp_path, "demo.json", ASS_DEMO)]
+    argv = ["ass-demo", "--config", write(tmp_path, "demo.json", ASS_DEMO), "--seed", seed]
     out = tmp_path / "o"
-    if source == "--seed":
-        argv += ["--seed", seed]
-    else:
-        monkeypatch.setenv(SEED_ENV_VAR, seed)
     assert main([*argv, "--out", str(out)]) == 2
     limit = sys.get_int_max_str_digits()
     assert capsys.readouterr().err == f"config error: {source}: more than {limit} digits\n"
@@ -588,6 +564,18 @@ def test_out_that_is_not_a_directory_exits_2_before_the_run(
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: --out: {taken} is not a directory\n"
     assert sorted(tmp_path.iterdir()) == [tmp_path / "cfg.json", taken]
+
+
+@pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+def test_empty_out_exits_2_and_writes_nothing(
+    tmp_path, tmp_path_factory, capsys, monkeypatch, subcommand
+):
+    # Path("") is the working directory, so an empty --out would write into it
+    cfg = write(tmp_path_factory.mktemp("cfg"), "cfg.json", CONFIGS[subcommand])
+    monkeypatch.chdir(tmp_path)
+    assert main([subcommand, "--config", cfg, "--out", ""]) == 2
+    assert capsys.readouterr().err == "config error: --out: must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

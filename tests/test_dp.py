@@ -37,8 +37,6 @@ def test_budget_validation():
         dp.PrivacyBudget(1.0, 0)
     assert dp.PrivacyBudget(0.5, 170).scale == 340.0
     assert dp.PrivacyBudget(1.0, 170).sensitivity == 170
-    assert dp.PrivacyBudget.for_mean(1.0, 170, 500).sensitivity == 1  # ceil(170/500)
-    assert dp.PrivacyBudget.for_mean(1.0, 170, 3).sensitivity == 57
 
 
 def test_laplace_scale_validation():
@@ -221,7 +219,7 @@ def test_ldp_sum_error_matches_monte_carlo_oracle(weights_dataset, weight_params
 
 def test_gdp_degenerate_noise(weight_params):
     noisy = dp.gdp_aggregate(
-        [122], dp.PrivacyBudget(1e9, weight_params.q), "sum", np.random.default_rng(2)
+        [122], dp.PrivacyBudget(1e9, weight_params.q), np.random.default_rng(2)
     )
     assert noisy == pytest.approx(122, abs=1e-3)
 
@@ -232,7 +230,7 @@ def test_gdp_mean_absolute_error_is_the_scale(weights_dataset, weight_params):
     exact = sum(weights_dataset)
     rng = np.random.default_rng(506)
     errs = [
-        abs(dp.gdp_aggregate(weights_dataset, budget, "sum", rng) - exact)
+        abs(dp.gdp_aggregate(weights_dataset, budget, rng) - exact)
         for _ in range(10_000)
     ]
     assert abs(np.mean(errs) - 170.0) <= 0.05 * 170.0
@@ -269,9 +267,7 @@ def test_gdp_errors():
     rng = np.random.default_rng(0)
     budget = dp.PrivacyBudget(1.0, 170)
     with pytest.raises(ValueError):
-        dp.gdp_aggregate([], budget, "sum", rng)
-    with pytest.raises(ValueError):
-        dp.gdp_aggregate([1, 2], budget, "max", rng)
+        dp.gdp_aggregate([], budget, rng)
 
 
 @pytest.mark.parametrize(
@@ -290,14 +286,14 @@ def test_gdp_rejects_values_that_are_not_python_ints(xs):
     # truncating any of these would make the exact aggregate inexact
     rng = np.random.default_rng(0)
     with pytest.raises(TypeError, match="gdp_aggregate sums Python ints"):
-        dp.gdp_aggregate(xs, dp.PrivacyBudget(1.0, 170), "sum", rng)
+        dp.gdp_aggregate(xs, dp.PrivacyBudget(1.0, 170), rng)
     assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
 
 def test_gdp_sum_is_exact_beyond_float_precision():
     # a float running sum would round 2**53 + 1 back to 2**53, twice
     budget = dp.PrivacyBudget(1e30, 1)
-    noisy = dp.gdp_aggregate([2**53, 1, 1], budget, "sum", np.random.default_rng(0))
+    noisy = dp.gdp_aggregate([2**53, 1, 1], budget, np.random.default_rng(0))
     assert noisy == 2**53 + 2
 
 

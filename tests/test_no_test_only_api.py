@@ -22,7 +22,6 @@ ALLOWED = {
     "eavesdrop_reconstruct": "the paper's share-secrecy result: full channel coverage reconstructs",
     "two_sample_uniformity": "the paper's share-secrecy result: proper subsets look uniform",
     "UniformityReport.is_uniform": "the verdict of the share-secrecy uniformity test",
-    "reconstruct_average": "ass: acceptance test 02 checks the decoded average",
     "Broker.write_audit_log": "the export the planned run-scenario --audit-log calls",
     "CoverageSet": "the partial-coverage eavesdropper's input, kept under ROADMAP's Not planned",
 }

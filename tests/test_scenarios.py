@@ -166,6 +166,15 @@ def test_load_scenario_from_file(tmp_path):
             lambda c: c["pet"].update(kind="gdp", epsilon=1.0, aggregator=None),
             "^pet.aggregator: expected a string, got None$",
         ),
+        # gdp releases a sum; the key may only say so
+        (
+            lambda c: c["pet"].update(kind="gdp", epsilon=1.0, aggregator="mean"),
+            "^pet.aggregator: expected sum, got 'mean'$",
+        ),
+        (
+            lambda c: c["pet"].update(kind="ldp", epsilon=1.0, aggregator="sum"),
+            "^pet.aggregator: only valid for gdp$",
+        ),
         (
             lambda c: c["pet"].update(epsilon=None),
             "^pet.epsilon: expected a finite number, got None$",
@@ -385,16 +394,6 @@ def test_virtualized_relay_forwards_the_value():
     for out in run_scenario_outcomes(spec):
         assert out.result == decode(encode(out.truth, PARAMS), PARAMS)
         assert out.record.hop_count == 4 == len(out.record.hop_delays_ms)
-
-
-def test_gdp_mean_flow():
-    spec = make_spec(
-        pet=PetConfig("gdp", epsilon=1e6, aggregator="mean"),
-        sensors=SensorConfig(count=3),
-        repetitions=3,
-    )
-    for out in run_scenario_outcomes(spec):
-        assert out.result == pytest.approx(out.truth, abs=1.5)  # quantization + rounding
 
 
 def test_ass_flow_reconstructs_exactly():
