@@ -26,7 +26,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -38,7 +37,8 @@ from .scenarios.config import (
     adversary_from_dict,
     ass_demo_from_dict,
     bench_from_dict,
-    load_json,
+    read_config,
+    read_seed,
     scenario_from_dict,
     sweep_from_dict,
 )
@@ -105,12 +105,7 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _resolve_seed(flag_seed, config_seed) -> int:
-    """--seed beats the config's seed, which its loader has checked."""
-    return config_seed if flag_seed is None else _parse_seed(flag_seed)
-
-
-def _write_reports(args, seed: int, workers: int, reports: dict) -> None:
+def _write_reports(args, config: bytes, seed: int, workers: int, reports: dict) -> None:
     """Write each report CSV into --out, then manifest.json: what ran, on
     what, and with which interpreter and numpy."""
     import csv
@@ -129,7 +124,7 @@ def _write_reports(args, seed: int, workers: int, reports: dict) -> None:
     manifest = {
         "subcommand": args.subcommand,
         "config": str(args.config),
-        "config_sha256": hashlib.sha256(Path(args.config).read_bytes()).hexdigest(),
+        "config_sha256": hashlib.sha256(config).hexdigest(),
         "seed": seed,
         "version": __version__,
         "python": ".".join(map(str, sys.version_info[:3])),
@@ -143,31 +138,28 @@ def _write_reports(args, seed: int, workers: int, reports: dict) -> None:
 
 
 # --------------------------------------------------------------------------
-# Subcommand bodies: (args, loaded config) -> (seed, workers, reports), where
+# Subcommand bodies: (args, loaded config) -> (workers, reports), where
 # reports maps each CSV name to its (header, rows)
 # --------------------------------------------------------------------------
 
 def _run_scenario(args, spec):
-    seed = _resolve_seed(args.seed, spec.seed)
-    spec = replace(spec, seed=seed)
     workers = worker_count(args.parallel, spec.repetitions)
     records = run_scenario(spec, workers=workers)
     rows = (
-        [r.scenario, r.message_id, r.compute_ms, r.hop_count, r.end_to_end_ms, seed]
+        [r.scenario, r.message_id, r.compute_ms, r.hop_count, r.end_to_end_ms, spec.seed]
         for r in records
     )
-    return seed, workers, {RECORDS_FILE.format(spec.name): (RECORD_COLUMNS, rows)}
+    return workers, {RECORDS_FILE.format(spec.name): (RECORD_COLUMNS, rows)}
 
 
 def _sweep_epsilon(args, cfg):
-    seed = _resolve_seed(args.seed, cfg.pop("seed"))
-    report = weight_sum_experiment(**cfg, seed=seed)
+    report = weight_sum_experiment(**cfg)
     _say(args, f"true sum {report.ground_truth:.3f}")
     utility = (
         [p.epsilon, p.mean_abs_err, p.median_abs_err, p.std_err, p.reps] for p in report.points
     )
     # persist the seeded ground-truth dataset next to the report
-    return seed, 1, {
+    return 1, {
         f"utility_{cfg['model']}.csv": (UTILITY_COLUMNS, utility),
         "ground_truth.csv": (GROUND_TRUTH_COLUMNS, enumerate(report.weights)),
     }
@@ -176,26 +168,24 @@ def _sweep_epsilon(args, cfg):
 def _adversary_sim(args, cfg):
     from . import adversary
 
-    seed = _resolve_seed(args.seed, cfg.pop("seed"))
-    grid = adversary.guess_rate_grid(**cfg, seed=seed)
+    grid = adversary.guess_rate_grid(**cfg)
     rows = (
         [r.epsilon, r.gap_ratio, r.analytic_pg, r.empirical_pg, r.trials, r.ci_halfwidth]
         for r in grid
     )
-    return seed, 1, {"adversary_guess_rates.csv": (ADVERSARY_COLUMNS, rows)}
+    return 1, {"adversary_guess_rates.csv": (ADVERSARY_COLUMNS, rows)}
 
 
 def _ass_demo(args, cfg):
     import numpy as np
 
-    seed = _resolve_seed(args.seed, cfg["seed"])
     params = cfg["encoding"]
     n, m = cfg["n"], cfg["m"]
     fp = ass.choose_modulus(n, params.q)
     sensor_ids = [f"s{i}" for i in range(n)]
     rows = []
     for rep in range(cfg["repetitions"]):
-        rng = np.random.default_rng(seed + rep)
+        rng = np.random.default_rng(cfg["seed"] + rep)
         values = rng.uniform(params.x_lo, params.x_hi, n)
         encoded = [encode(v, params) for v in values.tolist()]
         prefixes = ass.draw_prefixes(n, m, fp, rng)
@@ -225,17 +215,15 @@ def _ass_demo(args, cfg):
                 "",
             ]
         )
-    return seed, 1, {"ass_demo.csv": (ASS_DEMO_COLUMNS, rows)}
+    return 1, {"ass_demo.csv": (ASS_DEMO_COLUMNS, rows)}
 
 
 def _bench_suite(args, specs):
     import numpy as np
 
-    seed = _resolve_seed(args.seed, specs[0].seed)
     workers = worker_count(args.parallel, specs[0].repetitions)
     rows = []
     for spec in specs:
-        spec = replace(spec, seed=seed)
         records = run_scenario(spec, workers=workers)
         e2e = np.array([r.end_to_end_ms for r in records])
         rows.append(
@@ -250,7 +238,7 @@ def _bench_suite(args, specs):
                 len(records),
             ]
         )
-    return seed, workers, {"bench_suite.csv": (BENCH_COLUMNS, rows)}
+    return workers, {"bench_suite.csv": (BENCH_COLUMNS, rows)}
 
 
 class Subcommand(NamedTuple):
@@ -299,14 +287,18 @@ def _run(args) -> int:
     existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not existing.is_dir():
         raise ConfigError(f"--out: {existing} is not a directory")
+    flag_seed = None if args.seed is None else _parse_seed(args.seed)
+    data, raw = read_config(args.config)
+    seed = read_seed(raw)  # checked even when --seed replaces it
+    if flag_seed is not None:
+        seed = flag_seed
     command = SUBCOMMANDS[args.subcommand]
-    config = command.load(load_json(args.config))
-    _write_reports(args, *command.run(args, config))
+    _write_reports(args, data, seed, *command.run(args, command.load({**raw, "seed": seed})))
     return 0
 
 
 def _validate(args) -> int:
-    LOADERS[args.kind](load_json(args.config))
+    LOADERS[args.kind](read_config(args.config)[1])
     print(f"{args.config}: valid {args.kind} config")
     return 0
 

@@ -108,16 +108,16 @@ class AclTable:
     """Deny-by-default topic ACL: no matching grant means refusal.
 
     Grants are indexed by (permission, client id), so a check looks only
-    at the client's own grant patterns and the "*" ones. A client's
-    patterns are a tuple, so a client with one grant holds one small object.
+    at the client's own grant patterns. A client's patterns are a tuple, so
+    a client with one grant holds one small object.
     """
 
     def __init__(self):
         self._grants: dict[tuple[str, str], tuple[str, ...]] = {}
 
     def allow(self, client_id: str, pattern: str, permission: str) -> None:
-        """Grant `permission` on `pattern` to an exact client id, or "*" for
-        any; a grant the client already holds adds nothing."""
+        """Grant `permission` on `pattern` to an exact client id; a grant the
+        client already holds adds nothing."""
         if permission not in (PUBLISH, SUBSCRIBE):
             raise ValueError(f"permission must be publish or subscribe, got {permission!r}")
         validate_filter(pattern)
@@ -127,29 +127,26 @@ class AclTable:
             self._grants[key] = patterns + (pattern,)
 
     def _permits(self, permission: str, client_id: str, topic: str) -> bool:
-        grants = self._grants
-        for key in ((permission, client_id), (permission, "*")):
-            for pattern in grants.get(key, ()):
-                if topic_matches(pattern, topic):
-                    return True
+        for pattern in self._grants.get((permission, client_id), ()):
+            if topic_matches(pattern, topic):
+                return True
         return False
 
     def permits_publish(self, client_id: str, topic: str) -> bool:
         return self._permits(PUBLISH, client_id, topic)
 
     def permits_subscribe_topic(self, client_id: str, topic: str) -> bool:
-        """May this client receive messages published on this concrete topic?"""
-        return self._permits(SUBSCRIBE, client_id, topic)
+        """May this client receive messages on this concrete topic, or, as
+        `permits_subscribe_filter`, register this filter?
 
-    def permits_subscribe_filter(self, client_id: str, pattern: str) -> bool:
-        """May this client register this filter?
-
-        The requested filter is checked literally, as if it were a topic,
+        A requested filter is checked literally, as if it were a topic,
         against each grant pattern -- so a grant on 'cabin/#' covers a
         request for 'cabin/+/weight'. Deliveries are additionally checked
         per concrete topic, which is what makes the audit invariant hold.
         """
-        return self._permits(SUBSCRIBE, client_id, pattern)
+        return self._permits(SUBSCRIBE, client_id, topic)
+
+    permits_subscribe_filter = permits_subscribe_topic
 
 
 # --------------------------------------------------------------------------

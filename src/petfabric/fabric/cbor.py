@@ -83,10 +83,7 @@ def _encode_into(buf: bytearray, value) -> None:
         buf += _PACK_FLOAT64(_FLOAT64_HEAD, value)
     elif kind is dict:
         for key in value:
-            # int subclasses other than bool are keys too; `key < 0` runs only on ints
-            if (
-                type(key) is not int and (isinstance(key, bool) or not isinstance(key, int))
-            ) or key < 0:
+            if type(key) is not int or key < 0:
                 raise CborEncodeError(f"map keys must be unsigned integers, got {key!r}")
         _append_head(buf, _MAJOR_MAP, len(value))
         for key in sorted(value):
@@ -95,14 +92,8 @@ def _encode_into(buf: bytearray, value) -> None:
             else:
                 _append_head(buf, _MAJOR_UINT, key)
             _encode_into(buf, value[key])
-    elif isinstance(value, bool):
-        raise CborEncodeError("booleans are not part of the wire subset")
     else:
-        # subclasses (IntEnum, numpy float64, ...) encode as their base type
-        for base in (int, float, str, dict):
-            if isinstance(value, base):
-                return _encode_into(buf, base(value))
-        raise CborEncodeError(f"unsupported type {type(value).__name__}")
+        raise CborEncodeError(f"unsupported type {kind.__name__}")
 
 
 def encode(value) -> bytes:

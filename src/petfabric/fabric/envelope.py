@@ -85,7 +85,7 @@ class Envelope:
         epsilon: Optional[float] = None,
         timestamp_us: int = 0,
     ) -> None:
-        if not isinstance(sensor_id, str):
+        if type(sensor_id) is not str:
             raise EnvelopeError(f"sensor_id must be text, got {sensor_id!r}")
         # the wire carries only plain ints: no float, bool or numpy integer
         if type(sequence) is not int:

@@ -139,22 +139,13 @@ class PetConfig:
 
 
 @dataclass(frozen=True)
-class SensorConfig:
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ConfigError(f"sensors.count: need at least one sensor, got {self.count}")
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """Everything needed to reproduce one benchmark scenario from a seed."""
 
     name: str
     topology: Topology
     pet: PetConfig
-    sensors: SensorConfig
+    sensors: int  # how many sensors report: the config's sensors.count
     encoding: EncodingParams
     latency: LatencyModel
     compute_ms: float = 0.0
@@ -162,6 +153,8 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.sensors < 1:
+            raise ConfigError(f"sensors.count: need at least one sensor, got {self.sensors}")
         if not self.name:
             raise ConfigError("name: must not be empty")
         if any(c in self.name for c in "/\\\0"):
@@ -183,22 +176,22 @@ class ScenarioSpec:
         if kind == RELAY_CHAIN:
             if pet != PET_NONE:
                 raise ConfigError("pet.kind: relay-chain carries unprocessed messages only")
-            if self.sensors.count != 1:
+            if self.sensors != 1:
                 raise ConfigError("sensors.count: relay-chain measures a single source")
         if kind == VIRTUALIZED:
             if pet in (PET_LDP, PET_KRR):
                 raise ConfigError(
                     f"pet.kind: {pet} perturbs at the source; it has no virtualized form"
                 )
-            if pet == PET_ASS and self.sensors.count != 1:
+            if pet == PET_ASS and self.sensors != 1:
                 raise ConfigError("sensors.count: virtualized ass splits one source value")
-            if pet == PET_NONE and self.sensors.count != 1:
+            if pet == PET_NONE and self.sensors != 1:
                 raise ConfigError("sensors.count: a virtualized relay forwards one source")
-        check_elements(self.sensors.count, self.pet.m or 1, "sensors.count")
-        check_sum_fits(self.sensors.count, self.encoding, "sensors.count")
+        check_elements(self.sensors, self.pet.m or 1, "sensors.count")
+        check_sum_fits(self.sensors, self.encoding, "sensors.count")
         if pet in (PET_LDP, PET_GDP):
             q = self.encoding.q
-            check_noise_fits(self.sensors.count, q, None, self.pet.epsilon, "pet.epsilon")
+            check_noise_fits(self.sensors, q, None, self.pet.epsilon, "pet.epsilon")
         hops = hop_bound(self.pet.m, self.topology.depth)
         check_clock_fits(self.repetitions, self.compute_ms, hops, self.latency, "compute_ms")
 
@@ -354,6 +347,11 @@ def read_int(raw: dict, key: str, where: str, default=_REQUIRED) -> Optional[int
     return value
 
 
+def read_seed(raw: dict) -> int:
+    """The config's seed: an integer >= 0, 0 when absent."""
+    return at_least(read_int(raw, "seed", "config", 0), 0, "seed")
+
+
 def _finite(value) -> Optional[float]:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
@@ -416,10 +414,13 @@ def _refuse_duplicates(value, where: str = "") -> None:
             _refuse_duplicates(item, f"{where}[{i}]")
 
 
-def load_json(path) -> dict:
-    """Read a UTF-8 config file that must hold one JSON object."""
+def read_config(path) -> tuple[bytes, dict]:
+    """Read a UTF-8 config file that must hold one JSON object: its bytes,
+    which the manifest hashes, and the object parsed from them."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        # newlines as read_text gives them, so JSON error positions stay
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config ({exc})") from None
     try:
@@ -437,7 +438,7 @@ def load_json(path) -> dict:
         ) from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return raw
+    return data, raw
 
 
 def encoding_from_dict(raw: dict) -> EncodingParams:
@@ -516,32 +517,27 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         kind = read_str(sensors_raw["generator"], "kind", "sensors.generator")
         if kind != "uniform":
             raise ConfigError(f"sensors.generator.kind: unknown kind {kind!r}")
-    sensors = SensorConfig(count=read_int(sensors_raw, "count", "sensors", 1))
     return ScenarioSpec(
         name=read_str(raw, "name", "config"),
         topology=topology,
         pet=pet,
-        sensors=sensors,
+        sensors=read_int(sensors_raw, "count", "sensors", 1),
         encoding=encoding_from_dict(require_key(raw, "encoding", "config")),
         latency=latency_from_config(require_key(raw, "latency", "config")),
         compute_ms=read_number(raw, "compute_ms", "config", 0.0),
         repetitions=read_int(raw, "repetitions", "config", 1),
-        seed=read_int(raw, "seed", "config", 0),
+        seed=read_seed(raw),
     )
 
 
 def load_scenario(path) -> ScenarioSpec:
     """Read and validate a scenario config file."""
-    return scenario_from_dict(load_json(path))
+    return scenario_from_dict(read_config(path)[1])
 
 
 # --------------------------------------------------------------------------
 # Experiment configs: one loader per CLI subcommand beyond run-scenario
 # --------------------------------------------------------------------------
-
-def _seed(raw: dict) -> int:
-    return at_least(read_int(raw, "seed", "config", 0), 0, "seed")
-
 
 def _positive(value: float, field: str) -> float:
     if not value > 0:
@@ -588,7 +584,7 @@ def sweep_from_dict(raw: dict) -> dict:
         "eps_grid": eps_grid,
         "reps": reps,
         "sensitivity": sensitivity,
-        "seed": _seed(raw),
+        "seed": read_seed(raw),
     }
 
 
@@ -620,7 +616,7 @@ def adversary_from_dict(raw: dict) -> dict:
         "sensitivity": sensitivity,
         "trials": trials,
         "model": model,
-        "seed": _seed(raw),
+        "seed": read_seed(raw),
     }
 
 
@@ -638,7 +634,7 @@ def ass_demo_from_dict(raw: dict) -> dict:
         "encoding": params,
         "repetitions": at_least(read_int(raw, "repetitions", "config", 100), 1, "repetitions"),
         "drop_one_share": optional_bool(raw, "drop_one_share", "config"),
-        "seed": _seed(raw),
+        "seed": read_seed(raw),
     }
 
 
@@ -664,7 +660,7 @@ def bench_from_dict(raw: dict) -> list[ScenarioSpec]:
         hops = hop_bound(m if pet == PET_ASS else None, 0)
         compute_ms = compute.get(key, reference_ms)
         check_clock_fits(repetitions, compute_ms, hops, latency, f"compute_ms.{key}")
-    seed = _seed(raw)
+    seed = read_seed(raw)
     pets = {
         PET_NONE: PetConfig(PET_NONE),
         PET_LDP: PetConfig(PET_LDP, epsilon=epsilon),
@@ -676,7 +672,7 @@ def bench_from_dict(raw: dict) -> list[ScenarioSpec]:
             name=name,
             topology=Topology(topology),
             pet=pets[pet],
-            sensors=SensorConfig(count=sensors),
+            sensors=sensors,
             encoding=SUITE_ENCODING,
             latency=latency,
             compute_ms=compute.get(key, reference_ms),

@@ -159,7 +159,7 @@ def _run_once(
     if filler_rate > 0:
         path.broker.inject_load(filler_rate, filler_window_s)
     params = spec.encoding
-    values = rng.uniform(params.x_lo, params.x_hi, spec.sensors.count).tolist()
+    values = rng.uniform(params.x_lo, params.x_hi, spec.sensors).tolist()
     encoded = [encode(v, params) for v in values]
     if spec.topology.kind == RELAY_CHAIN:
         flow = _relay_flow

@@ -22,7 +22,7 @@ from petfabric.codec import EncodingParams, decode_sum, encode
 from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
 from petfabric.fabric.cbor import CborDecodeError
 from petfabric.fabric.envelope import Envelope, EnvelopeError, Scheme, cbor_decode, cbor_encode
-from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology, bench_from_dict
+from petfabric.scenarios.config import PetConfig, ScenarioSpec, Topology, bench_from_dict
 from petfabric.scenarios.experiments import generate_weights, load_test, weight_sum_experiment
 from petfabric.scenarios.runner import run_scenario, run_scenario_outcomes
 
@@ -165,7 +165,7 @@ def test_07_relay_chain_hop_structure():
             name="relay-chain-5",
             topology=Topology("relay-chain", depth=5),
             pet=PetConfig("none"),
-            sensors=SensorConfig(),
+            sensors=1,
             encoding=EncodingParams(1, 50, 120),
             latency=LatencyModel(3.88),
             compute_ms=0.0,
@@ -196,7 +196,7 @@ def test_09_load_neutrality():
             name="ldp-under-load",
             topology=Topology("on-device"),
             pet=PetConfig("ldp", epsilon=0.01),
-            sensors=SensorConfig(),
+            sensors=1,
             encoding=EncodingParams(1, 50, 120),
             latency=LATENCY_PRESETS["wifi-no-powersave"],
             compute_ms=0.488,
@@ -212,7 +212,7 @@ def test_10_share_loss_fragility():
     with criterion(10, "share-loss fragility", 10.0):
         common = dict(
             topology=Topology("on-device"),
-            sensors=SensorConfig(count=5),
+            sensors=5,
             encoding=EncodingParams(1, 50, 120),
             latency=LatencyModel(2.494),
             compute_ms=0.591,

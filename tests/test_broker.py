@@ -33,11 +33,18 @@ def env_for(topic, value=1, sensor="s1", seq=0):
     )
 
 
+#: every client id the tests below register on an open table
+OPEN_CLIENTS = ("p", "c", "s", "a", "b", "pub", "sub", "source", "sink") + tuple(
+    f"relay{i}" for i in range(1, 6)
+)
+
+
 def open_acl():
-    """A table granting every client publish and subscribe on every topic."""
+    """A table granting each of OPEN_CLIENTS publish and subscribe on every topic."""
     acl = AclTable()
-    acl.allow("*", "#", PUBLISH)
-    acl.allow("*", "#", SUBSCRIBE)
+    for client in OPEN_CLIENTS:
+        acl.allow(client, "#", PUBLISH)
+        acl.allow(client, "#", SUBSCRIBE)
     return acl
 
 
@@ -127,7 +134,7 @@ def test_acl_deny_by_default():
 def test_acl_grants_and_wildcard_client():
     acl = AclTable()
     acl.allow("pub", "cabin/data/#", PUBLISH)
-    acl.allow("*", "cabin/#", SUBSCRIBE)
+    acl.allow("anyone", "cabin/#", SUBSCRIBE)
     broker = make_broker(acl)
     for c in ("pub", "anyone"):
         broker.register_client(c)
@@ -139,8 +146,9 @@ def test_acl_grants_and_wildcard_client():
         broker.publish("pub", env_for("galley/data/x"))
 
 
-# (client, pattern, permission): exact ids and "*", with '+', '#', a parent-
-# level '#' and exact patterns, for both permissions
+# (client, pattern, permission): client ids, "*" among them as a plain id that
+# stands for no other client, with '+', '#', a parent-level '#' and exact
+# patterns, for both permissions
 ACL_GRANTS = [
     ("c1", "cabin/sim/s1/value", PUBLISH),
     ("*", "cabin/+/weight", SUBSCRIBE),
@@ -181,7 +189,7 @@ def reference_match(pattern, topic):
 
 def reference_permits(grants, permission, client, topic):
     return any(
-        granted == permission and grantee in (client, "*") and reference_match(pattern, topic)
+        granted == permission and grantee == client and reference_match(pattern, topic)
         for grantee, pattern, granted in grants
     )
 

@@ -3,10 +3,12 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from petfabric.fabric.cbor import CborDecodeError, CborEncodeError, _decode_item, decode, encode
+from petfabric.fabric.envelope import Scheme
 
 # reference byte strings from the CBOR specification's integer/string tables
 VECTORS = [
@@ -69,9 +71,15 @@ def test_same_value_same_bytes():
     assert encode(payload) == encode(dict(payload))
 
 
+class Text(str):
+    pass
+
+
 @pytest.mark.parametrize(
     "value",
-    [True, False, None, b"bytes", [1, 2], {"str": 1}, {-1: 2}, {1.5: 2}, {True: 1}, 2**64, -(2**64) - 1],
+    [True, False, None, b"bytes", [1, 2], {"str": 1}, {-1: 2}, {1.5: 2}, {True: 1}, 2**64, -(2**64) - 1,
+     # only the exact types encode: a subclass is refused, not cast to its base
+     Scheme.LDP, np.float64(0.5), Text("s1")],
 )
 def test_encode_rejects_out_of_subset(value):
     with pytest.raises(CborEncodeError):

@@ -1,9 +1,11 @@
 """CLI: exit codes, manifests, CSV schemas, seed plumbing, determinism."""
 
+import builtins
 import concurrent.futures
 import csv
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -485,7 +487,7 @@ CONFIGS = {
 
 
 @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
-@pytest.mark.parametrize("source", ["--seed", "seed"])
+@pytest.mark.parametrize("source", ["--seed", "seed", "seed-with-flag"])
 def test_negative_seed_exits_2_naming_its_source(tmp_path, capsys, subcommand, source):
     config = CONFIGS[subcommand]
     argv = [subcommand, "--out", str(tmp_path / "o")]
@@ -493,10 +495,57 @@ def test_negative_seed_exits_2_naming_its_source(tmp_path, capsys, subcommand, s
         argv += ["--seed", "-1"]
     else:
         config = {**config, "seed": -1}
+    if source == "seed-with-flag":  # the file's seed is checked even when --seed replaces it
+        argv += ["--seed", "5"]
     argv += ["--config", write(tmp_path, "cfg.json", config)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"config error: {source}: must be >= 0, got -1\n"
+    field = "--seed" if source == "--seed" else "seed"
+    assert capsys.readouterr().err == f"config error: {field}: must be >= 0, got -1\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_bad_seed_exits_2_before_the_config_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    argv = ["run-scenario", "--config", missing, "--out", str(tmp_path / "o"), "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: --seed: must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+def test_each_run_reads_its_config_once(tmp_path, monkeypatch, subcommand):
+    cfg = write(tmp_path, "cfg.json", CONFIGS[subcommand])
+    real_open = io.open
+    reads = []
+
+    def counting_open(file, *args, **kwargs):
+        # Path.read_bytes and Path.read_text open through io.open
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == cfg:
+            reads.append(args)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(reads) == 1, reads
+
+
+@pytest.mark.parametrize("change", ["rewritten", "deleted"])
+def test_manifest_hashes_the_config_that_ran(tmp_path, monkeypatch, change):
+    cfg = Path(write(tmp_path, "baseline.json", BASELINE))
+    ran = hashlib.sha256(cfg.read_bytes()).hexdigest()
+    run = cli.run_scenario
+
+    def change_then_run(spec, **kwargs):
+        if change == "deleted":
+            cfg.unlink()
+        else:
+            cfg.write_text(json.dumps({**BASELINE, "seed": 7}))
+        return run(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", change_then_run)
+    out = tmp_path / "out"
+    assert main(["run-scenario", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config_sha256"] == ran
 
 
 @pytest.mark.parametrize("subcommand", ["run-scenario", "bench-suite"])

@@ -11,7 +11,7 @@ from scipy.stats import ks_2samp
 
 from petfabric.codec import EncodingParams, decode_sum, encode
 from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
-from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology
+from petfabric.scenarios.config import PetConfig, ScenarioSpec, Topology
 from petfabric.scenarios.experiments import (
     _ks_2samp_equal,
     generate_weights,
@@ -120,7 +120,7 @@ def ldp_load_spec(reps=200, seed=909):
         name="ldp-under-load",
         topology=Topology("on-device"),
         pet=PetConfig("ldp", epsilon=0.01),
-        sensors=SensorConfig(),
+        sensors=1,
         encoding=EncodingParams(1, 50, 120),
         latency=LATENCY_PRESETS["wifi-no-powersave"],
         compute_ms=0.488,
@@ -157,7 +157,7 @@ def test_load_test_constant_latency_is_trivially_neutral():
         name="const",
         topology=Topology("on-device"),
         pet=PetConfig("none"),
-        sensors=SensorConfig(),
+        sensors=1,
         encoding=EncodingParams(1, 50, 120),
         latency=LatencyModel(2.494),
         compute_ms=0.307,

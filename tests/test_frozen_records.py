@@ -15,6 +15,10 @@ from petfabric.fabric.broker import PUBLISH, SUBSCRIBE, AclTable, MalformedTopic
 from petfabric.fabric.envelope import Envelope, EnvelopeError, Scheme
 
 
+class Text(str):
+    pass
+
+
 def envelope(**overrides):
     fields = dict(topic="cabin/t", sensor_id="s1", sequence=3, scheme=Scheme.LDP, value=-39,
                   epsilon=0.5, timestamp_us=1_000)
@@ -155,6 +159,8 @@ ENVELOPE_REFUSALS = [
     (dict(scheme=1.0), "unknown scheme tag 1.0"),
     (dict(scheme=True), "unknown scheme tag True"),
     (dict(scheme=np.int64(1)), f"unknown scheme tag {np.int64(1)!r}"),
+    # only a plain str is a sensor id, as the wire encodes exact types only
+    (dict(sensor_id=Text("s1")), "sensor_id must be text, got 's1'"),
 ]
 
 

@@ -18,7 +18,7 @@ from petfabric.codec import EncodingParams
 from petfabric.fabric import broker as broker_module
 from petfabric.fabric.broker import PUBLISH, AclTable, Broker, LatencyModel, topic_matches
 from petfabric.fabric.envelope import Scheme
-from petfabric.scenarios.config import PetConfig, ScenarioSpec, SensorConfig, Topology
+from petfabric.scenarios.config import PetConfig, ScenarioSpec, Topology
 from petfabric.scenarios.runner import DATA_FILTER, DATA_TOPIC, _Path, run_scenario_outcomes
 
 ON_DEVICE = Topology("on-device")
@@ -80,7 +80,7 @@ def flow_spec(name: str) -> ScenarioSpec:
         name=name,
         topology=topology,
         pet=pet,
-        sensors=SensorConfig(count=n),
+        sensors=n,
         encoding=EncodingParams(1, 50, 120),
         latency=LatencyModel(2.0, 0.5),
         compute_ms=0.307,

@@ -15,7 +15,6 @@ from petfabric.scenarios.config import (
     PetConfig,
     REFERENCE_COMPUTE_MS,
     ScenarioSpec,
-    SensorConfig,
     Topology,
     ass_demo_from_dict,
     bench_from_dict,
@@ -33,7 +32,7 @@ def make_spec(**overrides):
         name="test",
         topology=Topology("on-device"),
         pet=PetConfig("none"),
-        sensors=SensorConfig(),
+        sensors=1,
         encoding=PARAMS,
         latency=LatencyModel(2.494),
         compute_ms=0.307,
@@ -240,7 +239,7 @@ def test_relay_chain_constraints():
         make_spec(topology=Topology("relay-chain", depth=5), pet=PetConfig("ldp", epsilon=1))
     with pytest.raises(ConfigError, match="single source"):
         make_spec(
-            topology=Topology("relay-chain", depth=5), sensors=SensorConfig(count=2)
+            topology=Topology("relay-chain", depth=5), sensors=2
         )
 
 
@@ -251,13 +250,13 @@ def test_virtualized_constraints():
         make_spec(
             topology=Topology("virtualized"),
             pet=PetConfig("ass", m=3),
-            sensors=SensorConfig(count=2),
+            sensors=2,
         )
     with pytest.raises(ConfigError, match="one source"):
         make_spec(
             topology=Topology("virtualized"),
             pet=PetConfig("none"),
-            sensors=SensorConfig(count=2),
+            sensors=2,
         )
 
 
@@ -376,7 +375,7 @@ def test_parallel_workers_match_serial():
 
 def test_raw_flow_reproduces_values():
     spec = make_spec(
-        sensors=SensorConfig(count=4), latency=LatencyModel(1.0), repetitions=5
+        sensors=4, latency=LatencyModel(1.0), repetitions=5
     )
     for out in run_scenario_outcomes(spec):
         assert out.error is None
@@ -387,7 +386,7 @@ def test_raw_flow_reproduces_values():
 def test_virtualized_relay_forwards_the_value():
     spec = make_spec(
         topology=Topology("virtualized"),
-        sensors=SensorConfig(count=1),
+        sensors=1,
         compute_ms=0.0,
         repetitions=3,
     )
@@ -399,7 +398,7 @@ def test_virtualized_relay_forwards_the_value():
 def test_ass_flow_reconstructs_exactly():
     spec = make_spec(
         pet=PetConfig("ass", m=3),
-        sensors=SensorConfig(count=5),
+        sensors=5,
         compute_ms=0.591,
         repetitions=10,
     )
@@ -412,7 +411,7 @@ def test_ass_flow_reconstructs_exactly():
 def test_ass_drop_injection_names_the_lost_share():
     spec = make_spec(
         pet=PetConfig("ass", m=3, drop_one_share=True),
-        sensors=SensorConfig(count=5),
+        sensors=5,
         repetitions=20,
     )
     outs = run_scenario_outcomes(spec)
@@ -454,7 +453,7 @@ def test_krr_flow_stays_in_domain():
 def test_the_topic_match_memo_keeps_every_pair_of_a_large_run():
     # each sensor adds a grant and a subscription pair to the memo, so 2,500
     # sensors hold more pairs than a memo bounded at 4,096 would keep
-    spec = make_spec(sensors=SensorConfig(count=2500), repetitions=2)
+    spec = make_spec(sensors=2500, repetitions=2)
     run_scenario(spec)
     misses = topic_matches.cache_info().misses
     run_scenario(spec)
