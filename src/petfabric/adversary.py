@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from . import ass
 from .dp import GDP_MODEL, LDP_MODEL, PrivacyBudget, sample_laplace
@@ -80,8 +80,7 @@ def empirical_guess_rate(
     return float(np.mean(guessed_high == high_truth))
 
 
-@dataclass(frozen=True)
-class GuessRateRow:
+class GuessRateRow(NamedTuple):
     """One grid point of the distinguisher sweep (one CSV row)."""
 
     epsilon: float

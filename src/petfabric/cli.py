@@ -42,7 +42,7 @@ from .scenarios.config import (
     scenario_from_dict,
     sweep_from_dict,
 )
-from .scenarios.experiments import median, weight_sum_experiment
+from .scenarios.experiments import UtilityPoint, median, weight_sum_experiment
 from .scenarios.runner import run_scenario, worker_count
 
 #: Most worker processes `--parallel` may ask for; a process pool starts
@@ -50,16 +50,7 @@ from .scenarios.runner import run_scenario, worker_count
 MAX_WORKERS = 64
 
 RECORD_COLUMNS = ["scenario", "rep", "compute_ms", "hops", "end_to_end_ms", "seed"]
-UTILITY_COLUMNS = ["epsilon", "mean_abs_err", "median_abs_err", "std_err", "reps"]
 GROUND_TRUTH_COLUMNS = ["index", "weight"]
-ADVERSARY_COLUMNS = [
-    "epsilon",
-    "gap_ratio",
-    "analytic_pg",
-    "empirical_pg",
-    "trials",
-    "ci_halfwidth",
-]
 ASS_DEMO_COLUMNS = [
     "rep",
     "n",
@@ -155,12 +146,9 @@ def _run_scenario(args, spec):
 def _sweep_epsilon(args, cfg):
     report = weight_sum_experiment(**cfg)
     _say(args, f"true sum {report.ground_truth:.3f}")
-    utility = (
-        [p.epsilon, p.mean_abs_err, p.median_abs_err, p.std_err, p.reps] for p in report.points
-    )
     # persist the seeded ground-truth dataset next to the report
     return 1, {
-        f"utility_{cfg['model']}.csv": (UTILITY_COLUMNS, utility),
+        f"utility_{cfg['model']}.csv": (UtilityPoint._fields, report.points),
         "ground_truth.csv": (GROUND_TRUTH_COLUMNS, enumerate(report.weights)),
     }
 
@@ -169,11 +157,7 @@ def _adversary_sim(args, cfg):
     from . import adversary
 
     grid = adversary.guess_rate_grid(**cfg)
-    rows = (
-        [r.epsilon, r.gap_ratio, r.analytic_pg, r.empirical_pg, r.trials, r.ci_halfwidth]
-        for r in grid
-    )
-    return 1, {"adversary_guess_rates.csv": (ADVERSARY_COLUMNS, rows)}
+    return 1, {"adversary_guess_rates.csv": (adversary.GuessRateRow._fields, grid)}
 
 
 def _ass_demo(args, cfg):
@@ -229,8 +213,8 @@ def _bench_suite(args, specs):
         rows.append(
             [
                 spec.name,
-                spec.topology.kind,
-                spec.pet.kind,
+                spec.topology,
+                spec.pet,
                 records[0].hop_count,
                 spec.compute_ms,
                 float(e2e.mean()),

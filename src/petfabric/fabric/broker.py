@@ -32,19 +32,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class FabricError(Exception):
-    """Base class for transport-level failures."""
-
-
-class AclDeniedError(FabricError):
+class AclDeniedError(Exception):
     """The ACL table has no entry granting this action."""
 
 
-class UnknownClientError(FabricError):
+class UnknownClientError(Exception):
     """The client id was never registered with the broker."""
 
 
-class MalformedTopicError(FabricError):
+class MalformedTopicError(Exception):
     """Topic or filter string violates the MQTT-style grammar."""
 
 

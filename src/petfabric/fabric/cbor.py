@@ -15,15 +15,11 @@ from __future__ import annotations
 import struct
 
 
-class CborError(ValueError):
-    """Base class for wire-format failures."""
-
-
-class CborEncodeError(CborError):
+class CborEncodeError(ValueError):
     """Value cannot be represented in the canonical subset."""
 
 
-class CborDecodeError(CborError):
+class CborDecodeError(ValueError):
     """Bytes are malformed or not in canonical form."""
 
 

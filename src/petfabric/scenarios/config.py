@@ -1,14 +1,15 @@
 """Config schemas: the typed scenario spec, the strict loader of every
 config file the CLI reads, and the six-placement benchmark suite.
 
-Scenario configs mirror the ScenarioSpec fields one-to-one, and a bench
-config loads into the six ScenarioSpecs it runs; the sweep and adversary
-configs load into the keyword arguments of their runners, and the ass-demo
-config into a plain dict. Loading is strict: unknown keys anywhere in the
-document are rejected, fields are read by typed readers that coerce nothing
-(`read_int`, `read_number`, `read_str`) and refuse null, which never stands
-in for an absent key; every range a run relies on is checked here, so a
-config that validates also runs, and every validation message names the
+A scenario config loads into one flat ScenarioSpec, whose topology, depth,
+pet, epsilon, m and drop_one_share are the config's topology.* and pet.*,
+and a bench config into the six ScenarioSpecs it runs; the sweep and
+adversary configs load into the keyword arguments of their runners, and the
+ass-demo config into a plain dict. Loading is strict: unknown keys anywhere
+in the document are rejected, fields are read by typed readers that coerce
+nothing (`read_int`, `read_number`, `read_str`) and refuse null, which never
+stands in for an absent key; every range a run relies on is checked here, so
+a config that validates also runs, and every validation message names the
 offending field, so a typo cannot silently change what a benchmark measures.
 Encoding parameters are stored as {k, x_lo, x_hi} only; the derived
 quantities are always recomputed.
@@ -94,38 +95,41 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Topology:
-    kind: str
+class ScenarioSpec:
+    """Everything needed to reproduce one benchmark scenario from a seed."""
+
+    name: str
+    topology: str  # the config's topology.kind
+    pet: str  # the config's pet.kind
+    sensors: int  # how many sensors report: the config's sensors.count
+    encoding: EncodingParams
+    latency: LatencyModel
     depth: int = 0  # relay-chain only
+    epsilon: Optional[float] = None
+    m: Optional[int] = None  # ass only
+    drop_one_share: bool = False  # ass only: inject loss of one random share
+    compute_ms: float = 0.0
+    repetitions: int = 1
+    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in (ON_DEVICE, VIRTUALIZED, RELAY_CHAIN):
-            raise ConfigError(f"topology.kind: unknown kind {self.kind!r}")
-        if self.kind == RELAY_CHAIN:
+        kind, pet = self.topology, self.pet
+        if kind not in (ON_DEVICE, VIRTUALIZED, RELAY_CHAIN):
+            raise ConfigError(f"topology.kind: unknown kind {kind!r}")
+        if kind == RELAY_CHAIN:
             if self.depth < 1:
                 raise ConfigError("topology.depth: relay chain needs depth >= 1")
             check_elements(self.depth, 1, "topology.depth")
         elif self.depth != 0:
             raise ConfigError(f"topology.depth: only valid for relay-chain, got {self.depth}")
-
-
-@dataclass(frozen=True)
-class PetConfig:
-    kind: str
-    epsilon: Optional[float] = None
-    m: Optional[int] = None  # ass only
-    drop_one_share: bool = False  # ass only: inject loss of one random share
-
-    def __post_init__(self) -> None:
-        if self.kind not in (PET_NONE, PET_LDP, PET_GDP, PET_ASS, PET_KRR):
-            raise ConfigError(f"pet.kind: unknown kind {self.kind!r}")
-        needs_eps = self.kind in (PET_LDP, PET_GDP, PET_KRR)
-        if needs_eps:
+        if pet not in (PET_NONE, PET_LDP, PET_GDP, PET_ASS, PET_KRR):
+            raise ConfigError(f"pet.kind: unknown kind {pet!r}")
+        if pet in (PET_LDP, PET_GDP, PET_KRR):
             if self.epsilon is None or not self.epsilon > 0:
-                raise ConfigError(f"pet.epsilon: {self.kind} needs a positive epsilon")
+                raise ConfigError(f"pet.epsilon: {pet} needs a positive epsilon")
         elif self.epsilon is not None:
-            raise ConfigError(f"pet.epsilon: not valid for {self.kind}")
-        if self.kind == PET_ASS:
+            raise ConfigError(f"pet.epsilon: not valid for {pet}")
+        if pet == PET_ASS:
             if self.m is None or self.m < 2:
                 raise ConfigError(
                     "pet.m: additive sharing needs at least 2 channels (m >= 2)"
@@ -136,23 +140,6 @@ class PetConfig:
                 raise ConfigError("pet.m: only valid for ass")
             if self.drop_one_share:
                 raise ConfigError("pet.drop_one_share: only valid for ass")
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Everything needed to reproduce one benchmark scenario from a seed."""
-
-    name: str
-    topology: Topology
-    pet: PetConfig
-    sensors: int  # how many sensors report: the config's sensors.count
-    encoding: EncodingParams
-    latency: LatencyModel
-    compute_ms: float = 0.0
-    repetitions: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
         if self.sensors < 1:
             raise ConfigError(f"sensors.count: need at least one sensor, got {self.sensors}")
         if not self.name:
@@ -171,8 +158,6 @@ class ScenarioSpec:
         at_least(self.compute_ms, 0, "compute_ms")
         at_least(self.repetitions, 1, "repetitions")
         at_least(self.seed, 0, "seed")
-        kind = self.topology.kind
-        pet = self.pet.kind
         if kind == RELAY_CHAIN:
             if pet != PET_NONE:
                 raise ConfigError("pet.kind: relay-chain carries unprocessed messages only")
@@ -187,12 +172,12 @@ class ScenarioSpec:
                 raise ConfigError("sensors.count: virtualized ass splits one source value")
             if pet == PET_NONE and self.sensors != 1:
                 raise ConfigError("sensors.count: a virtualized relay forwards one source")
-        check_elements(self.sensors, self.pet.m or 1, "sensors.count")
+        check_elements(self.sensors, self.m or 1, "sensors.count")
         check_sum_fits(self.sensors, self.encoding, "sensors.count")
         if pet in (PET_LDP, PET_GDP):
             q = self.encoding.q
-            check_noise_fits(self.sensors, q, None, self.pet.epsilon, "pet.epsilon")
-        hops = hop_bound(self.pet.m, self.topology.depth)
+            check_noise_fits(self.sensors, q, None, self.epsilon, "pet.epsilon")
+        hops = hop_bound(self.m, self.depth)
         check_clock_fits(self.repetitions, self.compute_ms, hops, self.latency, "compute_ms")
 
 
@@ -492,21 +477,12 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     )
     topo_raw = require_key(raw, "topology", "config")
     check_keys(topo_raw, {"kind", "depth"}, "topology")
-    topology = Topology(
-        kind=read_str(topo_raw, "kind", "topology"),
-        depth=read_int(topo_raw, "depth", "topology", 0),
-    )
     pet_raw = require_key(raw, "pet", "config")
     check_keys(pet_raw, {"kind", "epsilon", "aggregator", "m", "drop_one_share"}, "pet")
-    pet = PetConfig(
-        kind=read_str(pet_raw, "kind", "pet"),
-        epsilon=read_number(pet_raw, "epsilon", "pet", None),
-        m=read_int(pet_raw, "m", "pet", None),
-        drop_one_share=optional_bool(pet_raw, "drop_one_share", "pet"),
-    )
+    pet = read_str(pet_raw, "kind", "pet")
     if "aggregator" in pet_raw:  # gdp releases a sum; a config may say so
         aggregator = read_str(pet_raw, "aggregator", "pet")
-        if pet.kind != PET_GDP:
+        if pet != PET_GDP:
             raise ConfigError("pet.aggregator: only valid for gdp")
         if aggregator != "sum":
             raise ConfigError(f"pet.aggregator: expected sum, got {aggregator!r}")
@@ -519,11 +495,15 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
             raise ConfigError(f"sensors.generator.kind: unknown kind {kind!r}")
     return ScenarioSpec(
         name=read_str(raw, "name", "config"),
-        topology=topology,
+        topology=read_str(topo_raw, "kind", "topology"),
         pet=pet,
         sensors=read_int(sensors_raw, "count", "sensors", 1),
         encoding=encoding_from_dict(require_key(raw, "encoding", "config")),
         latency=latency_from_config(require_key(raw, "latency", "config")),
+        depth=read_int(topo_raw, "depth", "topology", 0),
+        epsilon=read_number(pet_raw, "epsilon", "pet", None),
+        m=read_int(pet_raw, "m", "pet", None),
+        drop_one_share=optional_bool(pet_raw, "drop_one_share", "pet"),
         compute_ms=read_number(raw, "compute_ms", "config", 0.0),
         repetitions=read_int(raw, "repetitions", "config", 1),
         seed=read_seed(raw),
@@ -661,20 +641,16 @@ def bench_from_dict(raw: dict) -> list[ScenarioSpec]:
         compute_ms = compute.get(key, reference_ms)
         check_clock_fits(repetitions, compute_ms, hops, latency, f"compute_ms.{key}")
     seed = read_seed(raw)
-    pets = {
-        PET_NONE: PetConfig(PET_NONE),
-        PET_LDP: PetConfig(PET_LDP, epsilon=epsilon),
-        PET_GDP: PetConfig(PET_GDP, epsilon=epsilon),
-        PET_ASS: PetConfig(PET_ASS, m=m),
-    }
     return [
         ScenarioSpec(
             name=name,
-            topology=Topology(topology),
-            pet=pets[pet],
+            topology=topology,
+            pet=pet,
             sensors=sensors,
             encoding=SUITE_ENCODING,
             latency=latency,
+            epsilon=epsilon if pet in (PET_LDP, PET_GDP) else None,
+            m=m if pet == PET_ASS else None,
             compute_ms=compute.get(key, reference_ms),
             repetitions=repetitions,
             seed=seed,

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .. import dp
 # decode is unused here, but perfbench/tracing.py wraps experiments.decode
@@ -26,8 +26,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class UtilityPoint:
+class UtilityPoint(NamedTuple):
     """Error statistics versus ground truth at one epsilon (one CSV row)."""
 
     epsilon: float

@@ -161,9 +161,9 @@ def _run_once(
     params = spec.encoding
     values = rng.uniform(params.x_lo, params.x_hi, spec.sensors).tolist()
     encoded = [encode(v, params) for v in values]
-    if spec.topology.kind == RELAY_CHAIN:
+    if spec.topology == RELAY_CHAIN:
         flow = _relay_flow
-    elif spec.pet.kind == PET_ASS:
+    elif spec.pet == PET_ASS:
         flow = _share_flow
     else:
         flow = _value_flow
@@ -180,11 +180,11 @@ def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
     params, pet, n = spec.encoding, spec.pet, len(values)
     sensors = [f"s{i}" for i in range(n)]
     topics = [DATA_TOPIC.format(sensor=sid) for sid in sensors]
-    virtualized = spec.topology.kind == VIRTUALIZED
+    virtualized = spec.topology == VIRTUALIZED
     hub = "vnode" if virtualized else "aggregator"
     if virtualized:
         path.link(sensors, topics, hub, DATA_FILTER)
-    if virtualized or pet.kind == PET_GDP:
+    if virtualized or pet == PET_GDP:
         path.link([hub], [OUT_TOPIC], "consumer", OUT_TOPIC)
     else:
         path.link(sensors, topics, "consumer", DATA_FILTER)
@@ -195,27 +195,27 @@ def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
             for sid, t, x in zip(sensors, topics, wire)
         )
 
-    if pet.kind == PET_GDP:
-        budget = dp.PrivacyBudget(pet.epsilon, params.q)
+    if pet == PET_GDP:
+        budget = dp.PrivacyBudget(spec.epsilon, params.q)
         collected = encoded
         if virtualized:
             collected = [d.envelope.value for d in path.cross(hub, readings(Scheme.RAW, encoded))]
         noisy = round(dp.gdp_aggregate(collected, budget, rng))
         path.clock.advance_ms(spec.compute_ms)
-        out = path.envelope(OUT_TOPIC, hub, Scheme.GDP, noisy, epsilon=pet.epsilon)
+        out = path.envelope(OUT_TOPIC, hub, Scheme.GDP, noisy, epsilon=spec.epsilon)
         received = path.cross("consumer", [(hub, [out])])
     else:
-        if pet.kind == PET_LDP:
-            budget = dp.PrivacyBudget(pet.epsilon, params.q)
+        if pet == PET_LDP:
+            budget = dp.PrivacyBudget(spec.epsilon, params.q)
             wire = [dp.ldp_perturb(x, budget, rng) for x in encoded]
-        elif pet.kind == PET_KRR:
-            wire = [dp.krr_perturb(x, pet.epsilon, params, rng) for x in encoded]
+        elif pet == PET_KRR:
+            wire = [dp.krr_perturb(x, spec.epsilon, params, rng) for x in encoded]
         else:
             wire = encoded
         path.clock.advance_ms(spec.compute_ms)
-        scheme = SENSOR_SCHEMES[pet.kind]
+        scheme = SENSOR_SCHEMES[pet]
         received = path.cross(
-            hub if virtualized else "consumer", readings(scheme, wire, pet.epsilon)
+            hub if virtualized else "consumer", readings(scheme, wire, spec.epsilon)
         )
         if virtualized:
             # the vnode forwards the one source's envelope as it arrived
@@ -230,15 +230,15 @@ def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
 
 def _share_flow(spec, path, rng, values, encoded) -> RepOutcome:
     """ass: each sensor, or a vnode on behalf of one source, sends m shares."""
-    params, n, m = spec.encoding, len(values), spec.pet.m
+    params, n, m = spec.encoding, len(values), spec.m
     fp = ass.choose_modulus(n, params.q)
     sensors = [f"s{i}" for i in range(n)]
-    virtualized = spec.topology.kind == VIRTUALIZED
+    virtualized = spec.topology == VIRTUALIZED
     splitters = ["vnode"] if virtualized else sensors
     path.link(splitters, [SHARE_FILTER] * len(splitters), "consumer", SHARE_FILTER)
 
     drop = None
-    if spec.pet.drop_one_share:
+    if spec.drop_one_share:
         victim, channel = ass.draw_lost_share(n, m, rng)
         drop = (sensors[victim], channel)
 
@@ -289,7 +289,7 @@ def _share_flow(spec, path, rng, values, encoded) -> RepOutcome:
 
 def _relay_flow(spec, path, rng, values, encoded) -> RepOutcome:
     """One source's raw value, forwarded unchanged through depth relays."""
-    depth = spec.topology.depth
+    depth = spec.depth
     chain = ["source", *(f"relay{i}" for i in range(1, depth + 1)), "consumer"]
     topics = [RELAY_TOPIC.format(i=i) for i in range(depth + 1)]
     hops = list(zip(chain, chain[1:], topics))

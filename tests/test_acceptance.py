@@ -22,7 +22,7 @@ from petfabric.codec import EncodingParams, decode_sum, encode
 from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
 from petfabric.fabric.cbor import CborDecodeError
 from petfabric.fabric.envelope import Envelope, EnvelopeError, Scheme, cbor_decode, cbor_encode
-from petfabric.scenarios.config import PetConfig, ScenarioSpec, Topology, bench_from_dict
+from petfabric.scenarios.config import ScenarioSpec, bench_from_dict
 from petfabric.scenarios.experiments import generate_weights, load_test, weight_sum_experiment
 from petfabric.scenarios.runner import run_scenario, run_scenario_outcomes
 
@@ -163,8 +163,8 @@ def test_07_relay_chain_hop_structure():
     with criterion(7, "hop-count structure", 5.0):
         spec = ScenarioSpec(
             name="relay-chain-5",
-            topology=Topology("relay-chain", depth=5),
-            pet=PetConfig("none"),
+            topology="relay-chain", depth=5,
+            pet="none",
             sensors=1,
             encoding=EncodingParams(1, 50, 120),
             latency=LatencyModel(3.88),
@@ -194,8 +194,8 @@ def test_09_load_neutrality():
     with criterion(9, "broker load neutrality", 60.0):
         spec = ScenarioSpec(
             name="ldp-under-load",
-            topology=Topology("on-device"),
-            pet=PetConfig("ldp", epsilon=0.01),
+            topology="on-device",
+            pet="ldp", epsilon=0.01,
             sensors=1,
             encoding=EncodingParams(1, 50, 120),
             latency=LATENCY_PRESETS["wifi-no-powersave"],
@@ -211,7 +211,7 @@ def test_10_share_loss_fragility():
     """One lost share aborts with its name; no loss reconstructs exactly."""
     with criterion(10, "share-loss fragility", 10.0):
         common = dict(
-            topology=Topology("on-device"),
+            topology="on-device",
             sensors=5,
             encoding=EncodingParams(1, 50, 120),
             latency=LatencyModel(2.494),
@@ -220,7 +220,7 @@ def test_10_share_loss_fragility():
             seed=10,
         )
         lossy = ScenarioSpec(
-            name="ass-lossy", pet=PetConfig("ass", m=3, drop_one_share=True), **common
+            name="ass-lossy", pet="ass", m=3, drop_one_share=True, **common
         )
         outcomes = run_scenario_outcomes(lossy)
         assert len(outcomes) == 100
@@ -228,7 +228,7 @@ def test_10_share_loss_fragility():
             assert outcome.error is not None
             assert outcome.error.missing == [outcome.injected_drop]
 
-        clean = ScenarioSpec(name="ass-clean", pet=PetConfig("ass", m=3), **common)
+        clean = ScenarioSpec(name="ass-clean", pet="ass", m=3, **common)
         outcomes = run_scenario_outcomes(clean)
         assert len(outcomes) == 100
         for outcome in outcomes:

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from petfabric import cli
-from petfabric.adversary import guess_rate_grid
+from petfabric.adversary import GuessRateRow, guess_rate_grid
 from petfabric.cli import main
 from petfabric.scenarios.config import PLACEMENTS, adversary_from_dict, sweep_from_dict
-from petfabric.scenarios.experiments import weight_sum_experiment
+from petfabric.scenarios.experiments import UtilityPoint, weight_sum_experiment
 
 BASELINE = {
     "name": "baseline-on-device",
@@ -94,6 +94,19 @@ def test_run_scenario_outputs_and_manifest(tmp_path):
     assert manifest["workers"] == 1
     for name in manifest["outputs"]:
         assert (out / name).exists()
+
+
+def test_the_package_version_is_stated_once():
+    # pyproject.toml reads the version from petfabric.__version__, which
+    # --version and manifest.json report
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    assert project["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "petfabric.__version__"
+    }
 
 
 def test_run_scenario_determinism_byte_identical(tmp_path):
@@ -712,9 +725,9 @@ def test_readme_csv_schemas_match_the_writers():
     documented = {file.strip(" `"): columns.strip(" `").split(", ") for _, file, columns in rows}
     assert documented == {
         "<name>_records.csv": cli.RECORD_COLUMNS,
-        "utility_<model>.csv": cli.UTILITY_COLUMNS,
+        "utility_<model>.csv": list(UtilityPoint._fields),
         "ground_truth.csv": cli.GROUND_TRUTH_COLUMNS,
-        "adversary_guess_rates.csv": cli.ADVERSARY_COLUMNS,
+        "adversary_guess_rates.csv": list(GuessRateRow._fields),
         "ass_demo.csv": cli.ASS_DEMO_COLUMNS,
         "bench_suite.csv": cli.BENCH_COLUMNS,
     }

@@ -11,7 +11,7 @@ from scipy.stats import ks_2samp
 
 from petfabric.codec import EncodingParams, decode_sum, encode
 from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
-from petfabric.scenarios.config import PetConfig, ScenarioSpec, Topology
+from petfabric.scenarios.config import ScenarioSpec
 from petfabric.scenarios.experiments import (
     _ks_2samp_equal,
     generate_weights,
@@ -118,8 +118,8 @@ def test_ldp_medians_match_independent_oracle():
 def ldp_load_spec(reps=200, seed=909):
     return ScenarioSpec(
         name="ldp-under-load",
-        topology=Topology("on-device"),
-        pet=PetConfig("ldp", epsilon=0.01),
+        topology="on-device",
+        pet="ldp", epsilon=0.01,
         sensors=1,
         encoding=EncodingParams(1, 50, 120),
         latency=LATENCY_PRESETS["wifi-no-powersave"],
@@ -155,8 +155,8 @@ def test_negative_load_rate_raises_before_any_repetition(monkeypatch):
 def test_load_test_constant_latency_is_trivially_neutral():
     spec = ScenarioSpec(
         name="const",
-        topology=Topology("on-device"),
-        pet=PetConfig("none"),
+        topology="on-device",
+        pet="none",
         sensors=1,
         encoding=EncodingParams(1, 50, 120),
         latency=LatencyModel(2.494),

@@ -18,25 +18,25 @@ from petfabric.codec import EncodingParams
 from petfabric.fabric import broker as broker_module
 from petfabric.fabric.broker import PUBLISH, AclTable, Broker, LatencyModel, topic_matches
 from petfabric.fabric.envelope import Scheme
-from petfabric.scenarios.config import PetConfig, ScenarioSpec, Topology
+from petfabric.scenarios.config import ScenarioSpec
 from petfabric.scenarios.runner import DATA_FILTER, DATA_TOPIC, _Path, run_scenario_outcomes
 
-ON_DEVICE = Topology("on-device")
-VIRTUALIZED = Topology("virtualized")
+ON_DEVICE = dict(topology="on-device")
+VIRTUALIZED = dict(topology="virtualized")
 
-#: name -> (topology, pet, sensors)
+#: name -> (the spec's topology and pet fields, sensors)
 FLOWS = {
-    "on-device-none": (ON_DEVICE, PetConfig("none"), 3),
-    "on-device-ldp": (ON_DEVICE, PetConfig("ldp", epsilon=0.5), 3),
-    "on-device-krr": (ON_DEVICE, PetConfig("krr", epsilon=2.0), 3),
-    "on-device-gdp-sum": (ON_DEVICE, PetConfig("gdp", epsilon=1.0), 3),
-    "on-device-ass": (ON_DEVICE, PetConfig("ass", m=3), 3),
-    "on-device-ass-drop": (ON_DEVICE, PetConfig("ass", m=3, drop_one_share=True), 3),
-    "virtualized-none": (VIRTUALIZED, PetConfig("none"), 1),
-    "virtualized-gdp-sum": (VIRTUALIZED, PetConfig("gdp", epsilon=1.0), 3),
-    "virtualized-ass": (VIRTUALIZED, PetConfig("ass", m=3), 1),
-    "virtualized-ass-drop": (VIRTUALIZED, PetConfig("ass", m=3, drop_one_share=True), 1),
-    "relay-chain-3": (Topology("relay-chain", depth=3), PetConfig("none"), 1),
+    "on-device-none": (dict(ON_DEVICE, pet="none"), 3),
+    "on-device-ldp": (dict(ON_DEVICE, pet="ldp", epsilon=0.5), 3),
+    "on-device-krr": (dict(ON_DEVICE, pet="krr", epsilon=2.0), 3),
+    "on-device-gdp-sum": (dict(ON_DEVICE, pet="gdp", epsilon=1.0), 3),
+    "on-device-ass": (dict(ON_DEVICE, pet="ass", m=3), 3),
+    "on-device-ass-drop": (dict(ON_DEVICE, pet="ass", m=3, drop_one_share=True), 3),
+    "virtualized-none": (dict(VIRTUALIZED, pet="none"), 1),
+    "virtualized-gdp-sum": (dict(VIRTUALIZED, pet="gdp", epsilon=1.0), 3),
+    "virtualized-ass": (dict(VIRTUALIZED, pet="ass", m=3), 1),
+    "virtualized-ass-drop": (dict(VIRTUALIZED, pet="ass", m=3, drop_one_share=True), 1),
+    "relay-chain-3": (dict(topology="relay-chain", depth=3, pet="none"), 1),
 }
 
 FILLER_RATES = (0.0, 200.0)
@@ -75,11 +75,10 @@ WIRE_DIGESTS = {
 
 
 def flow_spec(name: str) -> ScenarioSpec:
-    topology, pet, n = FLOWS[name]
+    fields, n = FLOWS[name]
     return ScenarioSpec(
         name=name,
-        topology=topology,
-        pet=pet,
+        **fields,
         sensors=n,
         encoding=EncodingParams(1, 50, 120),
         latency=LatencyModel(2.0, 0.5),

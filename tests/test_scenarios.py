@@ -1,6 +1,7 @@
 """Scenario engine: config strictness, flow wiring, calibrated latencies."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +13,8 @@ from petfabric.fabric.broker import LatencyModel, topic_matches
 from petfabric.scenarios.config import (
     MAX_SHARES,
     ConfigError,
-    PetConfig,
     REFERENCE_COMPUTE_MS,
     ScenarioSpec,
-    Topology,
     ass_demo_from_dict,
     bench_from_dict,
     hop_bound,
@@ -30,8 +29,8 @@ PARAMS = EncodingParams(1, 50, 120)
 def make_spec(**overrides):
     base = dict(
         name="test",
-        topology=Topology("on-device"),
-        pet=PetConfig("none"),
+        topology="on-device",
+        pet="none",
         sensors=1,
         encoding=PARAMS,
         latency=LatencyModel(2.494),
@@ -192,7 +191,7 @@ def test_share_cap_is_inclusive():
     # checked at load only: a run at the cap would split every reading 1024 ways
     cfg = json.loads(json.dumps(GOOD_CONFIG))
     cfg["pet"] = {"kind": "ass", "m": MAX_SHARES}
-    assert scenario_from_dict(cfg).pet.m == MAX_SHARES == 1024
+    assert scenario_from_dict(cfg).m == MAX_SHARES == 1024
     demo = {"n": 10, "m": MAX_SHARES, "encoding": {"k": 1, "x_lo": 50, "x_hi": 120}}
     assert ass_demo_from_dict(demo)["m"] == MAX_SHARES
     with pytest.raises(ConfigError, match="^m: at most 1024 shares"):
@@ -236,28 +235,59 @@ def test_clock_bound_is_exclusive(tmp_path):
 
 def test_relay_chain_constraints():
     with pytest.raises(ConfigError, match="unprocessed"):
-        make_spec(topology=Topology("relay-chain", depth=5), pet=PetConfig("ldp", epsilon=1))
+        make_spec(topology="relay-chain", depth=5, pet="ldp", epsilon=1)
     with pytest.raises(ConfigError, match="single source"):
         make_spec(
-            topology=Topology("relay-chain", depth=5), sensors=2
+            topology="relay-chain", depth=5, sensors=2
         )
 
 
 def test_virtualized_constraints():
     with pytest.raises(ConfigError, match="no virtualized form"):
-        make_spec(topology=Topology("virtualized"), pet=PetConfig("ldp", epsilon=1))
+        make_spec(topology="virtualized", pet="ldp", epsilon=1)
     with pytest.raises(ConfigError, match="one source"):
         make_spec(
-            topology=Topology("virtualized"),
-            pet=PetConfig("ass", m=3),
+            topology="virtualized",
+            pet="ass", m=3,
             sensors=2,
         )
     with pytest.raises(ConfigError, match="one source"):
         make_spec(
-            topology=Topology("virtualized"),
-            pet=PetConfig("none"),
+            topology="virtualized",
+            pet="none",
             sensors=2,
         )
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (dict(topology="mesh"), "topology.kind: unknown kind 'mesh'"),
+        (dict(depth=2), "topology.depth: only valid for relay-chain, got 2"),
+        (dict(topology="relay-chain"), "topology.depth: relay chain needs depth >= 1"),
+        (dict(pet="he"), "pet.kind: unknown kind 'he'"),
+        (dict(epsilon=1.0), "pet.epsilon: not valid for none"),
+        (dict(pet="ass", m=3, epsilon=1.0), "pet.epsilon: not valid for ass"),
+        (dict(pet="ldp"), "pet.epsilon: ldp needs a positive epsilon"),
+        (dict(pet="ldp", epsilon=1.0, m=3), "pet.m: only valid for ass"),
+        (dict(pet="ass"), "pet.m: additive sharing needs at least 2 channels (m >= 2)"),
+        (dict(pet="ass", m=1), "pet.m: additive sharing needs at least 2 channels (m >= 2)"),
+        (
+            dict(pet="gdp", epsilon=1.0, drop_one_share=True),
+            "pet.drop_one_share: only valid for ass",
+        ),
+    ],
+    ids=[
+        "unknown-topology", "depth-on-device", "relay-without-depth", "unknown-pet",
+        "epsilon-on-none", "epsilon-on-ass", "ldp-without-epsilon", "m-on-ldp",
+        "ass-without-m", "m-1-on-ass", "drop-on-gdp",
+    ],
+)
+def test_the_flat_spec_refuses_a_misplaced_or_missing_field(fields, message):
+    # the topology and pet fields are checked by the spec itself, so a spec
+    # built in code is held to what a config file is
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make_spec(**fields)
 
 
 def test_latency_inline_object():
@@ -288,18 +318,19 @@ def test_a_name_too_long_for_its_report_file_exits_2(tmp_path, capsys, name, cod
 def test_hop_counts_follow_the_flow():
     # two hops per message on the critical path, counted as the flow runs
     cases = [
-        (Topology("on-device"), PetConfig("none"), 2),
-        (Topology("on-device"), PetConfig("ldp", epsilon=1), 2),
-        (Topology("on-device"), PetConfig("gdp", epsilon=1), 2),
-        (Topology("on-device"), PetConfig("ass", m=3), 6),
-        (Topology("virtualized"), PetConfig("none"), 4),
-        (Topology("virtualized"), PetConfig("gdp", epsilon=1), 4),
-        (Topology("virtualized"), PetConfig("ass", m=3), 8),
-        (Topology("relay-chain", depth=5), PetConfig("none"), 12),
+        (dict(topology="on-device", pet="none"), 2),
+        (dict(topology="on-device", pet="ldp", epsilon=1), 2),
+        (dict(topology="on-device", pet="gdp", epsilon=1), 2),
+        (dict(topology="on-device", pet="ass", m=3), 6),
+        (dict(topology="virtualized", pet="none"), 4),
+        (dict(topology="virtualized", pet="gdp", epsilon=1), 4),
+        (dict(topology="virtualized", pet="ass", m=3), 8),
+        (dict(topology="relay-chain", depth=5, pet="none"), 12),
     ]
-    for topology, pet, hops in cases:
-        assert run_scenario(make_spec(topology=topology, pet=pet))[0].hop_count == hops
-        assert hops <= hop_bound(pet.m, topology.depth)  # the clock bound's count
+    for fields, hops in cases:
+        spec = make_spec(**fields)
+        assert run_scenario(spec)[0].hop_count == hops
+        assert hops <= hop_bound(spec.m, spec.depth)  # the clock bound's count
 
 
 def test_baseline_calibration_value():
@@ -313,21 +344,21 @@ def test_baseline_calibration_value():
 def test_ldp_additive_model_value():
     # same calibration with 0.488 ms compute: the additive model gives
     # 5.476 ms; the residual against measured hardware is not modeled
-    records = run_scenario(make_spec(pet=PetConfig("ldp", epsilon=0.01), compute_ms=0.488))
+    records = run_scenario(make_spec(pet="ldp", epsilon=0.01, compute_ms=0.488))
     assert records[0].end_to_end_ms == pytest.approx(5.476)
 
 
 def test_virtualized_gdp_doubles_hops_of_on_device():
-    common = dict(pet=PetConfig("gdp", epsilon=1.0), compute_ms=0.0, repetitions=2)
-    on_dev = run_scenario(make_spec(topology=Topology("on-device"), **common))
-    virt = run_scenario(make_spec(topology=Topology("virtualized"), **common))
+    common = dict(pet="gdp", epsilon=1.0, compute_ms=0.0, repetitions=2)
+    on_dev = run_scenario(make_spec(topology="on-device", **common))
+    virt = run_scenario(make_spec(topology="virtualized", **common))
     assert virt[0].hop_count == 2 * on_dev[0].hop_count
     assert virt[0].end_to_end_ms == pytest.approx(2 * on_dev[0].end_to_end_ms)
 
 
 def test_relay_chain_hop_count_and_latency():
     spec = make_spec(
-        topology=Topology("relay-chain", depth=5),
+        topology="relay-chain", depth=5,
         latency=LatencyModel(3.88),
         compute_ms=0.0,
         repetitions=4,
@@ -342,7 +373,7 @@ def test_hop_count_dominance_with_jitter():
     # H*d within 3 * jitter * sqrt(H) / sqrt(N) over N runs
     d, jitter, runs = 3.0, 0.4, 400
     spec = make_spec(
-        topology=Topology("relay-chain", depth=5),
+        topology="relay-chain", depth=5,
         latency=LatencyModel(d, jitter),
         compute_ms=0.0,
         repetitions=runs,
@@ -385,7 +416,7 @@ def test_raw_flow_reproduces_values():
 
 def test_virtualized_relay_forwards_the_value():
     spec = make_spec(
-        topology=Topology("virtualized"),
+        topology="virtualized",
         sensors=1,
         compute_ms=0.0,
         repetitions=3,
@@ -397,7 +428,7 @@ def test_virtualized_relay_forwards_the_value():
 
 def test_ass_flow_reconstructs_exactly():
     spec = make_spec(
-        pet=PetConfig("ass", m=3),
+        pet="ass", m=3,
         sensors=5,
         compute_ms=0.591,
         repetitions=10,
@@ -410,7 +441,7 @@ def test_ass_flow_reconstructs_exactly():
 
 def test_ass_drop_injection_names_the_lost_share():
     spec = make_spec(
-        pet=PetConfig("ass", m=3, drop_one_share=True),
+        pet="ass", m=3, drop_one_share=True,
         sensors=5,
         repetitions=20,
     )
@@ -429,8 +460,8 @@ def test_ass_drop_injection_names_the_lost_share():
 
 def test_virtualized_ass_flow():
     spec = make_spec(
-        topology=Topology("virtualized"),
-        pet=PetConfig("ass", m=3),
+        topology="virtualized",
+        pet="ass", m=3,
         compute_ms=17.265,
         repetitions=3,
     )
@@ -443,7 +474,7 @@ def test_virtualized_ass_flow():
 def test_krr_flow_stays_in_domain():
     # randomized response reports values from the encoded domain itself,
     # so the decoded result stays within [decode(0), decode(q)]
-    spec = make_spec(pet=PetConfig("krr", epsilon=0.1), repetitions=10)
+    spec = make_spec(pet="krr", epsilon=0.1, repetitions=10)
     lo = (0 - PARAMS.offset) / PARAMS.k
     hi = (PARAMS.q - PARAMS.offset) / PARAMS.k
     for out in run_scenario_outcomes(spec):
@@ -480,3 +511,15 @@ def test_bench_from_dict_structural_ordering():
     assert base < ldp <= gdp_dev < gdp_virt < ass_dev < ass_virt
     assert base == pytest.approx(5.295)
     assert suite[0].compute_ms == REFERENCE_COMPUTE_MS["baseline"]
+
+
+def test_bench_specs_carry_epsilon_and_m_only_where_their_pet_reads_them():
+    suite = bench_from_dict({"epsilon": 0.5, "m": 4})
+    assert [(s.topology, s.pet, s.epsilon, s.m, s.depth) for s in suite] == [
+        ("on-device", "none", None, None, 0),
+        ("on-device", "ldp", 0.5, None, 0),
+        ("on-device", "gdp", 0.5, None, 0),
+        ("virtualized", "gdp", 0.5, None, 0),
+        ("on-device", "ass", None, 4, 0),
+        ("virtualized", "ass", None, 4, 0),
+    ]
