@@ -3,6 +3,9 @@ distinguisher grid, the share round trips with and without a dropped share,
 the six-placement bench suite and the five scenario configs. The dropped
 share is pinned at m = 2, 4 and 5 too: its victim draw follows the splits,
 so it fixes the stream position on both sides of `ass.split`'s draw cut-off.
+The distinguisher grid is pinned at 20,000 trials too, under both models, so
+a noise kernel that works through its arrays in blocks of a few thousand draws
+is pinned past its first block boundaries; 500 trials fit in one block.
 
 Each case runs a shipped config, shrunk to the sizes `perfbench/workloads.py`
 calls TINY, at the config's own seed, and pins the sha256 of every CSV the
@@ -40,6 +43,18 @@ PINS = {
         "adversary-sim", "adversary-grid.json", {"trials": 500},
         {
             "adversary_guess_rates.csv": "0b6d3ec1585a987042c56f60d8999d5648666d8678b0118ebb83c0e696ac0233",
+        },
+    ),
+    "adversary-sim-gdp-three-blocks": (
+        "adversary-sim", "adversary-grid.json", {"trials": 20000, "model": "gdp"},
+        {
+            "adversary_guess_rates.csv": "96ec5dba601027765a532e491158297407c421667db86c0cb3b3f8109b7f55a6",
+        },
+    ),
+    "adversary-sim-ldp-three-blocks": (
+        "adversary-sim", "adversary-grid.json", {"trials": 20000, "model": "ldp"},
+        {
+            "adversary_guess_rates.csv": "b579b508bfc9e27641144f482c320df7c91b46e3b303c7ea7052e712c9f72213",
         },
     ),
     "ass-demo": (
