@@ -35,6 +35,11 @@ if TYPE_CHECKING:
 LDP_MODEL = "ldp"
 GDP_MODEL = "gdp"
 
+#: Elements per block of the array noise kernels: 8192 float64 are 64 KiB,
+#: so a block's scratch stays in cache and its size does not grow with the
+#: array.
+BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:
@@ -76,14 +81,20 @@ def sample_laplace(scale: float, rng: np.random.Generator, size=None):
         zero = u == 0.0
         u[zero] = rng.random(int(zero.sum()))
     u -= 0.5
-    # one scratch array for the log term; -scale * ln(1 - 2|u|) is never
-    # negative, so u's sign copied onto it gives the bits of the formula
-    # above, +0.0 at u == 0 included
-    log_term = np.abs(u, out=np.empty_like(u))  # out= keeps a 0-d result an array
-    log_term *= -2.0
-    np.log1p(log_term, out=log_term)
-    log_term *= -scale
-    return np.copysign(log_term, u, out=u)
+    # the log term of each block goes through one block-sized scratch array;
+    # -scale * ln(1 - 2|u|) is never negative, so u's sign copied onto it
+    # gives the bits of the formula above, +0.0 at u == 0 included
+    flat = u.reshape(-1)  # a view, so a 0-d u is written in place too
+    scratch = np.empty(min(flat.size, BLOCK))
+    for start in range(0, flat.size, BLOCK):
+        block = flat[start : start + BLOCK]
+        log_term = scratch[: block.size]
+        np.abs(block, out=log_term)
+        log_term *= -2.0
+        np.log1p(log_term, out=log_term)
+        log_term *= -scale
+        np.copysign(log_term, block, out=block)
+    return u
 
 
 def ldp_perturb(x: int, budget: PrivacyBudget, rng: np.random.Generator) -> int:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from petfabric import adversary, ass
-from petfabric.dp import PrivacyBudget, sample_laplace
+from petfabric.dp import BLOCK, PrivacyBudget, sample_laplace
+from test_dp import reference_laplace
 
 
 def budget(epsilon=1.0, sensitivity=1000):
@@ -71,6 +72,28 @@ def test_empirical_rate_matches_the_release_expression(seed, model):
         z = np.where(high_truth, gap, 0) + noise
         want = float(np.mean((z > gap / 2) == high_truth))
         got = adversary.empirical_guess_rate(gap, 4099, b, np.random.default_rng(seed), model)
+        assert got == want
+
+
+@pytest.mark.parametrize("model", [adversary.GDP_MODEL, adversary.LDP_MODEL])
+@pytest.mark.parametrize(
+    "trials", [BLOCK - 1, BLOCK + 1, 100_000], ids=["BLOCK-1", "BLOCK+1", "100000"]
+)
+def test_empirical_rate_counted_in_blocks_matches_the_mean_over_the_release(trials, model):
+    # the release is built and counted block by block; the rate must equal
+    # the mean over the whole release, its noise drawn as one expression
+    b = budget(0.5)
+    for gap in [1, 500, 2**40 - 3]:
+        rng = np.random.default_rng(trials)
+        high_truth = rng.integers(0, 2, size=trials).astype(bool)
+        noise = reference_laplace(b.scale, rng, trials)
+        if model == adversary.LDP_MODEL:
+            noise = np.rint(noise)
+        z = np.where(high_truth, gap, 0) + noise
+        want = float(np.mean((z > gap / 2) == high_truth))
+        got = adversary.empirical_guess_rate(
+            gap, trials, b, np.random.default_rng(trials), model
+        )
         assert got == want
 
 

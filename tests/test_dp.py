@@ -114,6 +114,22 @@ def test_block_laplace_matches_the_one_expression_bit_for_bit(seed, size):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "size",
+    [dp.BLOCK - 1, dp.BLOCK, dp.BLOCK + 1, 3 * dp.BLOCK + 5, (3, dp.BLOCK - 1), 0, ()],
+    ids=["BLOCK-1", "BLOCK", "BLOCK+1", "3BLOCK+5", "3x(BLOCK-1)", "0", "0-d"],
+)
+def test_block_laplace_matches_the_one_expression_across_blocks(size):
+    # the log term runs block by block; every block edge, a short last
+    # block, a 2-d array, an empty array and a 0-d array give the same bits
+    for scale in SCALES:
+        got = dp.sample_laplace(scale, np.random.default_rng(31), size=size)
+        want = reference_laplace(scale, np.random.default_rng(31), size)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("size", [6, (2, 3)], ids=["6", "2x3"])
 def test_block_laplace_redraws_zeros_like_the_one_expression(size):
     # two rounds of redraw: three zeros in the block, then one in the redraw
@@ -182,6 +198,21 @@ def test_noise_kernels_hold_one_scratch_array(kernel):
     # one float64 scratch array and the per-trial truth bits, not a chain
     # of full-size temporaries
     assert peak_beyond_result(KERNELS[kernel]) <= 2.25 * 8 * KERNEL_ELEMENTS
+
+
+#: Peak beyond the result, fixed from the arithmetic: the Laplace draw
+#: holds one block of float64 scratch plus a few small objects; the
+#: distinguisher holds its truth bits and noise, 9 B a trial, and per block
+#: the Laplace scratch, the int64 candidates and two bool arrays.
+BLOCK_BOUNDS = {
+    "sample_laplace": 8 * dp.BLOCK + 4096,
+    "empirical_guess_rate": 9 * KERNEL_ELEMENTS + 32 * dp.BLOCK,
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(BLOCK_BOUNDS))
+def test_noise_kernels_hold_block_sized_scratch(kernel):
+    assert peak_beyond_result(KERNELS[kernel]) <= BLOCK_BOUNDS[kernel]
 
 
 def test_ldp_identity_at_huge_epsilon(weight_params):
