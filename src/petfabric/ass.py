@@ -119,30 +119,35 @@ def choose_modulus(n_max: int, q: int) -> FieldParams:
     return FieldParams(modulus=candidate, n_max=n_max, width=q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ShareBundle:
     """The m shares of one encoded secret.
 
     Share j is published to broadcast channel j (1-based); the assignment is
     deterministic so eavesdropper coverage is well defined. A None entry
     marks a share lost in transit; such a bundle can never be reconstructed.
+    As in Envelope, the hand-written __init__ validates, then stores the
+    fields straight into the instance dict: the generated one of a frozen
+    dataclass makes one object.__setattr__ call per field, on every split.
     """
 
     sensor_id: str
     shares: tuple[Optional[int], ...]
     modulus: int
 
-    def __post_init__(self) -> None:
-        shares, modulus = self.shares, self.modulus
+    def __init__(self, sensor_id: str, shares: tuple[Optional[int], ...], modulus: int) -> None:
         if not shares:
             raise ValueError("a bundle needs at least one share")
         for s in shares:
             if s is not None and not 0 <= s < modulus:
                 # the first share equal to s is the first one out of range
                 raise ValueError(
-                    f"share {shares.index(s) + 1} of {self.sensor_id!r} is {s},"
-                    f" outside [0, {modulus})"
+                    f"share {shares.index(s) + 1} of {sensor_id!r} is {s}, outside [0, {modulus})"
                 )
+        d = self.__dict__
+        d["sensor_id"] = sensor_id
+        d["shares"] = shares
+        d["modulus"] = modulus
 
     @property
     def m(self) -> int:
@@ -166,7 +171,7 @@ def split(
         raise ValueError(f"secret {secret} outside encoded domain [0, {fp.width}]")
     # a sum of Python ints: it cannot overflow even with Q near 2^62
     last = (secret - sum(prefix)) % fp.modulus
-    return ShareBundle(sensor_id=sensor_id, shares=(*prefix, last), modulus=fp.modulus)
+    return ShareBundle(sensor_id, (*prefix, last), fp.modulus)
 
 
 def draw_lost_share(n: int, m: int, rng: np.random.Generator) -> tuple[int, int]:
@@ -185,39 +190,33 @@ def lose_share(bundle: ShareBundle, channel: int) -> ShareBundle:
     return replace(bundle, shares=shares[: channel - 1] + (None,) + shares[channel:])
 
 
-def _check_bundles(bundles: Sequence[ShareBundle], fp: FieldParams) -> None:
+def reconstruct_sum(bundles: Sequence[ShareBundle], fp: FieldParams) -> int:
+    """Sum all n*m shares mod Q, which equals the exact sum of the secrets.
+
+    Every bundle is checked for the field's modulus and the first bundle's
+    share count, in order, before a lost share raises MissingShareError
+    naming every absent (sensor_id, channel) pair.
+    """
     if not bundles:
         raise ValueError("no bundles to reconstruct from")
     if len(bundles) > fp.n_max:
         raise ValueError(f"{len(bundles)} bundles exceed the field's n_max={fp.n_max}")
     modulus, m = fp.modulus, len(bundles[0].shares)
+    total, missing = 0, []
     for b in bundles:
+        shares = b.shares
         if b.modulus != modulus:
             raise ValueError(
                 f"modulus mismatch: bundle {b.sensor_id!r} uses {b.modulus}, field uses {modulus}"
             )
-        if len(b.shares) != m:
+        if len(shares) != m:
             raise ValueError(
                 f"share-count mismatch: {b.sensor_id!r} has {b.m} shares, expected {m}"
             )
-
-
-def reconstruct_sum(bundles: Sequence[ShareBundle], fp: FieldParams) -> int:
-    """Sum all n*m shares mod Q, which equals the exact sum of the secrets.
-
-    Raises MissingShareError naming every absent (sensor_id, channel) pair
-    if any share was lost.
-    """
-    _check_bundles(bundles, fp)
-    total = 0
-    for b in bundles:
-        if None in b.shares:
-            raise MissingShareError(
-                (c.sensor_id, ch)
-                for c in bundles
-                for ch, s in enumerate(c.shares, start=1)
-                if s is None
-            )
-        total += sum(b.shares)
-    return total % fp.modulus
-
+        if None in shares:
+            missing += [(b.sensor_id, ch) for ch, s in enumerate(shares, start=1) if s is None]
+        else:
+            total += sum(shares)
+    if missing:
+        raise MissingShareError(missing)
+    return total % modulus

@@ -35,10 +35,10 @@ class EncodingParams:
     """Fixed-point configuration: precision plus the closed input domain.
 
     Only k, x_lo and x_hi are fields: they alone are compared, hashed and
-    written to configs. q_min, offset and q are derived from them on first
-    use and cached on the instance, so they can never fall out of sync: the
-    instance is frozen, and dataclasses.replace builds a new one with an
-    empty cache.
+    written to configs. q_min, offset, q and float_floor are derived from
+    them on first use and cached on the instance, so they can never fall out
+    of sync: the instance is frozen, and dataclasses.replace builds a new one
+    with an empty cache.
     """
 
     k: int
@@ -68,6 +68,11 @@ class EncodingParams:
         """Encoded-domain width |q_min| + floor(x_hi * k); always >= 0."""
         return self.offset + _floor_scaled(self.x_hi, self.k)
 
+    @cached_property
+    def float_floor(self) -> bool:
+        """Whether k is an exact float and no in-domain x * k overflows."""
+        return self.k <= 2**53 and math.isfinite(max(-self.x_lo, self.x_hi) * self.k)
+
 
 def encode(x: float, p: EncodingParams) -> int:
     """Encode a reading as offset + floor(x * k).
@@ -77,6 +82,10 @@ def encode(x: float, p: EncodingParams) -> int:
     """
     if not (p.x_lo <= x <= p.x_hi):
         raise DomainError(f"value {x!r} outside encoding domain [{p.x_lo}, {p.x_hi}]")
+    # with k exact, a rounded product that is not an integer has no integer
+    # between it and the exact product, so the two floors are equal
+    if p.float_floor and (f := math.floor(y := x * p.k)) != y:
+        return p.offset + f
     return p.offset + _floor_scaled(x, p.k)
 
 

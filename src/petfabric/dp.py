@@ -77,7 +77,7 @@ def sample_laplace(scale: float, rng: np.random.Generator, size=None):
     import numpy as np
 
     u = rng.random(size)
-    while not u.all():
+    while np.count_nonzero(u) != u.size:
         zero = u == 0.0
         u[zero] = rng.random(int(zero.sum()))
     u -= 0.5

@@ -95,9 +95,9 @@ def weight_sum_experiment(
 
     weights = generate_weights(n, encoding.x_lo, encoding.x_hi, seed)
     weights.flags.writeable = False
-    encoded = [encode(float(w), encoding) for w in weights]
-    # ldp perturbs an int64 array, converted here once; gdp sums exact ints
-    values = np.array(encoded, dtype=np.int64) if model == LDP_MODEL else encoded
+    # ldp perturbs an int64 array; gdp adds each draw to the one exact total
+    encoded = (encode(float(w), encoding) for w in weights)
+    values = np.fromiter(encoded, np.int64, n) if model == LDP_MODEL else [sum(encoded)]
     true_sum = float(weights.sum())
     sens = sensitivity if sensitivity is not None else encoding.q
 

@@ -304,6 +304,22 @@ def test_a_mismatch_in_the_last_bundle_only_keeps_its_message():
         ass.reconstruct_sum(bundles, fp)
 
 
+def test_a_modulus_mismatch_after_a_lost_share_is_still_the_error():
+    # one pass sums the shares and checks every bundle; a lost share is
+    # raised only once every bundle has passed its checks
+    fp = ass.FieldParams(modulus=101, n_max=5, width=20)
+    bundles = _bundles(3, 5)
+    bundles[0] = ass.lose_share(bundles[0], 2)
+    bundles[4] = replace(bundles[4], modulus=103)
+    with pytest.raises(ValueError) as excinfo:
+        ass.reconstruct_sum(bundles, fp)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == "modulus mismatch: bundle 's4' uses 103, field uses 101"
+    bundles[4] = replace(bundles[4], modulus=101)
+    with pytest.raises(ass.MissingShareError) as excinfo:
+        ass.reconstruct_sum(bundles, fp)
+    assert excinfo.value.missing == [("s0", 2)]
+
 @pytest.mark.parametrize(
     "shares,message",
     [

@@ -5,7 +5,9 @@ share is pinned at m = 2, 4 and 5 too: its victim draw follows the splits,
 so it fixes the stream position on both sides of `ass.split`'s draw cut-off.
 The distinguisher grid is pinned at 20,000 trials too, under both models, so
 a noise kernel that works through its arrays in blocks of a few thousand draws
-is pinned past its first block boundaries; 500 trials fit in one block.
+is pinned past its first block boundaries; 500 trials fit in one block. The
+sweep (ldp and gdp) and the share round trips are pinned at their shipped
+sizes too, with the seed-0 digests of `perfbench/golden.json`.
 
 Each case runs a shipped config, shrunk to the sizes `perfbench/workloads.py`
 calls TINY, at the config's own seed, and pins the sha256 of every CSV the
@@ -124,6 +126,26 @@ PINS = {
         {"n": 10, "repetitions": 3, "drop_one_share": True, "m": 5},
         {
             "ass_demo.csv": "c3c79284ad64dc6a48e3e90eb599e6c639967ab195b71504ed0ea690436caf4e",
+        },
+    ),
+    "sweep-epsilon-ldp-shipped-size": (
+        "sweep-epsilon", "sweep-epsilon.json", {"n": 500, "reps": 1000, "model": "ldp"},
+        {
+            "ground_truth.csv": "f0d6b8b125ed67f38b27f551160f52ddeabd3b014dd1a005a1d90bee960f1522",
+            "utility_ldp.csv": "98e0f60b378e8d649a7582aebebb962485ff3db88c15f5727ea9c8d782ae88d4",
+        },
+    ),
+    "sweep-epsilon-gdp-shipped-size": (
+        "sweep-epsilon", "sweep-epsilon.json", {"n": 500, "reps": 1000, "model": "gdp"},
+        {
+            "ground_truth.csv": "f0d6b8b125ed67f38b27f551160f52ddeabd3b014dd1a005a1d90bee960f1522",
+            "utility_gdp.csv": "6a1c96400d571de4256a48d364850e18f197962ff3204268036945e14ca3c243",
+        },
+    ),
+    "ass-demo-shipped-size": (
+        "ass-demo", "ass-demo.json", {"n": 500, "repetitions": 100},
+        {
+            "ass_demo.csv": "19b2fd242572d2d76e8a656eddcfa37ae0f5ab7c421b7868bc304f27c04d7700",
         },
     ),
 }

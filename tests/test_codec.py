@@ -1,5 +1,6 @@
 """Fixed-point codec: exact formulas, round-trip bound, strict domain checks."""
 
+import math
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
@@ -150,3 +151,39 @@ def test_decode_sum_matches_elementwise_decoding():
     assert decode_sum(sum(encoded), len(xs), p) == pytest.approx(
         sum(decode(e, p) for e in encoded)
     )
+
+
+def _neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def _exact_encode(x: float, k: int, lo: float) -> int:
+    return abs(math.floor(Fraction(lo) * k)) + math.floor(Fraction(x) * k)
+
+
+#: (k, x_lo, x_hi, points): each point must encode to the exact rational
+#: floor, whether encode takes the float product or the integer one
+EXACT_FLOOR_CASES = {
+    **{
+        f"m-over-{k}": (k, -7.0, 7.0, [y for m in range(-7 * k, 7 * k + 1, max(1, k // 7))
+                                       for y in _neighbours(m / k) if -7 <= y <= 7])
+        for k in (1, 3, 10, 1000)
+    },
+    "negative-domain": (3, -50.0, -10.0, [-50.0, -49.99, -10.0, *_neighbours(-100 / 3)]),
+    "negative-zero": (10, -1.0, 1.0, [-0.0, 0.0, *_neighbours(0.0), *_neighbours(-0.1)]),
+    "product-past-2-53": (
+        1000, -(2.0**60), 2.0**60,
+        [*_neighbours(2.0**53 / 1000), *_neighbours(-(2.0**53) / 1000), 2.0**60, -(2.0**60)],
+    ),
+    "k-2-53-plus-1": (2**53 + 1, 0.0, 1.0, [0.1, 1 / 3, *_neighbours(0.5), 1.0]),
+    "k-above-float-range": (10**400, -1.0, 1.0, [-1.0, -0.0, 0.1, *_neighbours(0.5), 1.0]),
+    "product-past-float-range": (2**53, -1e300, 1e300, [1e300, -1e300, 1e-300, 0.1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_FLOOR_CASES))
+def test_encode_is_the_exact_rational_floor(case):
+    k, lo, hi, points = EXACT_FLOOR_CASES[case]
+    p = EncodingParams(k, lo, hi)
+    for x in points:
+        assert encode(x, p) == _exact_encode(x, k, lo), x

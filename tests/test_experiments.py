@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from petfabric import dp
 from petfabric.codec import EncodingParams, decode_sum, encode
 from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
 from petfabric.scenarios.config import ScenarioSpec
@@ -96,6 +98,24 @@ def test_gdp_mean_abs_error_matches_closed_form():
     oracle = np.abs(oracle_rng.laplace(0.0, b, size=200_000) - quant_gap).mean()
     assert report.points[0].mean_abs_err == pytest.approx(oracle, rel=0.05)
 
+
+
+def test_ldp_sweep_peak_holds_no_list_of_encoded_ints():
+    # one repetition holds the weights, their int64 encodings, the draw's
+    # float64 noise and its int64 result: four arrays of 8 B a record, plus
+    # the Laplace draw's block scratch; the list of encoded ints that
+    # builds the int64 array is gone before the first draw
+    n = 2**16
+    run = lambda: weight_sum_experiment(n, EncodingParams(1, 50, 120), "ldp", [1.0], 100, 3)
+    run()  # first-call allocations are numpy's, not the sweep's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * n + 16 * dp.BLOCK
 
 def test_ldp_medians_match_independent_oracle():
     seed, n, k = 606, 300, 1
