@@ -103,8 +103,7 @@ def test_gdp_mean_abs_error_matches_closed_form():
 def test_ldp_sweep_peak_holds_no_list_of_encoded_ints():
     # one repetition holds the weights, their int64 encodings, the draw's
     # float64 noise and its int64 result: four arrays of 8 B a record, plus
-    # the Laplace draw's block scratch; the list of encoded ints that
-    # builds the int64 array is gone before the first draw
+    # the Laplace draw's block scratch, and no list of encoded ints
     n = 2**16
     run = lambda: weight_sum_experiment(n, EncodingParams(1, 50, 120), "ldp", [1.0], 100, 3)
     run()  # first-call allocations are numpy's, not the sweep's
