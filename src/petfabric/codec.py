@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class DomainError(ValueError):
@@ -35,10 +34,11 @@ class EncodingParams:
     """Fixed-point configuration: precision plus the closed input domain.
 
     Only k, x_lo and x_hi are fields: they alone are compared, hashed and
-    written to configs. q_min, offset, q and float_floor are derived from
-    them on first use and cached on the instance, so they can never fall out
-    of sync: the instance is frozen, and dataclasses.replace builds a new one
-    with an empty cache.
+    written to configs. q_min = floor(x_lo * k), offset = |q_min|, the width
+    q = offset + floor(x_hi * k) and float_floor (k is an exact float and no
+    in-domain x * k overflows) are derived from them once, at construction,
+    so they can never fall out of sync: the instance is frozen, and
+    dataclasses.replace builds a new one.
     """
 
     k: int
@@ -46,32 +46,21 @@ class EncodingParams:
     x_hi: float
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"precision k must be a positive integer, got {self.k}")
-        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
+        k, x_lo, x_hi = self.k, self.x_lo, self.x_hi
+        if k < 1:
+            raise DomainError(f"precision k must be a positive integer, got {k}")
+        if not (math.isfinite(x_lo) and math.isfinite(x_hi)):
             raise DomainError("domain bounds must be finite")
-        if self.x_lo > self.x_hi:
-            raise DomainError(f"inverted domain: x_lo={self.x_lo} > x_hi={self.x_hi}")
-
-    @cached_property
-    def q_min(self) -> int:
-        """floor(x_lo * k), the smallest scaled value in the domain."""
-        return _floor_scaled(self.x_lo, self.k)
-
-    @cached_property
-    def offset(self) -> int:
-        """|q_min|, added to every scaled value before transmission."""
-        return abs(self.q_min)
-
-    @cached_property
-    def q(self) -> int:
-        """Encoded-domain width |q_min| + floor(x_hi * k); always >= 0."""
-        return self.offset + _floor_scaled(self.x_hi, self.k)
-
-    @cached_property
-    def float_floor(self) -> bool:
-        """Whether k is an exact float and no in-domain x * k overflows."""
-        return self.k <= 2**53 and math.isfinite(max(-self.x_lo, self.x_hi) * self.k)
+        if x_lo > x_hi:
+            raise DomainError(f"inverted domain: x_lo={x_lo} > x_hi={x_hi}")
+        # through object.__setattr__, as a frozen dataclass sets its fields;
+        # writing the instance dict directly would slow every attribute read
+        q_min = _floor_scaled(x_lo, k)
+        object.__setattr__(self, "q_min", q_min)
+        object.__setattr__(self, "offset", abs(q_min))
+        object.__setattr__(self, "q", abs(q_min) + _floor_scaled(x_hi, k))
+        float_floor = k <= 2**53 and math.isfinite(max(-x_lo, x_hi) * k)
+        object.__setattr__(self, "float_floor", float_floor)
 
 
 def encode(x: float, p: EncodingParams) -> int:

@@ -170,8 +170,11 @@ class ScenarioSpec:
                 )
             if pet == PET_ASS and self.sensors != 1:
                 raise ConfigError("sensors.count: virtualized ass splits one source value")
-            if pet == PET_NONE and self.sensors != 1:
-                raise ConfigError("sensors.count: a virtualized relay forwards one source")
+            if pet == PET_NONE:
+                raise ConfigError(
+                    "pet.kind: none has no virtualized form;"
+                    " forwarding through one node is relay-chain with depth 1"
+                )
         check_elements(self.sensors, self.m or 1, "sensors.count")
         check_sum_fits(self.sensors, self.encoding, "sensors.count")
         if pet in (PET_LDP, PET_GDP):

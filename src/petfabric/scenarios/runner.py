@@ -18,8 +18,9 @@ is counted from the same crossings:
     Every message on the critical path is two hops (publish + delivery).
     Of the senders in one crossing, the slowest lies on the critical path.
 
-So on-device flows take 2 hops, m sequential shares 2m, a virtual node in
-between 4 (2 + 2m with shares), and a relay chain 2 + 2*depth.
+So on-device flows take 2 hops, m sequential shares 2m, a virtual node running
+gdp 4 (2 + 2m running ass, the only other PET it runs), and a relay chain
+2 + 2*depth; a node that only forwards is a relay chain of depth 1.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def _run_once(
 
 
 def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
-    """raw, ldp, krr or gdp values, on-device or through a vnode or aggregator.
+    """raw, ldp, krr or gdp values on-device, or gdp at a vnode (ass is the
+    vnode's only other PET, in _share_flow).
 
     Sensor-side schemes privatize before the sensors publish; gdp privatizes
     once, where the values meet: at a virtual node behind the broker, or at a
@@ -180,14 +182,6 @@ def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
     params, pet, n = spec.encoding, spec.pet, len(values)
     sensors = [f"s{i}" for i in range(n)]
     topics = [DATA_TOPIC.format(sensor=sid) for sid in sensors]
-    virtualized = spec.topology == VIRTUALIZED
-    hub = "vnode" if virtualized else "aggregator"
-    if virtualized:
-        path.link(sensors, topics, hub, DATA_FILTER)
-    if virtualized or pet == PET_GDP:
-        path.link([hub], [OUT_TOPIC], "consumer", OUT_TOPIC)
-    else:
-        path.link(sensors, topics, "consumer", DATA_FILTER)
 
     def readings(scheme, wire, epsilon=None) -> Iterable[Batch]:
         return (
@@ -196,6 +190,11 @@ def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
         )
 
     if pet == PET_GDP:
+        virtualized = spec.topology == VIRTUALIZED
+        hub = "vnode" if virtualized else "aggregator"
+        if virtualized:
+            path.link(sensors, topics, hub, DATA_FILTER)
+        path.link([hub], [OUT_TOPIC], "consumer", OUT_TOPIC)
         budget = dp.PrivacyBudget(spec.epsilon, params.q)
         collected = encoded
         if virtualized:
@@ -205,6 +204,7 @@ def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
         out = path.envelope(OUT_TOPIC, hub, Scheme.GDP, noisy, epsilon=spec.epsilon)
         received = path.cross("consumer", [(hub, [out])])
     else:
+        path.link(sensors, topics, "consumer", DATA_FILTER)
         if pet == PET_LDP:
             budget = dp.PrivacyBudget(spec.epsilon, params.q)
             wire = [dp.ldp_perturb(x, budget, rng) for x in encoded]
@@ -213,15 +213,7 @@ def _value_flow(spec, path, rng, values, encoded) -> RepOutcome:
         else:
             wire = encoded
         path.clock.advance_ms(spec.compute_ms)
-        scheme = SENSOR_SCHEMES[pet]
-        received = path.cross(
-            hub if virtualized else "consumer", readings(scheme, wire, spec.epsilon)
-        )
-        if virtualized:
-            # the vnode forwards the one source's envelope as it arrived
-            (inbound,) = received
-            forward = replace(inbound.envelope, topic=OUT_TOPIC, sensor_id=hub)
-            received = path.cross("consumer", [(hub, [forward])])
+        received = path.cross("consumer", readings(SENSOR_SCHEMES[pet], wire, spec.epsilon))
 
     total = sum(d.envelope.value for d in received)
     record = path.record(spec)

@@ -266,6 +266,20 @@ def test_validate_config_exit_codes(tmp_path, capsys):
     assert main(["validate-config", "--config", str(notjson)]) == 2
 
 
+def test_a_virtualized_config_without_a_pet_exits_2_naming_pet_kind(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {**BASELINE, "topology": {"kind": "virtualized"}})
+    message = (
+        "config error: pet.kind: none has no virtualized form;"
+        " forwarding through one node is relay-chain with depth 1\n"
+    )
+    assert main(["validate-config", "--config", cfg]) == 2
+    assert capsys.readouterr().err == message
+    out = tmp_path / "out"
+    assert main(["run-scenario", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["run-scenario", "--config", missing, "--out", str(tmp_path / "o")]) == 2

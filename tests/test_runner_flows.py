@@ -10,6 +10,7 @@ no ACL grant goes unused.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ FLOWS = {
     "on-device-gdp-sum": (dict(ON_DEVICE, pet="gdp", epsilon=1.0), 3),
     "on-device-ass": (dict(ON_DEVICE, pet="ass", m=3), 3),
     "on-device-ass-drop": (dict(ON_DEVICE, pet="ass", m=3, drop_one_share=True), 3),
-    "virtualized-none": (dict(VIRTUALIZED, pet="none"), 1),
     "virtualized-gdp-sum": (dict(VIRTUALIZED, pet="gdp", epsilon=1.0), 3),
     "virtualized-ass": (dict(VIRTUALIZED, pet="ass", m=3), 1),
     "virtualized-ass-drop": (dict(VIRTUALIZED, pet="ass", m=3, drop_one_share=True), 1),
@@ -54,7 +54,6 @@ DIGESTS = {
     "virtualized-ass": "b3318d2e73b98cfc1ab471d2a7e09057757407b2fa23ec52bae07741fbb8a4ab",
     "virtualized-ass-drop": "db74c485feddf9ef884ea67cd4f8b49104f69432a8ace6df5ba826a2b8f536d3",
     "virtualized-gdp-sum": "0ea99a634540511ef1e511ff333007423d62a01f664ffdab2f175833a93be370",
-    "virtualized-none": "e1da48a013e8fa99ba4e58ea8103553fe9d006ab412681599f0357553d03d6e0",
 }
 
 #: sha256 of every flow's published payloads and audit-log lines, recorded
@@ -70,7 +69,6 @@ WIRE_DIGESTS = {
     "virtualized-ass": "0b86ab31fce4d9384ba3fa52fa4f1cb45cafb51416ad9f39fb631a526de815de",
     "virtualized-ass-drop": "68f4630e706eb5de094478561f817a0a485be1db2a4c7f2471722e7e0517444b",
     "virtualized-gdp-sum": "b16a80c57788280ad9f3fbbd55d964148e5806b803c9db67ed40504940eac4b9",
-    "virtualized-none": "9b85d38b6a307988e661475a8a412d43f789956066cbf164c18c6549eda7e0bb",
 }
 
 
@@ -110,6 +108,13 @@ def flow_digest(spec: ScenarioSpec) -> str:
 @pytest.mark.parametrize("name", sorted(FLOWS))
 def test_flow_outcomes_are_pinned(name):
     assert flow_digest(flow_spec(name)) == DIGESTS[name]
+
+
+def test_relay_chain_at_depth_1_gives_the_retired_virtualized_relay_s_outcomes():
+    # a virtualized node with no PET forwarded one source's value unchanged;
+    # the digest is that flow's, so one relay reproduces every draw and record
+    spec = replace(flow_spec("relay-chain-3"), depth=1, name="virtualized-none")
+    assert flow_digest(spec) == "e1da48a013e8fa99ba4e58ea8103553fe9d006ab412681599f0357553d03d6e0"
 
 
 def capture_brokers(monkeypatch) -> list[Broker]:
@@ -183,7 +188,7 @@ def test_every_acl_grant_is_used(name, rate, monkeypatch):
 
 
 def test_cross_refuses_a_publish_the_receiver_does_not_get():
-    spec = flow_spec("virtualized-none")
+    spec = flow_spec("relay-chain-3")
     path = _Path(spec, 0, np.random.default_rng(0))
     topic = DATA_TOPIC.format(sensor="s0")
     path.link(["s0"], [topic], "vnode", DATA_FILTER)

@@ -178,6 +178,11 @@ def test_load_scenario_from_file(tmp_path):
             "^pet.epsilon: expected a finite number, got None$",
         ),
         (lambda c: c["pet"].update(m=None), "^pet.m: expected an integer, got None$"),
+        (
+            lambda c: c["topology"].update(kind="virtualized"),
+            "^pet.kind: none has no virtualized form;"
+            " forwarding through one node is relay-chain with depth 1$",
+        ),
     ],
 )
 def test_config_rejections_name_the_field(mutate, message):
@@ -251,12 +256,39 @@ def test_virtualized_constraints():
             pet="ass", m=3,
             sensors=2,
         )
-    with pytest.raises(ConfigError, match="one source"):
+    with pytest.raises(ConfigError, match="none has no virtualized form; forwarding through"):
         make_spec(
             topology="virtualized",
             pet="none",
             sensors=2,
         )
+
+
+def test_eight_topology_and_pet_pairs_build_a_spec():
+    # every pair gets the fields its topology and its pet need
+    topologies = {"on-device": {}, "virtualized": {}, "relay-chain": dict(depth=1)}
+    pets = {
+        "none": {},
+        "ldp": dict(epsilon=1.0),
+        "gdp": dict(epsilon=1.0),
+        "ass": dict(m=3),
+        "krr": dict(epsilon=1.0),
+    }
+    accepted = set()
+    for topology, topology_fields in topologies.items():
+        for pet, pet_fields in pets.items():
+            try:
+                make_spec(topology=topology, pet=pet, **topology_fields, **pet_fields)
+            except ConfigError as exc:
+                assert str(exc).startswith("pet.kind: "), (topology, pet, str(exc))
+            else:
+                accepted.add((topology, pet))
+    assert accepted == {
+        *(("on-device", pet) for pet in pets),
+        ("virtualized", "gdp"),
+        ("virtualized", "ass"),
+        ("relay-chain", "none"),
+    }
 
 
 @pytest.mark.parametrize(
@@ -322,7 +354,7 @@ def test_hop_counts_follow_the_flow():
         (dict(topology="on-device", pet="ldp", epsilon=1), 2),
         (dict(topology="on-device", pet="gdp", epsilon=1), 2),
         (dict(topology="on-device", pet="ass", m=3), 6),
-        (dict(topology="virtualized", pet="none"), 4),
+        (dict(topology="relay-chain", depth=1, pet="none"), 4),
         (dict(topology="virtualized", pet="gdp", epsilon=1), 4),
         (dict(topology="virtualized", pet="ass", m=3), 8),
         (dict(topology="relay-chain", depth=5, pet="none"), 12),
@@ -415,8 +447,10 @@ def test_raw_flow_reproduces_values():
 
 
 def test_virtualized_relay_forwards_the_value():
+    # a node that only forwards is a relay chain of depth 1
     spec = make_spec(
-        topology="virtualized",
+        topology="relay-chain",
+        depth=1,
         sensors=1,
         compute_ms=0.0,
         repetitions=3,
