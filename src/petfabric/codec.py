@@ -59,7 +59,7 @@ class EncodingParams:
         object.__setattr__(self, "q_min", q_min)
         object.__setattr__(self, "offset", abs(q_min))
         object.__setattr__(self, "q", abs(q_min) + _floor_scaled(x_hi, k))
-        float_floor = k <= 2**53 and math.isfinite(max(-x_lo, x_hi) * k)
+        float_floor = k <= 2**53 and math.isfinite(float(max(-x_lo, x_hi)) * k)
         object.__setattr__(self, "float_floor", float_floor)
 
 

@@ -178,6 +178,8 @@ EXACT_FLOOR_CASES = {
     "k-2-53-plus-1": (2**53 + 1, 0.0, 1.0, [0.1, 1 / 3, *_neighbours(0.5), 1.0]),
     "k-above-float-range": (10**400, -1.0, 1.0, [-1.0, -0.0, 0.1, *_neighbours(0.5), 1.0]),
     "product-past-float-range": (2**53, -1e300, 1e300, [1e300, -1e300, 1e-300, 0.1]),
+    # integer bounds whose product with k no float holds
+    "int-product-past-float-range": (10**10, 0, 10**300, [0.0, 5.5, 1e299, 10**300]),
 }
 
 
