@@ -80,7 +80,7 @@ def empirical_guess_rate(
         hb = high_truth[start : start + BLOCK]
         if model == LDP_MODEL:
             np.rint(zb, out=zb)
-        zb += np.where(hb, gap, 0)  # the release: truth + noise
+        zb += hb * float(gap)  # the release: truth + noise
         correct += np.count_nonzero((zb > gap / 2) == hb)
     return correct / trials
 

@@ -105,12 +105,13 @@ def ldp_perturb(x: int, budget: PrivacyBudget, rng: np.random.Generator) -> int:
     return x + round(sample_laplace(budget.scale, rng))
 
 
-def ldp_perturb_array(xs, budget: PrivacyBudget, rng: np.random.Generator) -> np.ndarray:
-    """Vector form of ldp_perturb for batch experiments (int64 output)."""
+def ldp_perturb_rows(xs, rows: int, budget: PrivacyBudget, rng: np.random.Generator) -> np.ndarray:
+    """Vector form of ldp_perturb: `rows` successive draws over xs, one a row (int64 output)."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=np.int64)
-    noise = sample_laplace(budget.scale, rng, size=xs.shape)
+    draws = [sample_laplace(budget.scale, rng, size=xs.shape) for _ in range(rows)]
+    noise = np.array(draws) if rows > 1 else draws[0][np.newaxis]  # one row: no copy
     np.rint(noise, out=noise)
     out = noise.astype(np.int64)
     out += xs

@@ -32,7 +32,7 @@ class UtilityPoint(NamedTuple):
     epsilon: float
     mean_abs_err: float
     median_abs_err: float
-    std_err: float
+    std_err: float  # sample std (ddof=1) of the absolute errors, not a standard error
     reps: int
 
 
@@ -100,18 +100,21 @@ def weight_sum_experiment(
     values = np.fromiter(encoded, np.int64, n) if model == LDP_MODEL else [sum(encoded)]
     true_sum = float(weights.sum())
     sens = sensitivity if sensitivity is not None else encoding.q
+    rows = max(1, dp.BLOCK // n)  # ldp repetitions a block: at most dp.BLOCK noise values
 
     points = []
     for i, eps in enumerate(eps_grid):
         rng = np.random.default_rng(seed + 1 + i)
         budget = dp.PrivacyBudget(epsilon=eps, sensitivity=sens)
         errors = np.empty(reps)
-        for r in range(reps):
-            if model == LDP_MODEL:
-                noisy = int(dp.ldp_perturb_array(values, budget, rng).sum())
-            else:
+        if model == LDP_MODEL:
+            for r in range(0, reps, rows):  # one expression frees a block before the next draw
+                sums = dp.ldp_perturb_rows(values, min(rows, reps - r), budget, rng).sum(1).tolist()
+                errors[r : r + rows] = [abs(decode_sum(s, n, encoding) - true_sum) for s in sums]
+        else:
+            for r in range(reps):
                 noisy = dp.gdp_aggregate(values, budget, rng)
-            errors[r] = abs(decode_sum(noisy, n, encoding) - true_sum)
+                errors[r] = abs(decode_sum(noisy, n, encoding) - true_sum)
         points.append(
             UtilityPoint(
                 epsilon=float(eps),
@@ -121,11 +124,7 @@ def weight_sum_experiment(
                 reps=reps,
             )
         )
-    return UtilityReport(
-        ground_truth=true_sum,
-        points=tuple(points),
-        weights=weights,
-    )
+    return UtilityReport(ground_truth=true_sum, points=tuple(points), weights=weights)
 
 
 # --------------------------------------------------------------------------

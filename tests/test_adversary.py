@@ -97,6 +97,41 @@ def test_empirical_rate_counted_in_blocks_matches_the_mean_over_the_release(tria
         assert got == want
 
 
+def where_guess_rate(gap, trials, b, rng, model):
+    """The distinguisher with the int64 candidates np.where(truth, gap, 0)
+    added to each block of noise, as a copy of its per-block form."""
+    high_truth = rng.integers(0, 2, size=trials).astype(bool)
+    z = sample_laplace(b.scale, rng, size=trials)
+    correct = 0
+    for start in range(0, trials, BLOCK):
+        zb = z[start : start + BLOCK]
+        hb = high_truth[start : start + BLOCK]
+        if model == adversary.LDP_MODEL:
+            np.rint(zb, out=zb)
+        zb += np.where(hb, gap, 0)
+        correct += np.count_nonzero((zb > gap / 2) == hb)
+    return correct / trials
+
+
+@pytest.mark.parametrize("model", [adversary.GDP_MODEL, adversary.LDP_MODEL])
+@pytest.mark.parametrize("gap", [1, 999, 2**53 + 1, 2**62 - 1])
+def test_float_offsets_give_the_rate_of_the_int64_candidates(gap, model):
+    # the offset is added as hb * float(gap); above 2**53 the gap rounds to
+    # float64, as numpy's cast of the int64 candidate rounds it, to nearest
+    trials = 2 * BLOCK + 5  # three blocks, the last one short
+    b = budget(0.5, gap)  # noise on the gap's scale: both sides of gap / 2 occur
+    got = adversary.empirical_guess_rate(gap, trials, b, np.random.default_rng(gap), model)
+    want = where_guess_rate(gap, trials, b, np.random.default_rng(gap), model)
+    assert got == want
+    assert 0.55 < got < 0.7
+    # release by release, signed zeros of the noise included
+    rng = np.random.default_rng(gap)
+    hb = rng.integers(0, 2, size=trials).astype(bool)
+    z = sample_laplace(b.scale, rng, size=trials)
+    z[:4], hb[:4] = [-0.0, 0.0, -0.0, 0.0], [False, False, True, True]
+    assert (z + hb * float(gap)).tobytes() == (z + np.where(hb, gap, 0)).tobytes()
+
+
 GRID_EPS = [0.01, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0]
 GRID_RATIOS = [0.1, 0.5, 1.0]
 

@@ -154,7 +154,7 @@ def test_block_laplace_keeps_the_sign_of_zero_at_the_median():
 def test_ldp_array_rounds_like_the_one_expression(seed, weights_dataset):
     budget = dp.PrivacyBudget(0.5, 170)
     xs = np.array(weights_dataset, dtype=np.int64).reshape(20, 25)
-    got = dp.ldp_perturb_array(xs, budget, np.random.default_rng(seed))
+    got = dp.ldp_perturb_rows(xs, 1, budget, np.random.default_rng(seed))[0]
     noise = np.rint(reference_laplace(budget.scale, np.random.default_rng(seed), xs.shape))
     want = xs + noise.astype(np.int64)
     assert got.dtype == np.int64 and got.shape == xs.shape
@@ -184,8 +184,8 @@ KERNELS = {
     "sample_laplace": lambda: dp.sample_laplace(
         2.0, np.random.default_rng(6), size=KERNEL_ELEMENTS
     ),
-    "ldp_perturb_array": lambda xs=np.full(KERNEL_ELEMENTS, 85, dtype=np.int64): (
-        dp.ldp_perturb_array(xs, BUDGET, np.random.default_rng(6))
+    "ldp_perturb_rows": lambda xs=np.full(KERNEL_ELEMENTS, 85, dtype=np.int64): (
+        dp.ldp_perturb_rows(xs, 1, BUDGET, np.random.default_rng(6))
     ),
     "empirical_guess_rate": lambda: adversary.empirical_guess_rate(
         85, KERNEL_ELEMENTS, BUDGET, np.random.default_rng(6), "ldp"
@@ -203,7 +203,7 @@ def test_noise_kernels_hold_one_scratch_array(kernel):
 #: Peak beyond the result, fixed from the arithmetic: the Laplace draw
 #: holds one block of float64 scratch plus a few small objects; the
 #: distinguisher holds its truth bits and noise, 9 B a trial, and per block
-#: the Laplace scratch, the int64 candidates and two bool arrays.
+#: the Laplace scratch, the float64 candidates and two bool arrays.
 BLOCK_BOUNDS = {
     "sample_laplace": 8 * dp.BLOCK + 4096,
     "empirical_guess_rate": 9 * KERNEL_ELEMENTS + 32 * dp.BLOCK,
@@ -226,7 +226,7 @@ def test_ldp_noise_std_matches_closed_form():
     budget = dp.PrivacyBudget(0.01, 170)
     assert budget.scale == 17_000
     rng = np.random.default_rng(507)
-    noisy = dp.ldp_perturb_array(np.full(100_000, 122), budget, rng)
+    noisy = dp.ldp_perturb_rows(np.full(100_000, 122), 1, budget, rng)[0]
     target = 17_000 * math.sqrt(2.0)
     assert abs((noisy - 122).std(ddof=1) - target) <= 0.02 * target
 
@@ -240,7 +240,7 @@ def test_ldp_sum_error_matches_monte_carlo_oracle(weights_dataset, weight_params
     rng = np.random.default_rng(510)
     errs = np.empty(reps)
     for r in range(reps):
-        errs[r] = abs(int(dp.ldp_perturb_array(weights_dataset, budget, rng).sum()) - exact)
+        errs[r] = abs(int(dp.ldp_perturb_rows(weights_dataset, 1, budget, rng).sum()) - exact)
     oracle_rng = np.random.default_rng(987)
     oracle = np.abs(
         np.rint(oracle_rng.laplace(0.0, budget.scale, size=(reps, n))).sum(axis=1)
@@ -335,7 +335,7 @@ def test_ldp_sum_unbiased(weights_dataset, weight_params):
     reps = 4000
     total = 0.0
     for _ in range(reps):
-        total += int(dp.ldp_perturb_array(weights_dataset, budget, rng).sum())
+        total += int(dp.ldp_perturb_rows(weights_dataset, 1, budget, rng).sum())
     exact = sum(weights_dataset)
     # symmetric rounding keeps sums unbiased up to +-0.5 per record; the MC
     # error dominates, so allow a few standard errors of the sum estimator

@@ -15,12 +15,15 @@ from petfabric.codec import EncodingParams, decode_sum, encode
 from petfabric.fabric.broker import LATENCY_PRESETS, LatencyModel
 from petfabric.scenarios.config import ScenarioSpec
 from petfabric.scenarios.experiments import (
+    UtilityPoint,
+    UtilityReport,
     _ks_2samp_equal,
     generate_weights,
     load_test,
     median,
     weight_sum_experiment,
 )
+from test_dp import StubRng
 
 
 def test_weight_sum_report_shape():
@@ -115,6 +118,82 @@ def test_ldp_sweep_peak_holds_no_list_of_encoded_ints():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * n + 16 * dp.BLOCK
+
+
+def per_repetition_ldp_sweep(n, encoding, eps_grid, reps, seed):
+    """The ldp sweep with one perturbation, rounding and int64 sum per
+    repetition: the reference the blocked repetitions must reproduce."""
+    weights = generate_weights(n, encoding.x_lo, encoding.x_hi, seed)
+    values = np.fromiter((encode(float(w), encoding) for w in weights), np.int64, n)
+    true_sum = float(weights.sum())
+    points = []
+    for i, eps in enumerate(eps_grid):
+        rng = np.random.default_rng(seed + 1 + i)
+        budget = dp.PrivacyBudget(epsilon=eps, sensitivity=encoding.q)
+        errors = np.empty(reps)
+        for r in range(reps):
+            noise = dp.sample_laplace(budget.scale, rng, size=values.shape)
+            np.rint(noise, out=noise)
+            out = noise.astype(np.int64)
+            out += values
+            errors[r] = abs(decode_sum(int(out.sum()), n, encoding) - true_sum)
+        stats = errors.mean(), np.median(errors), errors.std(ddof=1)
+        points.append(UtilityPoint(float(eps), *map(float, stats), reps))
+    return UtilityReport(true_sum, tuple(points), weights)
+
+
+def blocked_ldp_sweep(n, encoding, eps_grid, reps, seed):
+    return weight_sum_experiment(n, encoding, "ldp", eps_grid, reps, seed)
+
+
+def report_bits(report):
+    return report.ground_truth, np.array(report.points).tobytes(), report.weights.tobytes()
+
+
+def reps_around_a_block(n):
+    rows = max(1, dp.BLOCK // n)
+    return sorted({reps for reps in (1, rows - 1, rows, rows + 1, 2 * rows + 3) if reps >= 1})
+
+
+BLOCKED_SWEEPS = [
+    (n, reps)
+    for n in (1, 7, 500, dp.BLOCK // 2, dp.BLOCK // 2 + 1, dp.BLOCK + 1)
+    for reps in reps_around_a_block(n)
+]
+
+
+# one repetition has no sample standard deviation: std_err is nan on both sides
+@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "n, reps", BLOCKED_SWEEPS, ids=[f"n{n}-reps{r}" for n, r in BLOCKED_SWEEPS]
+)
+def test_blocked_ldp_sweep_gives_the_per_repetition_report(n, reps):
+    # blocks of max(1, BLOCK // n) repetitions: one short or full block,
+    # one and a bit, two and a bit, and one repetition a block past BLOCK // 2
+    args = n, EncodingParams(1, 50, 120), [0.3, 2.0], reps, 29
+    assert report_bits(blocked_ldp_sweep(*args)) == report_bits(per_repetition_ldp_sweep(*args))
+
+
+def test_blocked_ldp_sweep_redraws_a_zero_inside_its_row(monkeypatch):
+    # u == 0 in the middle row of the first block: the redraw is that row's
+    # next random() call, made before the next row is drawn
+    n, seed = 500, 29
+    rows = dp.BLOCK // n
+    reps, mid = 2 * rows + 3, rows // 2
+    real_rng = np.random.default_rng
+
+    def run(sweep):
+        stub = StubRng(seed + 1, *[()] * mid, [0.25, 0.0])
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "default_rng", lambda s: stub if s == seed + 1 else real_rng(s))
+            return sweep(n, EncodingParams(1, 50, 120), [0.5], reps, seed), stub.sizes
+
+    got, got_sizes = run(blocked_ldp_sweep)
+    want, want_sizes = run(per_repetition_ldp_sweep)
+    assert got_sizes == want_sizes == [(n,)] * (mid + 1) + [1] + [(n,)] * (reps - mid - 1)
+    assert report_bits(got) == report_bits(want)
+
 
 def test_ldp_medians_match_independent_oracle():
     seed, n, k = 606, 300, 1
