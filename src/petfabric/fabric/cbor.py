@@ -83,10 +83,7 @@ def _encode_into(buf: bytearray, value) -> None:
                 raise CborEncodeError(f"map keys must be unsigned integers, got {key!r}")
         _append_head(buf, _MAJOR_MAP, len(value))
         for key in sorted(value):
-            if key < 24:
-                buf.append(key)
-            else:
-                _append_head(buf, _MAJOR_UINT, key)
+            _append_head(buf, _MAJOR_UINT, key)
             _encode_into(buf, value[key])
     else:
         raise CborEncodeError(f"unsupported type {kind.__name__}")
@@ -143,14 +140,9 @@ def _decode_item(data: bytes, i: int, end: int):
         out: dict[int, object] = {}
         prev = -1
         for _ in range(arg):
-            if j < end and data[j] < 24:
-                # an unsigned key below 24 is its own head byte
-                key = data[j]
-                j += 1
-            else:
-                key, j = _decode_item(data, j, end)
-                if type(key) is not int or key < 0:
-                    raise CborDecodeError(f"map keys must be unsigned integers, got {key!r}")
+            key, j = _decode_item(data, j, end)
+            if type(key) is not int or key < 0:
+                raise CborDecodeError(f"map keys must be unsigned integers, got {key!r}")
             if key <= prev:
                 raise CborDecodeError(
                     "map keys must be strictly ascending (canonical form)"

@@ -20,11 +20,14 @@ broker routes on the topic without parsing the body.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
 from . import cbor
+from .cbor import _FLOAT64_HEAD, _HEAD_FORMS, _UNPACK_FLOAT64, _append_head
+from .cbor import _MAJOR_NEGINT, _MAJOR_TEXT, _MAJOR_UINT
 
 
 class Scheme(IntEnum):
@@ -50,6 +53,10 @@ _MANDATORY_KEY_SET = frozenset(_MANDATORY_KEYS)
 _ALL_KEYS = frozenset(range(7))
 _SCHEME_BY_TAG = {int(scheme): scheme for scheme in Scheme}
 _SCHEMES_WITH_EPSILON = frozenset({Scheme.LDP, Scheme.GDP, Scheme.KRR})
+_SCHEME_BY_BYTE = tuple(Scheme)  # a tag below 24 is its own head byte
+_TEXT_BITS = _MAJOR_TEXT << 5
+_NEGINT_BITS = _MAJOR_NEGINT << 5
+_PACK_EPSILON = struct.Struct(">BBd").pack
 
 
 class EnvelopeError(ValueError):
@@ -134,23 +141,104 @@ class Envelope:
 
 
 def cbor_encode(env: Envelope) -> bytes:
-    """Serialize the payload map canonically; same envelope, same bytes."""
-    payload: dict[int, object] = {
-        _KEY_SENSOR: env.sensor_id,
-        _KEY_SEQUENCE: env.sequence,
-        _KEY_SCHEME: int(env.scheme),
-        _KEY_VALUE: env.value,
-        _KEY_TIMESTAMP: env.timestamp_us,
-    }
-    if env.share_index is not None:
-        payload[_KEY_SHARE_INDEX] = env.share_index
-    if env.epsilon is not None:
-        payload[_KEY_EPSILON] = float(env.epsilon)
-    return cbor.encode(payload)
+    """Serialize the payload map canonically; same envelope, same bytes.
+
+    Writes the fixed layout in key order: the map head counts the optional
+    keys 4 and 5, and every key is its own head byte."""
+    share_index = env.share_index
+    epsilon = env.epsilon
+    head = 0xA5
+    if share_index is not None:
+        head += 1
+    if epsilon is not None:
+        epsilon = float(epsilon)
+        head += 1
+    sensor = env.sensor_id.encode("utf-8")
+    buf = bytearray((head, _KEY_SENSOR))
+    _append_head(buf, _MAJOR_TEXT, len(sensor))
+    buf += sensor
+    buf.append(_KEY_SEQUENCE)
+    _append_head(buf, _MAJOR_UINT, env.sequence)
+    buf.append(_KEY_SCHEME)
+    buf.append(env.scheme)
+    buf.append(_KEY_VALUE)
+    value = env.value
+    if value >= 0:
+        _append_head(buf, _MAJOR_UINT, value)
+    else:
+        _append_head(buf, _MAJOR_NEGINT, -1 - value)
+    if share_index is not None:
+        buf.append(_KEY_SHARE_INDEX)
+        _append_head(buf, _MAJOR_UINT, share_index)
+    if epsilon is not None:
+        buf += _PACK_EPSILON(_KEY_EPSILON, _FLOAT64_HEAD, epsilon)
+    buf.append(_KEY_TIMESTAMP)
+    _append_head(buf, _MAJOR_UINT, env.timestamp_us)
+    return bytes(buf)
+
+
+class _OffLayout(ValueError):
+    """The bytes are not an envelope in its fixed key order."""
+
+
+def _arg(data: bytes, i: int, major_bits: int) -> tuple[int, int]:
+    """(argument, next offset) of a minimal head of one major type at i."""
+    info = data[i] - major_bits
+    if 0 <= info < 24:
+        return info, i + 1
+    unpack, width, minimum = _HEAD_FORMS[info]
+    (arg,) = unpack(data, i + 1)
+    if arg < minimum:
+        raise _OffLayout
+    return arg, i + 1 + width
 
 
 def cbor_decode(data: bytes, topic: str = "") -> Envelope:
     """Parse and validate payload bytes; the topic is supplied out-of-band.
+
+    Reads the fixed layout in one pass. Bytes off that layout, or fields an
+    Envelope refuses, go to the generic path, which names the fault."""
+    try:
+        head = data[0]
+        if head != 0xA5 and head != 0xA6 or data[1] != _KEY_SENSOR:
+            raise _OffLayout
+        size, i = _arg(data, 2, _TEXT_BITS)
+        sensor = data[i : i + size].decode("utf-8")
+        i += size
+        if data[i] != _KEY_SEQUENCE:
+            raise _OffLayout
+        sequence, i = _arg(data, i + 1, 0)
+        if data[i] != _KEY_SCHEME or data[i + 2] != _KEY_VALUE:
+            raise _OffLayout
+        scheme = _SCHEME_BY_BYTE[data[i + 1]]
+        if data[i + 3] < _NEGINT_BITS:
+            value, i = _arg(data, i + 3, 0)
+        else:
+            value, i = _arg(data, i + 3, _NEGINT_BITS)
+            value = -1 - value
+        share_index = epsilon = None
+        if head == 0xA6:
+            key = data[i]
+            if key == _KEY_SHARE_INDEX:
+                share_index, i = _arg(data, i + 1, 0)
+            elif key == _KEY_EPSILON and data[i + 1] == _FLOAT64_HEAD:
+                (epsilon,) = _UNPACK_FLOAT64(data, i + 2)
+                i += 10
+            else:
+                raise _OffLayout
+        if data[i] != _KEY_TIMESTAMP:
+            raise _OffLayout
+        timestamp_us, i = _arg(data, i + 1, 0)
+        if i != len(data):
+            raise _OffLayout
+        return Envelope(topic, sensor, sequence, scheme, value, share_index, epsilon, timestamp_us)
+    except (LookupError, ValueError, struct.error):
+        pass
+    return _decode_generic(data, topic)
+
+
+def _decode_generic(data: bytes, topic: str) -> Envelope:
+    """Decode through cbor.decode; every refusal of a payload is named here.
 
     A decoded payload passes the same checks as a constructed Envelope."""
     payload = cbor.decode(data)

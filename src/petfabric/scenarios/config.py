@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..ass import MAX_FIELD_BOUND
-from ..codec import DomainError, EncodingParams
+from ..codec import DomainError, EncodingParams, encode
 from ..dp import GDP_MODEL, LDP_MODEL
 from ..fabric.broker import LATENCY_PRESETS, LatencyModel
 
@@ -555,6 +555,13 @@ def sweep_from_dict(raw: dict) -> dict:
     check_elements(n, 1, "n")
     params = encoding_from_dict(require_key(raw, "encoding", "config"))
     check_sum_fits(n, params, "n")
+    # one record moves the encoded sum by up to this much; less noise is a false epsilon
+    width = encode(params.x_hi, params) - encode(params.x_lo, params)
+    if sensitivity is not None and sensitivity < width:
+        raise ConfigError(
+            f"sensitivity: {sensitivity} is below the encoding's occupied width"
+            f" encode(x_hi) - encode(x_lo) = {width}"
+        )
     eps_grid = _epsilons(raw)
     for i, eps in enumerate(eps_grid):
         check_noise_fits(n, params.q, sensitivity, eps, f"eps_grid[{i}]")

@@ -426,6 +426,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
             "ass-demo", "ass-demo", {**ASS_DEMO, "seed": None}, "seed", id="null-ass-demo-seed"
         ),
         pytest.param("bench-suite", "bench", {**BENCH, "seed": None}, "seed", id="null-bench-seed"),
+        ("sweep-epsilon", "sweep", {**SWEEP, "sensitivity": 1}, "sensitivity"),
     ],
 )
 def test_experiment_config_rejections_name_the_field(
@@ -436,6 +437,19 @@ def test_experiment_config_rejections_name_the_field(
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count(f"{field}: ") == 2, err
+
+
+def test_sweep_sensitivity_below_the_occupied_width_is_refused(tmp_path, capsys):
+    # on [50, 120] readings encode to [100, 170]: one record moves the sum by up to 70
+    assert sweep_from_dict({**SWEEP, "sensitivity": 70})["sensitivity"] == 70
+    cfg = write(tmp_path, "low.json", {**SWEEP, "sensitivity": 69})
+    out = tmp_path / "out"
+    assert main(["sweep-epsilon", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: sensitivity: 69 is below the encoding's occupied width"
+        " encode(x_hi) - encode(x_lo) = 70\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -735,7 +749,12 @@ def test_verbose_works_on_every_call_in_one_process(tmp_path):
 def test_readme_csv_schemas_match_the_writers():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### CSV schemas", 1)[1].split("\n#", 1)[0]
-    rows = [line.strip("|").split("|") for line in section.splitlines() if "`" in line]
+    # the table's rows only: a prose note in the section may hold code spans
+    header, separator, *rows = [
+        line.strip("|").split("|") for line in section.splitlines() if line.startswith("|")
+    ]
+    assert [cell.strip() for cell in header] == ["report", "file", "columns"]
+    assert {cell.strip() for cell in separator} == {"---"}
     documented = {file.strip(" `"): columns.strip(" `").split(", ") for _, file, columns in rows}
     assert documented == {
         "<name>_records.csv": cli.RECORD_COLUMNS,
