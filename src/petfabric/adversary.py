@@ -153,8 +153,7 @@ class CoverageSet:
         return self.observed_channels == frozenset(range(1, m + 1))
 
 
-@dataclass(frozen=True)
-class UniformityReport:
+class UniformityReport(NamedTuple):
     """Chi-square evidence that observed partial sums are uniform on Z_Q."""
 
     observations: int

@@ -22,9 +22,9 @@ each with its own broker, never as threads sharing one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple
 
 from .envelope import Envelope, Scheme, cbor_decode, cbor_encode
 
@@ -200,8 +200,7 @@ class VirtualClock:
 # Broker
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     event: str
     client_id: str
     topic: str
@@ -215,11 +214,11 @@ class AuditRecord:
 class Delivery:
     """One envelope handed to one subscriber, with its two-leg path cost.
 
-    A plain dataclass that decodes its payload once, on first access: a
-    frozen one pays object.__setattr__ per field and a cached_property
-    takes a lock, on every delivery. It hashes and compares by its five
-    fields, as a frozen one would; do not reassign them, since `envelope`
-    keeps what it decoded first.
+    A plain dataclass: a frozen one pays object.__setattr__ per field on
+    every delivery. It hashes and compares by its five fields, as a frozen
+    one would, so do not reassign them. Every flow reads a delivery's
+    envelope at most once, so `envelope` decodes on each read and keeps
+    nothing.
     """
 
     topic: str
@@ -227,22 +226,18 @@ class Delivery:
     subscriber: str
     publish_delay_ms: float
     delivery_delay_ms: float
-    _envelope: Optional[Envelope] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def envelope(self) -> Envelope:
-        """The payload decoded, once."""
-        if self._envelope is None:
-            self._envelope = cbor_decode(self.payload, topic=self.topic)
-        return self._envelope
+        """The payload decoded."""
+        return cbor_decode(self.payload, topic=self.topic)
 
 
 class PublishReceipt(NamedTuple):
     deliveries: tuple[Delivery, ...]
 
 
-@dataclass(frozen=True)
-class LoadReport:
+class LoadReport(NamedTuple):
     """Outcome of one synthetic background-traffic injection."""
 
     published: int
@@ -367,8 +362,7 @@ class Broker:
         return LoadReport(total, delivered)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Per-message latency breakdown for one measured flow.
 
     end_to_end_ms is additive by construction: compute time plus the sum of

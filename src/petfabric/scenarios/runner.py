@@ -25,8 +25,8 @@ gdp 4 (2 + 2m running ass, the only other PET it runs), and a relay chain
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .. import ass, dp
 from ..codec import decode, decode_sum, encode
@@ -67,8 +67,7 @@ SENSOR_SCHEMES = {PET_NONE: Scheme.RAW, PET_LDP: Scheme.LDP, PET_KRR: Scheme.KRR
 Batch = tuple[str, Iterable[Envelope]]
 
 
-@dataclass(frozen=True)
-class RepOutcome:
+class RepOutcome(NamedTuple):
     """One repetition's latency record plus what the consumer computed."""
 
     record: RunRecord
@@ -261,22 +260,14 @@ def _share_flow(spec, path, rng, values, encoded) -> RepOutcome:
     path.cross("consumer", shares())
     if drop is not None:
         bundles[victim] = ass.lose_share(bundles[victim], channel)
-    record = path.record(spec)
-    encoded_truth = sum(encoded)
+    total = result = truth = error = None
     try:
         total = ass.reconstruct_sum(bundles, fp)
     except ass.MissingShareError as exc:
-        return RepOutcome(
-            record, None, None, encoded_truth=encoded_truth, error=exc, injected_drop=drop
-        )
-    return RepOutcome(
-        record,
-        decode_sum(total, len(bundles), params),
-        float(sum(values)),
-        encoded_result=total,
-        encoded_truth=encoded_truth,
-        injected_drop=drop,
-    )
+        error = exc
+    else:
+        result, truth = decode_sum(total, len(bundles), params), float(sum(values))
+    return RepOutcome(path.record(spec), result, truth, total, sum(encoded), error, drop)
 
 
 def _relay_flow(spec, path, rng, values, encoded) -> RepOutcome:

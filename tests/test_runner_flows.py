@@ -5,8 +5,9 @@ encoded truth, injected drop and missing shares, so a change to any flow's
 random draw order, hop structure or payload handling shows up here. The
 wire digests cover every payload the brokers published and every line of
 their audit logs, so a change to the CBOR bytes, the ACL decisions or the
-audit order shows up too. A last check holds every flow to least privilege:
-no ACL grant goes unused.
+audit order shows up too. The decode counts pin how often each flow reads
+an envelope back from its payload. A last check holds every flow to least
+privilege: no ACL grant goes unused.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from petfabric.codec import EncodingParams
 from petfabric.fabric import broker as broker_module
 from petfabric.fabric.broker import PUBLISH, AclTable, Broker, LatencyModel, topic_matches
 from petfabric.fabric.envelope import Scheme
+from petfabric.scenarios import runner
 from petfabric.scenarios.config import ScenarioSpec
 from petfabric.scenarios.runner import DATA_FILTER, DATA_TOPIC, _Path, run_scenario_outcomes
 
@@ -72,6 +74,23 @@ WIRE_DIGESTS = {
 }
 
 
+#: payloads each repetition decodes, with filler or without: a receiver
+#: decodes once each delivery it reads, shares reach the consumer undecoded
+#: and filler is never read
+DECODES = {
+    "on-device-none": 3,  # n readings
+    "on-device-ldp": 3,
+    "on-device-krr": 3,
+    "on-device-gdp-sum": 1,  # the release
+    "on-device-ass": 0,
+    "on-device-ass-drop": 0,
+    "virtualized-gdp-sum": 4,  # n readings at the vnode, then the release
+    "virtualized-ass": 1,  # the source's raw value at the vnode
+    "virtualized-ass-drop": 1,
+    "relay-chain-3": 4,  # depth + 1 legs
+}
+
+
 def flow_spec(name: str) -> ScenarioSpec:
     fields, n = FLOWS[name]
     return ScenarioSpec(
@@ -115,6 +134,27 @@ def test_relay_chain_at_depth_1_gives_the_retired_virtualized_relay_s_outcomes()
     # the digest is that flow's, so one relay reproduces every draw and record
     spec = replace(flow_spec("relay-chain-3"), depth=1, name="virtualized-none")
     assert flow_digest(spec) == "e1da48a013e8fa99ba4e58ea8103553fe9d006ab412681599f0357553d03d6e0"
+
+
+@pytest.mark.parametrize("name", sorted(FLOWS))
+@pytest.mark.parametrize("rate", FILLER_RATES)
+def test_each_repetition_decodes_what_its_receivers_read(name, rate, monkeypatch):
+    per_rep = []  # decodes in each repetition, in order
+    decode, run_once = broker_module.cbor_decode, runner._run_once
+
+    def counting_decode(*args, **kwargs):
+        per_rep[-1] += 1
+        return decode(*args, **kwargs)
+
+    def counting_run_once(*args, **kwargs):
+        per_rep.append(0)
+        return run_once(*args, **kwargs)
+
+    monkeypatch.setattr(broker_module, "cbor_decode", counting_decode)
+    monkeypatch.setattr(runner, "_run_once", counting_run_once)
+    spec = flow_spec(name)
+    run_scenario_outcomes(spec, filler_rate=rate)
+    assert per_rep == [DECODES[name]] * spec.repetitions
 
 
 def capture_brokers(monkeypatch) -> list[Broker]:
